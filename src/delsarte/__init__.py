@@ -17,10 +17,7 @@ from .cyclotomic import (
     Cyclotomic,
     Rational,
     SubfieldSpec,
-    cyc_canonicalize,
     exact_sign,
-    galois_apply,
-    mat_inverse,
     subfield_membership,
 )
 from .designs import (
@@ -74,7 +71,6 @@ from .scheme import (
     KreinData,
     SchemeData,
     attach_eigendata,
-    intersection_numbers,
     krein_parameters,
     verify_scheme,
 )
@@ -107,7 +103,6 @@ __all__ = [
     "builtin_representations",
     "common_fusion",
     "conj_class_scheme",
-    "cyc_canonicalize",
     "delsarte_code_lp",
     "delsarte_design_lp",
     "design_report",
@@ -117,15 +112,12 @@ __all__ = [
     "enumerate_T_designs",
     "exact_sign",
     "fuse_by_relation_partition",
-    "galois_apply",
     "galois_fusion",
     "inner_distribution",
-    "intersection_numbers",
     "is_T_design",
     "is_T_design_via_merges",
     "krein_parameters",
     "make_problem",
-    "mat_inverse",
     "orbit_merge",
     "rational_class_fusion",
     "representation_eigenvectors",

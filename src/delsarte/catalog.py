@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .cyclotomic import CycMatrix, Cyclotomic
+from .errors import InternalAssertion
 from .groups import (
     CharacterTable,
     ConjClassData,
@@ -141,7 +142,8 @@ def _coxeter_relation() -> np.ndarray:
                         dist[s, v] = depth
                         nxt.append(v)
             frontier = nxt
-    assert dist.min() >= 0 and dist.max() == 4
+    if dist.min() < 0 or dist.max() != 4:
+        raise InternalAssertion("Coxeter graph is not connected with diameter 4")
     return dist
 
 
@@ -195,7 +197,8 @@ class GroupSchemeBundle:
 
 def _bundle(group, classes, table) -> GroupSchemeBundle:
     scheme, found = conj_class_scheme(group)
-    assert found.classes == classes.classes
+    if found.classes != classes.classes:
+        raise InternalAssertion("conjugacy classes disagree with the scheme's")
     eigen = eigendata_from_characters(group, classes, table, scheme)
     return GroupSchemeBundle(group, classes, table, scheme, eigen)
 
@@ -220,7 +223,8 @@ def alternating_group_4() -> tuple[GroupTable, ConjClassData, CharacterTable]:
     ]
     group = make_group_table(mult)
     classes = conjugacy_classes(group)
-    assert classes.sizes == (1, 3, 4, 4)
+    if classes.sizes != (1, 3, 4, 4):
+        raise InternalAssertion("unexpected A4 class sizes")
     w = zeta(3)
     one = Cyclotomic.from_rational(1, 1)
     rows = [

@@ -345,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact association scheme computations: eigenstructure, "
         "Galois fusions, Delsarte designs, LP bounds",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap (computation is single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, parent, **kwargs):
@@ -428,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.fn(args)
     except DelsarteError as exc:

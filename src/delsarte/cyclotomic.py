@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .errors import ConductorMismatch, NotAUnit, SingularMatrix
+from .errors import ConductorMismatch, InternalAssertion, NotAUnit, SingularMatrix
 
 Rational = Fraction
 
@@ -90,7 +90,8 @@ def _poly_div_exact(num, den):
         if c:
             for t, dc in enumerate(den):
                 num[k + t] -= c * dc
-    assert not any(num), "non-exact polynomial division"
+    if any(num):
+        raise InternalAssertion("non-exact polynomial division")
     return out
 
 
@@ -295,7 +296,8 @@ class Cyclotomic:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert len(_poly_trim(r0)) == 1, "cyclotomic polynomial not coprime"
+        if len(_poly_trim(r0)) != 1:
+            raise InternalAssertion("cyclotomic polynomial not coprime")
         g = r0[0]
         return Cyclotomic(n, [c / g for c in s0])
 
@@ -443,25 +445,6 @@ def _poly_divmod(a, b):
             for t, bc in enumerate(b):
                 a[k + t] -= c * bc
     return _poly_trim(q), _poly_trim(a)
-
-
-# ---------------------------------------------------------------------------
-# Named operation surface
-# ---------------------------------------------------------------------------
-
-def cyc_canonicalize(conductor: int, terms) -> Cyclotomic:
-    """Canonical reduced form of sum(c_k * zeta_n^k).
-
-    ``terms`` may be a mapping exponent -> coefficient or an iterable of
-    (exponent, coefficient) pairs; exponents are reduced modulo n.
-    """
-    if hasattr(terms, "items"):
-        terms = terms.items()
-    return Cyclotomic.from_terms(conductor, terms)
-
-
-def galois_apply(x: Cyclotomic, k: int) -> Cyclotomic:
-    return x.galois(k)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +755,3 @@ class CycMatrix:
             " ".join(str(v) for v in row) for row in self.entries
         )
         return f"CycMatrix[{self.rows}x{self.cols}]({body})"
-
-
-def mat_inverse(m: CycMatrix) -> CycMatrix:
-    return m.inverse()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cyclotomic import CycMatrix, Cyclotomic, cyc_canonicalize
+from .cyclotomic import CycMatrix, Cyclotomic
 from .designs import DesignReport, WeightedSubset
 from .errors import ParseError
 from .groups import CharacterTable, GroupTable, make_character_table, make_group_table
@@ -59,7 +59,7 @@ def cyc_from_literal(lit, conductor: int) -> Cyclotomic:
             terms = [(int(e), rational_from_str(c)) for e, c in lit]
         except (TypeError, ValueError) as exc:
             raise ParseError(None, f"bad cyclotomic literal {lit!r}") from exc
-        return cyc_canonicalize(conductor, terms)
+        return Cyclotomic.from_terms(conductor, terms)
     raise ParseError(None, f"bad cyclotomic literal {lit!r}")
 
 
@@ -72,7 +72,7 @@ def cyclotomic_to_json(value: Cyclotomic) -> dict:
 
 def cyclotomic_from_json(obj) -> Cyclotomic:
     _expect_keys(obj, {"conductor", "terms"}, "cyclotomic")
-    return cyc_canonicalize(
+    return Cyclotomic.from_terms(
         int(obj["conductor"]),
         [(int(e), rational_from_str(c)) for e, c in obj["terms"]],
     )

@@ -14,7 +14,8 @@ smallest original index, which pins every matrix in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -188,7 +189,8 @@ def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:
             seen[a] = True
         orbits.append(tuple(sorted(orbit)))
     orbits = _canonical_cells(orbits)
-    assert orbits[0] == (0,), "E_0 is rational and must sit in its own orbit"
+    if orbits[0] != (0,):
+        raise InternalAssertion("E_0 is rational and must sit in its own orbit")
     iota = [0] * dp1
     for l, orbit in enumerate(orbits):
         for j in orbit:
@@ -247,8 +249,10 @@ def fuse_by_relation_partition(
 
     PO must have exactly one distinct row per fused eigenspace (e+1 in
     total); on success the fused scheme is rebuilt and re-verified from
-    scratch, P_F is read off the distinct rows of PO, and Q_F = |X| P_F^(-1)
-    is attached with full eigendata verification.
+    scratch, P_F is read off the distinct rows of PO, and Q_F is read off the
+    second orthogonality relation m_l conj(P_F[l][i]) = v_i Q_F[i][l] (m_l the
+    summed multiplicities of eigen class l, v_i the fused valencies) and
+    attached with full eigendata verification.
     """
     cells = _validate_partition(partition, scheme.classes)
     e1 = len(cells)
@@ -286,7 +290,14 @@ def fuse_by_relation_partition(
         for j in cell:
             s_mat[l, j] = 1
     s_mat.setflags(write=False)
-    q_f = p_f.inverse().scale(scheme.size)
+    fused_mult = [sum(eigen.multiplicities[j] for j in cell) for cell in eigen_classes]
+    q_f = CycMatrix(
+        [
+            [p_f[l, i].conjugate() * Fraction(fused_mult[l], v) for l in range(e1)]
+            for i, v in enumerate(fused_scheme.valencies)
+        ],
+        eigen.conductor,
+    )
     try:
         fused_eigen = attach_eigendata(fused_scheme, q_f)
     except Exception as exc:
@@ -331,18 +342,7 @@ def galois_fusion(
                 raise InternalAssertion(
                     "fused eigenmatrix disagrees with the distinct rows of Qbar"
                 )
-    return FusionScheme(
-        parent=fs.parent,
-        parent_eigen=fs.parent_eigen,
-        partition=fs.partition,
-        class_map=fs.class_map,
-        fused=fs.fused,
-        eigen=fs.eigen,
-        eigen_classes=fs.eigen_classes,
-        S=fs.S,
-        subfield=subfield,
-        orbit_data=orbit_data,
-    )
+    return replace(fs, subfield=subfield, orbit_data=orbit_data)
 
 
 def partition_join(p1, p2, dp1: int) -> tuple[tuple[int, ...], ...]:

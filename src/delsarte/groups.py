@@ -361,7 +361,8 @@ def dicyclic_group(n: int):
     expected += [(n,)]
     expected += [tuple(two_n + 2 * k for k in range(n))]
     expected += [tuple(two_n + 2 * k + 1 for k in range(n))]
-    assert classes.classes == tuple(expected), "unexpected dicyclic class order"
+    if classes.classes != tuple(expected):
+        raise InternalAssertion("unexpected dicyclic class order")
 
     m = 4 * n  # conductor; i = zeta^n, kappa(r) = zeta^(2r) + zeta^(-2r)
     one = Cyclotomic.from_rational(1, 1)

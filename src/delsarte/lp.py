@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IrrationalData
+from .errors import InternalAssertion, IrrationalData
 from .fusion import FusionScheme, GaloisOrbitData
 from .scheme import EigenData
 
@@ -145,7 +145,8 @@ def simplex_solve(problem: LPProblem) -> LPResult:
         for j in range(n + slack_count, width):
             phase1[j] = -_ONE
         status = _phase(tableau, basis, phase1)
-        assert status == "optimal", "phase 1 is always bounded"
+        if status != "optimal":
+            raise InternalAssertion("phase 1 is always bounded")
         infeas = -sum(
             tableau[r][-1] for r in range(len(tableau)) if basis[r] >= n + slack_count
         )

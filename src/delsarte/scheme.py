@@ -5,18 +5,20 @@ A scheme is presented as an |X| x |X| grid of class indices partitioning
 X x X.  ``verify_scheme`` checks the four defining axioms by direct counting
 and records the intersection tensor.  Eigenstructure is always supplied (a
 second eigenmatrix Q) and verified, never solved for: ``attach_eigendata``
-derives P = |X| Q^(-1) and confirms every structural identity exactly, so
-results stay in exact arithmetic end to end.
+derives P from the second orthogonality relation, confirms PQ = |X| I (so
+P = |X| Q^(-1)) and every other structural identity exactly, so results stay
+in exact arithmetic end to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .cyclotomic import CycMatrix, Cyclotomic, exact_sign, fixed_field_conductor, units_mod
-from .errors import BadEigenbasis, KreinViolation, NotAScheme, SingularMatrix
+from .errors import BadEigenbasis, InternalAssertion, KreinViolation, NotAScheme
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,8 @@ def verify_scheme(relation) -> SchemeData:
                     p[j, i, k] = p[i, j, k]
 
     valencies = tuple(int(p[i, transpose_map[i], 0]) for i in range(d + 1))
-    assert sum(valencies) == size
+    if sum(valencies) != size:
+        raise InternalAssertion("valencies of a verified scheme do not sum to |X|")
     return SchemeData(
         size=size,
         classes=d + 1,
@@ -138,11 +141,6 @@ def verify_scheme(relation) -> SchemeData:
         valencies=valencies,
         intersection=p,
     )
-
-
-def intersection_numbers(scheme: SchemeData) -> np.ndarray:
-    """The tensor p[i][j][k] of the scheme (populated during verification)."""
-    return scheme.intersection
 
 
 def count_intersection(scheme: SchemeData, i: int, j: int, a: int, b: int) -> int:
@@ -197,12 +195,14 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     """Attach and exhaustively verify a second eigenmatrix Q.
 
     Q must be (d+1) x (d+1) with first column all ones (so E_0 = J/|X|).
-    Every invariant is checked exactly: invertibility with PQ = QP = |X| I,
-    positive integer multiplicities Q[0][j] and valencies matching the
-    scheme, the common-eigenvector identity that makes each E_j idempotent
-    and mutually orthogonal, the second orthogonality relation
-    m_j P[j][i] = v_i conj(Q[i][j]), and existence of the dual map j -> j*
-    with E_{j*} equal to the Hermitian adjoint of E_j.
+    P is read off the second orthogonality relation
+    m_j P[j][i] = v_i conj(Q[i][j]) from the positive integer multiplicities
+    m_j = Q[0][j] and the scheme's valencies v_i.  Every invariant is then
+    checked exactly: PQ = |X| I (over a field a square P with this property
+    is |X| Q^(-1), so a singular Q fails here), the common-eigenvector
+    identity that makes each E_j idempotent and mutually orthogonal, and
+    existence of the dual map j -> j* with E_{j*} equal to the Hermitian
+    adjoint of E_j.
     """
     if not isinstance(Q, CycMatrix):
         Q = CycMatrix(Q)
@@ -222,21 +222,18 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     if sum(mult) != size:
         raise BadEigenbasis("multiplicity", "multiplicities do not sum to |X|")
 
-    try:
-        P = Q.inverse().scale(size)
-    except SingularMatrix as exc:
-        raise BadEigenbasis("invertibility", str(exc)) from exc
+    # Second orthogonality: m_j P[j][i] = v_i conj(Q[i][j]).  With Q[i][0] = 1
+    # and m_0 = v_0 = 1 this gives P[0][i] = v_i and P[j][0] = 1 outright.
+    vals = scheme.valencies
+    P = CycMatrix(
+        [
+            [Q[i, j].conjugate() * Fraction(vals[i], mult[j]) for i in range(dp1)]
+            for j in range(dp1)
+        ],
+        Q.conductor,
+    )
     if P * Q != CycMatrix.identity(dp1).scale(size):
         raise BadEigenbasis("orthogonality", "PQ != |X| I")
-
-    for i in range(dp1):
-        v = _int_positive(P[0, i])
-        if v is None or v != scheme.valencies[i]:
-            raise BadEigenbasis(
-                "valency", f"P[0][{i}] = {P[0, i]} != {scheme.valencies[i]}"
-            )
-        if P[i, 0] != 1:
-            raise BadEigenbasis("P_column_0", f"P[{i}][0] != 1")
 
     # Common-eigenvector identity: B_i Qcol_j = P[j][i] Qcol_j where
     # (B_i)[m][l] = p[i][l][m].  Together with PQ = |X| I this forces
@@ -259,16 +256,6 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
                         f"intersection matrix B_{i} does not act as "
                         f"P[{j}][{i}] on column {j}",
                     )
-
-    # Second orthogonality: m_j P[j][i] = v_i conj(Q[i][j]).
-    for j in range(dp1):
-        for i in range(dp1):
-            lhs = P[j, i] * mult[j]
-            rhs = Q[i, j].conjugate() * scheme.valencies[i]
-            if lhs != rhs:
-                raise BadEigenbasis(
-                    "second_orthogonality", f"fails at (j={j}, i={i})"
-                )
 
     # Dual map: E_{j*} = adjoint(E_j), i.e. Q[i][j*] = conj(Q[i'][j]).
     tmap = scheme.transpose_map

@@ -8,13 +8,11 @@ from delsarte.cyclotomic import (
     CycMatrix,
     Cyclotomic,
     SubfieldSpec,
-    cyc_canonicalize,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
     exact_sign,
     fixed_field_conductor,
-    galois_apply,
     subfield_membership,
     units_mod,
 )
@@ -60,23 +58,22 @@ def test_euler_phi_matches_unit_count():
 # ---------------------------------------------------------------------------
 
 def test_canonicalize_i_squared():
-    assert cyc_canonicalize(4, {2: 1}) == -1
+    assert Cyclotomic.from_terms(4, {2: 1}.items()) == -1
 
 
 def test_canonicalize_cube_roots_sum():
-    assert cyc_canonicalize(3, {1: 1, 2: 1}) == -1
+    assert Cyclotomic.from_terms(3, {1: 1, 2: 1}.items()) == -1
 
 
 def test_sqrt_two_in_conductor_eight():
-    z = cyc_canonicalize(8, {1: 1, 7: 1})
+    z = Cyclotomic.from_terms(8, {1: 1, 7: 1}.items())
     assert z * z == 2
 
 
 def test_canonicalize_reduces_exponents_mod_n():
-    assert cyc_canonicalize(4, {6: 1}) == -1
-    assert cyc_canonicalize(5, [(7, Fraction(1, 2)), (2, Fraction(1, 2))]) == zeta(
-        5, 2
-    )
+    assert Cyclotomic.from_terms(4, {6: 1}.items()) == -1
+    half = Fraction(1, 2)
+    assert Cyclotomic.from_terms(5, [(7, half), (2, half)]) == zeta(5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +144,17 @@ def test_degree_guard():
 # ---------------------------------------------------------------------------
 
 def test_galois_conjugation_on_i():
-    assert galois_apply(zeta(4), 3) == -zeta(4)
+    assert zeta(4).galois(3) == -zeta(4)
 
 
 def test_galois_identity():
-    x = cyc_canonicalize(12, {1: 1, 5: Fraction(2, 3)})
-    assert galois_apply(x, 1) == x
+    x = Cyclotomic.from_terms(12, {1: 1, 5: Fraction(2, 3)}.items())
+    assert x.galois(1) == x
 
 
 def test_galois_requires_unit():
     with pytest.raises(NotAUnit):
-        galois_apply(zeta(12), 3)
+        zeta(12).galois(3)
 
 
 def test_galois_composition_law():
@@ -190,13 +187,13 @@ def test_galois_is_ring_homomorphism():
 def test_kappa_values_under_galois():
     # kappa(r) = zeta^(2r) + zeta^(-2r) in Q(zeta_4n); zeta -> zeta^k sends
     # kappa(1) to kappa(k).  For n = 3 every kappa is rational, hence fixed.
-    kappa1 = cyc_canonicalize(12, {2: 1, -2: 1})
+    kappa1 = Cyclotomic.from_terms(12, {2: 1, -2: 1}.items())
     assert kappa1 == 1
-    assert galois_apply(kappa1, 5) == kappa1
+    assert kappa1.galois(5) == kappa1
     # n = 5: kappa lives in Q(zeta_20) and theta_3 moves kappa(1) to kappa(3)
-    k1 = cyc_canonicalize(20, {2: 1, -2: 1})
-    k3 = cyc_canonicalize(20, {6: 1, -6: 1})
-    assert galois_apply(k1, 3) == k3
+    k1 = Cyclotomic.from_terms(20, {2: 1, -2: 1}.items())
+    k3 = Cyclotomic.from_terms(20, {6: 1, -6: 1}.items())
+    assert k1.galois(3) == k3
     assert k1 != k3
 
 
@@ -214,7 +211,7 @@ def test_sqrt_minus_3_is_in_fixed_field_of_1_7():
     assert x * x == -3
     spec = SubfieldSpec(12, [7])
     assert subfield_membership(x, spec)
-    assert subfield_membership(galois_apply(x.embed(12), 7), spec)
+    assert subfield_membership(x.embed(12).galois(7), spec)
 
 
 def test_i_not_fixed_by_sigma_11():
@@ -268,7 +265,7 @@ def test_exact_sign_rational_and_zero():
 
 
 def test_exact_sign_sqrt_two():
-    sqrt2 = cyc_canonicalize(8, {1: 1, 7: 1})
+    sqrt2 = Cyclotomic.from_terms(8, {1: 1, 7: 1}.items())
     assert exact_sign(sqrt2) == 1
     assert exact_sign(-sqrt2) == -1
     assert exact_sign(sqrt2 - 2) == -1
@@ -277,7 +274,7 @@ def test_exact_sign_sqrt_two():
 
 def test_exact_sign_close_to_zero():
     # 2 cos(2 pi / 7) = 1.2469...; subtract a nearby rational.
-    c = cyc_canonicalize(7, {1: 1, 6: 1})
+    c = Cyclotomic.from_terms(7, {1: 1, 6: 1}.items())
     near = Fraction(12469796, 10**7)
     assert exact_sign(c - near) == 1
     assert exact_sign(c - Fraction(12469797, 10**7)) == -1

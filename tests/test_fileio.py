@@ -12,7 +12,7 @@ from delsarte.catalog import (
     list_entries,
     load_entry,
 )
-from delsarte.cyclotomic import Cyclotomic, cyc_canonicalize
+from delsarte.cyclotomic import Cyclotomic
 from delsarte.errors import ParseError
 
 
@@ -25,7 +25,7 @@ def test_rational_strings():
 
 
 def test_cyclotomic_literals():
-    sqrt2 = cyc_canonicalize(8, {1: 1, 7: 1})
+    sqrt2 = Cyclotomic.from_terms(8, {1: 1, 7: 1}.items())
     lit = fileio.cyc_to_literal(sqrt2)
     assert lit == [[1, "1"], [3, "-1"]]
     assert fileio.cyc_from_literal(lit, 8) == sqrt2
@@ -33,7 +33,7 @@ def test_cyclotomic_literals():
 
 
 def test_cyclotomic_json_object():
-    x = cyc_canonicalize(12, {5: Fraction(2, 3), 0: -1})
+    x = Cyclotomic.from_terms(12, {5: Fraction(2, 3), 0: -1}.items())
     obj = fileio.cyclotomic_to_json(x)
     assert obj["conductor"] == 12
     assert fileio.cyclotomic_from_json(obj) == x

@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 
 from delsarte.catalog import (
+    CATALOG,
     build_coxeter,
+    build_dicyclic,
     build_x8,
     build_y8,
     cycle_scheme,
     _x8_eigenmatrix,
+    load_entry,
 )
-from delsarte.cyclotomic import CycMatrix, Cyclotomic
-from delsarte.errors import BadEigenbasis, NotAScheme
+from delsarte.cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec
+from delsarte.errors import BadEigenbasis, NotAScheme, NotClosed
+from delsarte.fusion import galois_fusion
 from delsarte.scheme import (
     attach_eigendata,
     count_intersection,
-    intersection_numbers,
     krein_parameters,
     verify_scheme,
 )
@@ -67,7 +70,7 @@ def test_broken_identity_rejected():
 
 def test_p_of_identity_class():
     for scheme in (build_x8()[0], cycle_scheme(6)):
-        p = intersection_numbers(scheme)
+        p = scheme.intersection
         for i in range(scheme.classes):
             for j in range(scheme.classes):
                 expected = scheme.valencies[i] if j == scheme.transpose_map[i] else 0
@@ -75,7 +78,7 @@ def test_p_of_identity_class():
 
 
 def test_c6_common_neighbours():
-    p = intersection_numbers(cycle_scheme(6))
+    p = cycle_scheme(6).intersection
     assert p[1, 1, 2] == 1
 
 
@@ -100,8 +103,37 @@ def test_x8_eigendata():
     scheme, eigen = build_x8()
     assert eigen.multiplicities == (1, 1, 2, 2, 2)
     assert eigen.P * eigen.Q == CycMatrix.identity(5).scale(8)
-    # 8 Q^{-1} = P: spelled out with mat_inverse
-    assert eigen.Q.inverse().scale(8) == eigen.P
+
+
+def test_eigenmatrices_match_gaussian_inverse_on_catalog():
+    # P = |X| Q^(-1) and Q_F = |X| P_F^(-1) are read off the second
+    # orthogonality relation; pin both to Gaussian elimination
+    no_fusion = []
+    for name in CATALOG:
+        loaded = load_entry(name)
+        scheme, eigen = loaded.scheme, loaded.eigen
+        assert eigen.Q.inverse().scale(scheme.size) == eigen.P
+        try:
+            fs = galois_fusion(scheme, eigen, SubfieldSpec.rationals(eigen.conductor))
+        except NotClosed:
+            no_fusion.append(name)
+            continue
+        assert fs.eigen.Q == fs.eigen.P.inverse().scale(scheme.size)
+    assert no_fusion == ["coxeter"]
+
+
+def test_singular_q_rejected_as_orthogonality():
+    # columns 2 and 3 of Dic_3's Q both have multiplicity 1, so overwriting
+    # one with the other passes the E_0 and multiplicity checks but makes Q
+    # singular
+    bundle = build_dicyclic(3)
+    rows = [list(r) for r in bundle.eigen.Q.entries]
+    assert rows[0][2] == rows[0][3] == 1
+    for row in rows:
+        row[3] = row[2]
+    with pytest.raises(BadEigenbasis) as err:
+        attach_eigendata(bundle.scheme, CycMatrix(rows))
+    assert err.value.invariant == "orthogonality"
 
 
 def test_coxeter_eigendata():
