@@ -7,18 +7,34 @@ operation is exact.  Two elements are equal iff they agree after embedding
 into the lcm of their conductors; mixed-conductor arithmetic embeds
 automatically.
 
+Matrices (``CycMatrix``) have one integer form: a numerator array of shape
+(rows, cols, phi(n)) over one positive common denominator, in lowest terms.
+Every matrix-shaped identity in the package runs on it.  A product
+convolves the coefficient slices over the power basis and reduces once
+against rows phi..2phi-2 of the power table; a Galois automorphism or an
+embedding is one integer phi x phi (or phi(n) x phi(m)) matrix read off the
+same table.  Before each operation a cheap bound on every partial sum is
+computed from the largest entries (for a product, max|A| max|B| times the
+inner dimension, phi and the reduction factor); int64 is used only when it
+is below 2^62, and Python integers (``dtype=object``) otherwise, so
+overflow can never wrap silently.  ``Cyclotomic`` entries are built only
+when read.
+
 Real elements (fixed by complex conjugation) additionally support exact sign
 determination: an exact zero test first, then adaptive-precision interval
-evaluation of the real embedding via ``mpmath.iv``.
+evaluation of the real embedding via ``mpmath.iv``, under a lock because the
+working precision ``mpmath.iv.prec`` is global to the process.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 
 from .errors import ConductorMismatch, InternalAssertion, NotAUnit, SingularMatrix
 
@@ -451,23 +467,54 @@ def _poly_divmod(a, b):
 # Exact sign of real values
 # ---------------------------------------------------------------------------
 
+#: mpmath.iv.prec is global to the process; every change of it, and every
+#: evaluation at the changed precision, happens under this lock
+_IV_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=None)
 def _cos_table(n: int, prec: int):
-    old = mpmath.iv.prec
-    mpmath.iv.prec = prec
-    try:
-        two_pi = 2 * mpmath.iv.pi
-        return tuple(mpmath.iv.cos(two_pi * j / n) for j in range(n))
-    finally:
-        mpmath.iv.prec = old
+    """cos(2 pi j / n) as intervals; called under _IV_LOCK with iv.prec == prec."""
+    two_pi = 2 * mpmath.iv.pi
+    return tuple(mpmath.iv.cos(two_pi * j / n) for j in range(n))
+
+
+def _interval_sign(n: int, coeffs) -> int:
+    """Sign of the nonzero real value sum_e c_e zeta_n^e (rational c_e).
+
+    The real embedding zeta_n -> exp(2 pi i / n) is evaluated with interval
+    arithmetic, doubling the working precision until the interval excludes
+    zero.  The value must be real and nonzero, or this never terminates
+    below the precision cap.
+    """
+    prec = 64
+    while prec <= 1 << 20:
+        with _IV_LOCK:
+            old = mpmath.iv.prec
+            mpmath.iv.prec = prec
+            try:
+                cos = _cos_table(n, prec)
+                total = mpmath.iv.mpf(0)
+                for e, c in enumerate(coeffs):
+                    if c:
+                        total += (mpmath.iv.mpf(c.numerator) / c.denominator) * cos[e]
+                positive, negative = bool(total > 0), bool(total < 0)
+            finally:
+                mpmath.iv.prec = old
+        if positive:
+            return 1
+        if negative:
+            return -1
+        prec *= 2
+    raise ArithmeticError(f"sign undecided at precision {prec} (conductor {n})")
 
 
 def exact_sign(x: Cyclotomic) -> int:
     """Sign (-1, 0, +1) of a real cyclotomic value, decided exactly.
 
-    Zero is detected by exact arithmetic; otherwise the real embedding
-    zeta_n -> exp(2*pi*i/n) is evaluated with interval arithmetic, doubling
-    the working precision until the interval excludes zero.
+    Zero and rational values are decided by exact arithmetic; otherwise the
+    real embedding is evaluated with interval arithmetic (``_interval_sign``),
+    which holds a lock while it changes the global ``mpmath.iv.prec``.
     """
     if not x.is_real():
         raise ValueError(f"{x} is not real; sign undefined")
@@ -475,24 +522,7 @@ def exact_sign(x: Cyclotomic) -> int:
         return 0
     if x.is_rational():
         return 1 if x.coeffs[0] > 0 else -1
-    n = x.conductor
-    prec = 64
-    while prec <= 1 << 20:
-        cos = _cos_table(n, prec)
-        old = mpmath.iv.prec
-        mpmath.iv.prec = prec
-        try:
-            total = mpmath.iv.mpf(0)
-            for e, c in x.terms():
-                total += (mpmath.iv.mpf(c.numerator) / c.denominator) * cos[e]
-        finally:
-            mpmath.iv.prec = old
-        if total > 0:
-            return 1
-        if total < 0:
-            return -1
-        prec *= 2
-    raise ArithmeticError(f"sign of {x} undecided at precision {prec}")
+    return _interval_sign(x.conductor, x.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -586,84 +616,320 @@ def fixed_field_conductor(n: int, fixed_by) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense exact matrices
+# Dense exact matrices: one integer form
 # ---------------------------------------------------------------------------
 
-class CycMatrix:
-    """Dense matrix over a cyclotomic field, all entries at one conductor."""
+#: int64 is used only when an a-priori bound on every partial sum is below this
+INT64_BOUND = 1 << 62
 
-    __slots__ = ("rows", "cols", "conductor", "entries")
+
+def _maxabs(a: np.ndarray) -> int:
+    """Largest absolute entry of an integer array, as a Python int."""
+    if not a.size:
+        return 0
+    return max(int(a.max()), -int(a.min()))
+
+
+def _dtype(bound: int):
+    """int64 when every intermediate is at most ``bound`` < 2^62, else Python ints."""
+    return np.int64 if bound < INT64_BOUND else object
+
+
+def _int_array(values) -> np.ndarray:
+    """An integer array from nested Python ints: int64 if they fit, else objects."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _fit(a: np.ndarray) -> np.ndarray:
+    """Python-int results that fit go back to int64."""
+    if a.dtype == object and _maxabs(a) < INT64_BOUND:
+        return a.astype(np.int64)
+    return a
+
+
+def rational_lift(rows) -> tuple[np.ndarray, int]:
+    """Integer numerators and the least positive common denominator of a
+    rational matrix (nested rows of ints/Fractions, or an integer array)."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
+        return rows, 1
+    rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
+    den = math.lcm(*{v.denominator for row in rows for v in row})
+    if den == 1:
+        return _int_array([[v.numerator for v in row] for row in rows]), 1
+    return _int_array([[v.numerator * (den // v.denominator) for v in row] for row in rows]), den
+
+
+def _basis_map(n: int, exponents) -> tuple[np.ndarray, int]:
+    """Integer matrix whose row e is zeta_n^(exponents[e]) on the power basis,
+    with its largest column sum of absolute values (so |v @ t| <= max|v| * it)."""
+    pows = _power_table(n)
+    rows = [pows[e] for e in exponents]
+    t = _int_array(rows).reshape(len(rows), euler_phi(n))
+    t.setflags(write=False)
+    return t, _maxabs(np.abs(t).sum(axis=0)) if t.size else 0
+
+
+@lru_cache(maxsize=None)
+def _reduction(n: int) -> tuple[np.ndarray, int]:
+    """Rows phi..2phi-2 of the power table, which reduce a product of two
+    reduced vectors, and the bound factor of the whole reduction."""
+    phi = euler_phi(n)
+    t, factor = _basis_map(n, range(phi, 2 * phi - 1))
+    return t, 1 + factor
+
+
+@lru_cache(maxsize=256)
+def _galois_matrix(n: int, k: int) -> tuple[np.ndarray, int]:
+    """sigma_k: zeta_n -> zeta_n^k on the power basis, phi x phi; row e is
+    the power-table row (e k) mod n.  The cache is bounded because a sweep
+    over every unit k would otherwise keep phi^3 integers per conductor."""
+    return _basis_map(n, [(e * k) % n for e in range(euler_phi(n))])
+
+
+@lru_cache(maxsize=None)
+def _embedding(n: int, m: int) -> tuple[np.ndarray, int]:
+    """Q(zeta_n) -> Q(zeta_m) on the power bases, phi(n) x phi(m), for n | m."""
+    step = m // n
+    return _basis_map(m, [e * step for e in range(euler_phi(n))])
+
+
+def _matmul(x, b):
+    """sum_k x[i, k] b[k, j, :] for an integer slice x (r x k)."""
+    k, c, phi = b.shape
+    return (x @ b.reshape(k, c * phi)).reshape(x.shape[0], c, phi)
+
+
+def _entrywise(x, b):
+    return x[..., None] * b
+
+
+def _convolve(n: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.ndarray:
+    """Reduced power-basis coefficients of a bilinear product of cyclotomic arrays.
+
+    ``product(x, b)`` applies the product to one coefficient slice
+    x = a[..., s] and sums at most ``inner`` terms per entry.  The slices are
+    convolved over the power basis and the result is reduced once against
+    rows phi..2phi-2 of ``_power_table(n)``.  Every partial sum is at most
+    max|a| max|b| inner phi times the reduction factor, so int64 is used
+    only when that bound is below 2^62 and Python ints otherwise.
+    """
+    phi = euler_phi(n)
+    red, factor = _reduction(n)
+    dtype = _dtype(_maxabs(a) * _maxabs(b) * inner * phi * factor)
+    a = a.astype(dtype, copy=False)
+    b = np.ascontiguousarray(b, dtype=dtype)
+    first = product(a[..., 0], b)
+    conv = np.zeros(first.shape[:-1] + (2 * phi - 1,), dtype=dtype)
+    conv[..., :phi] = first
+    for s in range(1, phi):
+        x = a[..., s]
+        if x.any():
+            conv[..., s:s + phi] += product(x, b)
+    return conv[..., :phi] + conv[..., phi:] @ red.astype(dtype, copy=False)
+
+
+class CycMatrix:
+    """Dense matrix over a cyclotomic field, all entries at one conductor.
+
+    The matrix is held in one integer form: a numerator array of shape
+    (rows, cols, phi(n)) on the power basis over one positive common
+    denominator, in lowest terms, so equal matrices have equal forms.
+    Products, sums, Galois images and comparisons run on that array (see
+    ``_convolve`` for the overflow rule); ``entries`` and ``[i, j]`` build
+    ``Cyclotomic`` values only when first read, and cache them.
+    """
+
+    __slots__ = ("rows", "cols", "conductor", "_num", "_den", "_cells")
 
     def __init__(self, entries, conductor=None):
-        grid = []
+        grid = [list(row) for row in entries]
+        rows = len(grid)
+        cols = len(grid[0]) if grid else 0
+        if any(len(r) != cols for r in grid):
+            raise ValueError("ragged matrix")
         n = conductor or 1
-        for row in entries:
-            out = []
+        for row in grid:
+            for v in row:
+                if isinstance(v, Cyclotomic):
+                    n = math.lcm(n, v.conductor)
+        _check_degree(n)
+        coeffs = []
+        for row in grid:
             for v in row:
                 if not isinstance(v, Cyclotomic):
-                    v = Cyclotomic.from_rational(Fraction(v), 1)
-                out.append(v)
-                n = math.lcm(n, v.conductor)
-            grid.append(out)
-        _check_degree(n)
-        self.rows = len(grid)
-        self.cols = len(grid[0]) if grid else 0
-        if any(len(r) != self.cols for r in grid):
-            raise ValueError("ragged matrix")
+                    coeffs.append((Fraction(v),))
+                elif v.conductor == n or v.is_rational():
+                    coeffs.append(v.coeffs)
+                else:
+                    coeffs.append(v.embed(n).coeffs)
+        phi = euler_phi(n)
+        num, den = rational_lift(c + (_ZERO,) * (phi - len(c)) for c in coeffs)
+        self._set(n, num.reshape(rows, cols, phi), den)
+
+    @classmethod
+    def _from_array(cls, n: int, num: np.ndarray, den: int = 1) -> "CycMatrix":
+        self = object.__new__(cls)
+        self._set(n, num, den)
+        return self
+
+    def _set(self, n, num, den):
+        if den != 1:
+            g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+            if g > 1:
+                num, den = num // g, den // g
+        num = _fit(num)
+        num.setflags(write=False)
         self.conductor = n
-        self.entries = tuple(tuple(v.embed(n) for v in row) for row in grid)
+        self.rows, self.cols = num.shape[0], num.shape[1]
+        self._num, self._den, self._cells = num, den, None
 
     @classmethod
     def identity(cls, n: int) -> "CycMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_array(1, np.eye(n, dtype=np.int64)[:, :, None])
+
+    @classmethod
+    def diagonal(cls, values) -> "CycMatrix":
+        """The square matrix with the given rational diagonal."""
+        return cls([[v if i == j else 0 for j in range(len(values))]
+                    for i, v in enumerate(values)])
+
+    # -- entries, built on first read -----------------------------------------
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        if self._cells is None:
+            self._cells = [[None] * self.cols for _ in range(self.rows)]
+        cell = self._cells[i][j]
+        if cell is None:
+            den = self._den
+            coeffs = tuple(
+                Fraction(c, den) if c else _ZERO for c in self._num[i, j].tolist()
+            )
+            cell = self._cells[i][j] = Cyclotomic(self.conductor, coeffs, _canonical=True)
+        return cell
+
+    @property
+    def entries(self):
+        return tuple(self.row(i) for i in range(self.rows))
 
     def row(self, i):
-        return self.entries[i]
+        return tuple(self[i, j] for j in range(self.cols))
 
     def col(self, j):
-        return tuple(r[j] for r in self.entries)
+        return tuple(self[i, j] for i in range(self.rows))
 
     def row_key(self, i):
         """Hashable exact key for row equality tests (shared conductor)."""
-        return tuple(v.coeffs for v in self.entries[i])
+        return self._key(self._num[i])
 
     def col_key(self, j):
-        return tuple(r[j].coeffs for r in self.entries)
+        return self._key(self._num[:, j])
+
+    def _key(self, part):
+        g = math.gcd(self._den, int(np.gcd.reduce(part, axis=None)))
+        return self._den // g, tuple((part // g).ravel().tolist())
+
+    def zero_mask(self) -> np.ndarray:
+        """Boolean (rows, cols) array, True exactly where the entry is zero."""
+        return ~(self._num != 0).any(axis=-1)
+
+    def signs(self) -> np.ndarray:
+        """Exact signs (-1, 0, +1) of the entries, which must all be real.
+
+        Zero and rational entries are decided by the sign of their integer
+        numerator (the denominator is positive); only irrational entries go
+        to interval evaluation.
+        """
+        if self.conjugate() != self:
+            raise ValueError("matrix has a non-real entry; sign undefined")
+        head = self._num[..., 0]
+        out = (head > 0).astype(np.int64) - (head < 0).astype(np.int64)
+        for i, j in np.argwhere((self._num[..., 1:] != 0).any(axis=-1)):
+            out[i, j] = _interval_sign(self.conductor, self._num[i, j].tolist())
+        return out
+
+    # -- comparison and arithmetic on the integer form -----------------------
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        return all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        a, b = self._common(other)
+        return a._den == b._den and np.array_equal(a._num, b._num)
 
     __hash__ = None
+
+    def _common(self, other):
+        if self.conductor == other.conductor:
+            return self, other
+        m = math.lcm(self.conductor, other.conductor)
+        return self.embed(m), other.embed(m)
+
+    def _apply(self, table, factor, m) -> "CycMatrix":
+        """Coefficients mapped through an integer basis map into Q(zeta_m)."""
+        dtype = _dtype(_maxabs(self._num) * factor)
+        num = self._num.astype(dtype, copy=False) @ table.astype(dtype, copy=False)
+        return CycMatrix._from_array(m, num, self._den)
+
+    def embed(self, m: int) -> "CycMatrix":
+        """The same matrix viewed over Q(zeta_m); requires conductor | m."""
+        n = self.conductor
+        if m == n:
+            return self
+        if m % n:
+            raise ConductorMismatch(f"{n} does not divide {m}")
+        _check_degree(m)
+        return self._apply(*_embedding(n, m), m)
 
     def __add__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return CycMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        a, b = self._common(other)
+        den = math.lcm(a._den, b._den)
+        fa, fb = den // a._den, den // b._den
+        dtype = _dtype((_maxabs(a._num) + 1) * fa + (_maxabs(b._num) + 1) * fb)
+        num = a._num.astype(dtype, copy=False) * fa + b._num.astype(dtype, copy=False) * fb
+        return CycMatrix._from_array(a.conductor, num, den)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "CycMatrix":
-        return CycMatrix([[v * c for v in row] for row in self.entries])
+        if isinstance(c, Cyclotomic):
+            return self._entrywise(CycMatrix([[c]]))
+        q = Fraction(c)
+        dtype = _dtype((_maxabs(self._num) + 1) * abs(q.numerator))
+        num = self._num.astype(dtype, copy=False) * q.numerator
+        return CycMatrix._from_array(self.conductor, num, self._den * q.denominator)
+
+    def annihilator(self, cols, bound: int) -> np.ndarray:
+        """Integer block of self[:, cols] for exact zero tests of combinations.
+
+        For an integer matrix V (k x rows) with |V| <= bound, V @ block is
+        the numerator array of V self[:, cols], flattened to
+        (k, len(cols) * phi), over self's positive denominator; so a
+        combination vanishes exactly where its row of V @ block does.  The
+        block is int64 when bound * max|block| * rows < 2^62 and Python ints
+        otherwise, so the product never wraps.
+        """
+        part = self._num if cols is None else self._num[:, np.asarray(cols, dtype=np.intp)]
+        block = part.reshape(self.rows, part.shape[1] * part.shape[2])
+        return block.astype(_dtype((bound + 1) * _maxabs(block) * self.rows), copy=False)
+
+    def left_rational(self, vectors, cols=None) -> "CycMatrix":
+        """V self[:, cols] for a rational matrix V (k x rows), one integer product."""
+        ints, den = rational_lift(vectors)
+        block = self.annihilator(cols, _maxabs(ints))
+        num = ints.astype(block.dtype, copy=False) @ block
+        phi = self._num.shape[2]
+        shape = (ints.shape[0], block.shape[1] // phi, phi)
+        return CycMatrix._from_array(self.conductor, num.reshape(shape), den * self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -672,23 +938,14 @@ class CycMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        zero = Cyclotomic.from_rational(0, 1)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return CycMatrix(out)
+        # a rational factor needs no convolution
+        if self.conductor == 1:
+            return other.left_rational(self._num[..., 0]).scale(Fraction(1, self._den))
+        if other.conductor == 1:
+            return (other.transpose() * self.transpose()).transpose()
+        a, b = self._common(other)
+        num = _convolve(a.conductor, a._num, b._num, _matmul, a.cols)
+        return CycMatrix._from_array(a.conductor, num, a._den * b._den)
 
     __rmul__ = scale
 
@@ -696,26 +953,45 @@ class CycMatrix:
         """Entrywise (Schur) product."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return CycMatrix(
-            [
-                [self.entries[i][j] * other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return self._entrywise(other)
+
+    def _entrywise(self, other) -> "CycMatrix":
+        # other may be 1 x 1, which broadcasts
+        a, b = self._common(other)
+        num = _convolve(a.conductor, a._num, b._num, _entrywise, 1)
+        return CycMatrix._from_array(a.conductor, num, a._den * b._den)
+
+    def select(self, rows=None, cols=None) -> "CycMatrix":
+        """The submatrix on the given row and column indices (repeats allowed)."""
+        num = self._num
+        if rows is not None:
+            num = num[np.asarray(rows, dtype=np.intp)]
+        if cols is not None:
+            num = num[:, np.asarray(cols, dtype=np.intp)]
+        return CycMatrix._from_array(self.conductor, num, self._den)
 
     def transpose(self) -> "CycMatrix":
-        return CycMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return CycMatrix._from_array(self.conductor, self._num.transpose(1, 0, 2), self._den)
+
+    def galois(self, k: int) -> "CycMatrix":
+        """Entrywise image under zeta_n -> zeta_n^k; gcd(k, n) must be 1."""
+        n = self.conductor
+        if n == 1:
+            return self
+        if math.gcd(k, n) != 1:
+            raise NotAUnit(f"{k} is not a unit modulo {n}")
+        k %= n
+        if k == 1:
+            return self
+        return self._apply(*_galois_matrix(n, k), n)
+
+    def conjugate(self) -> "CycMatrix":
+        """Entrywise complex conjugate, the automorphism zeta -> zeta^(-1)."""
+        return self if self.conductor <= 2 else self.galois(-1)
 
     def adjoint(self) -> "CycMatrix":
         """Hermitian adjoint (conjugate transpose)."""
-        return CycMatrix(
-            [
-                [self.entries[i][j].conjugate() for i in range(self.rows)]
-                for j in range(self.cols)
-            ]
-        )
+        return self.conjugate().transpose()
 
     def is_hermitian(self) -> bool:
         return self == self.adjoint()
@@ -746,9 +1022,6 @@ class CycMatrix:
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                     b[r] = [x - f * y for x, y in zip(b[r], b[col])]
         return CycMatrix(b)
-
-    def galois(self, k: int) -> "CycMatrix":
-        return CycMatrix([[v.galois(k) for v in row] for row in self.entries])
 
     def __repr__(self):
         body = "; ".join(

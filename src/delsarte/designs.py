@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, SubfieldSpec, exact_sign
+from .cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, rational_lift
 from .errors import (
     IncompatibleT,
     InternalAssertion,
@@ -102,18 +102,16 @@ def inner_distribution(scheme: SchemeData, w) -> tuple[Fraction, ...]:
 
 
 def dual_distribution(eigen: EigenData, a) -> tuple[Cyclotomic, ...]:
-    """The MacWilliams transform b = aQ."""
+    """The MacWilliams transform b = aQ.
+
+    One integer product: a is lifted to integers over a common denominator
+    and multiplied into the integer form held by Q, under the kernel's
+    int64-or-Python-int bound; only the d+1 results become ``Cyclotomic``.
+    """
     dp1 = eigen.scheme.classes
     if len(a) != dp1:
         raise ValueError(f"inner distribution must have length {dp1}")
-    out = []
-    for j in range(dp1):
-        acc = Cyclotomic.from_rational(0, 1)
-        for i in range(dp1):
-            if a[i]:
-                acc = acc + eigen.Q[i, j] * a[i]
-        out.append(acc)
-    return tuple(out)
+    return eigen.Q.left_rational([a]).row(0)
 
 
 @lru_cache(maxsize=32)
@@ -136,11 +134,13 @@ def design_report(
     a = inner_distribution(scheme, w)
     b = dual_distribution(eigen, a)
     if verify_signs:
-        for j, val in enumerate(b):
-            if not val.is_real():
-                raise InternalAssertion(f"b[{j}] = {val} is not real")
-            if exact_sign(val) < 0:
-                raise InternalAssertion(f"b[{j}] = {val} is negative")
+        try:
+            signs = CycMatrix([b]).signs()[0]
+        except ValueError as exc:
+            raise InternalAssertion(f"b = {b} is not real") from exc
+        if (signs < 0).any():
+            j = int(np.argmax(signs < 0))
+            raise InternalAssertion(f"b[{j}] = {b[j]} is negative")
     if b[0].is_zero():
         raise InternalAssertion("b[0] vanished for a nonzero subset")
     annihilated = tuple(j for j in range(1, len(b)) if b[j].is_zero())
@@ -161,16 +161,8 @@ def is_T_design(scheme: SchemeData, eigen: EigenData, w, T) -> bool:
     T = _validate_T(T, scheme.d)
     if not T:
         return True
-    w = _as_subset(scheme, w)
-    a = inner_distribution(scheme, w)
-    for j in T:
-        acc = Cyclotomic.from_rational(0, 1)
-        for i in range(scheme.classes):
-            if a[i]:
-                acc = acc + eigen.Q[i, j] * a[i]
-        if not acc.is_zero():
-            return False
-    return True
+    a = inner_distribution(scheme, _as_subset(scheme, w))
+    return bool(eigen.Q.left_rational([a], T).zero_mask().all())
 
 
 def is_T_design_via_merges(orbit_data: GaloisOrbitData, w, T) -> bool:
@@ -186,19 +178,12 @@ def is_T_design_via_merges(orbit_data: GaloisOrbitData, w, T) -> bool:
     merged = sorted({orbit_data.iota[j] for j in T})
     if not merged:
         return True
-    for y in range(scheme.size):
-        # class-aggregated weights of row y: (F_l x)_y is their Qbar combination
-        coeffs = [Fraction(0)] * scheme.classes
-        for z in w.support:
-            coeffs[scheme.relation[y, z]] += w.weights[z]
-        for l in merged:
-            acc = Cyclotomic.from_rational(0, 1)
-            for i, c in enumerate(coeffs):
-                if c:
-                    acc = acc + orbit_data.Qbar[i, l] * c
-            if not acc.is_zero():
-                return False
-    return True
+    # (F_l x)_y = (1/|X|) sum_i c[y][i] Qbar[i][l], with c[y][i] the weight
+    # of x on the vertices z with (y, z) in R_i
+    weights, _ = rational_lift([w.weights])
+    in_class = scheme.relation[:, :, None] == np.arange(scheme.classes)
+    c = (in_class * weights.reshape(1, -1, 1)).sum(axis=1)
+    return bool(orbit_data.Qbar.left_rational(c, merged).zero_mask().all())
 
 
 def _validate_T(T, d: int) -> tuple[int, ...]:
@@ -255,16 +240,9 @@ def enumerate_T_designs(
         raise ValueError(f"unknown method {method!r}")
 
     rel = scheme.relation
-    # b_j = 0 iff counts . Q[:, j] = 0; scale each column integral so the
-    # test is an exact int64 matrix product (counts <= |X|^2, entries small)
-    blocks = []
-    for j in T:
-        col = [eigen.Q[i, j] for i in range(scheme.classes)]
-        denom = math.lcm(*(c.denominator for v in col for c in v.coeffs))
-        blocks.append(
-            [[int(c * denom) for c in v.coeffs] for v in col]
-        )
-    check = np.hstack([np.array(b, dtype=np.int64) for b in blocks]) if T else None
+    # b_j = 0 iff counts . Q[:, j] = 0; the counts sum to |C|^2 <= |X|^2,
+    # which bounds the kernel's integer block (int64 only where it cannot wrap)
+    check = eigen.Q.annihilator(T, scheme.size**2) if T else None
     found = []
     for r in range(max(min_size, 1), min(max_size, scheme.size) + 1):
         for combo in combinations(range(scheme.size), r):

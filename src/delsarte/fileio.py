@@ -14,6 +14,9 @@ Formats:
 - characters: {"conductor": n, "rows": [[literal, ...], ...], "degrees": [...]}
 - design:     {"subset": [indices]} or {"weights": ["p/q", ...]}
 - cyclotomic: {"conductor": n, "terms": [[exponent, "p/q"], ...]}
+
+A declared conductor n needs phi(n) <= FILE_PHI_LIMIT; it is checked before
+any value or table is built for it.
 """
 
 from __future__ import annotations
@@ -21,12 +24,36 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cyclotomic import CycMatrix, Cyclotomic
+from .cyclotomic import CycMatrix, Cyclotomic, euler_phi
 from .designs import DesignReport, WeightedSubset
 from .errors import ParseError
 from .groups import CharacterTable, GroupTable, make_character_table, make_group_table
 from .lp import LPResult
 from .scheme import EigenData, SchemeData, verify_scheme
+
+#: Largest field degree phi(n) accepted for a conductor declared in a file.
+#: Far above the catalog's 12 and the scale ladder's 24, and small enough
+#: that the reduction table behind any accepted conductor stays under 10 MB.
+FILE_PHI_LIMIT = 256
+
+
+def _declared_conductor(value) -> int:
+    """A conductor read from a file, rejected before anything is built on it.
+
+    phi(n) >= sqrt(n / 2), so n > 2 FILE_PHI_LIMIT^2 is refused without
+    computing phi(n) at all.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(None, f"conductor {value!r} is not an integer") from exc
+    if n < 1 or n > 2 * FILE_PHI_LIMIT**2 or euler_phi(n) > FILE_PHI_LIMIT:
+        raise ParseError(
+            None,
+            f"conductor {n} rejected: files accept n >= 1 with phi(n) <= {FILE_PHI_LIMIT}",
+        )
+    return n
+
 
 # ---------------------------------------------------------------------------
 # scalars
@@ -73,7 +100,7 @@ def cyclotomic_to_json(value: Cyclotomic) -> dict:
 def cyclotomic_from_json(obj) -> Cyclotomic:
     _expect_keys(obj, {"conductor", "terms"}, "cyclotomic")
     return Cyclotomic.from_terms(
-        int(obj["conductor"]),
+        _declared_conductor(obj["conductor"]),
         [(int(e), rational_from_str(c)) for e, c in obj["terms"]],
     )
 
@@ -148,7 +175,7 @@ def dump_scheme(scheme: SchemeData) -> str:
 def parse_eigen_file(text: str) -> tuple[int, CycMatrix]:
     obj = parse_json(text)
     _expect_keys(obj, {"conductor", "Q"}, "eigen")
-    n = int(obj["conductor"])
+    n = _declared_conductor(obj["conductor"])
     rows = [[cyc_from_literal(v, n) for v in row] for row in obj["Q"]]
     return n, CycMatrix(rows, n)
 
@@ -185,7 +212,7 @@ def dump_group(group: GroupTable) -> str:
 def parse_character_file(text: str) -> CharacterTable:
     obj = parse_json(text)
     _expect_keys(obj, {"conductor", "rows", "degrees"}, "character table")
-    n = int(obj["conductor"])
+    n = _declared_conductor(obj["conductor"])
     rows = [[cyc_from_literal(v, n) for v in row] for row in obj["rows"]]
     table = make_character_table(n, rows)
     if list(table.degrees) != list(obj["degrees"]):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycMatrix, SubfieldSpec, subfield_membership
+from .cyclotomic import CycMatrix, SubfieldSpec
 from .errors import (
     ConductorMismatch,
     InternalAssertion,
@@ -49,10 +49,7 @@ class GaloisOrbitData:
     @property
     def O(self) -> np.ndarray:
         """The (d+1) x (e+1) 01 partition matrix with Qbar = Q O."""
-        d1 = len(self.iota)
-        out = np.zeros((d1, len(self.orbits)), dtype=np.int64)
-        for j, l in enumerate(self.iota):
-            out[j, l] = 1
+        out = _partition_matrix(self.iota, len(self.orbits))
         out.setflags(write=False)
         return out
 
@@ -106,6 +103,14 @@ class FusionScheme:
         raise IndexError(j)
 
 
+def _partition_matrix(labels, cells: int) -> np.ndarray:
+    """The 01 matrix with a one at (t, labels[t]): right-multiplying by it
+    sums the columns of each cell."""
+    out = np.zeros((len(labels), cells), dtype=np.int64)
+    out[np.arange(len(labels)), labels] = 1
+    return out
+
+
 def _canonical_cells(cells) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(c)) for c in cells), key=lambda c: c[0]))
 
@@ -141,9 +146,10 @@ def sigma_permutations(
     by_perm: dict[tuple[int, ...], tuple] = {}
     for k in subfield.group:
         image = eigen.Q.galois(k % n if n > 1 else 1)
+        signature = tuple(image.col_key(j) for j in range(dp1))
         cols = []
         for j in range(dp1):
-            target = col_keys.get(image.col_key(j))
+            target = col_keys.get(signature[j])
             if target is None:
                 raise NotPermutation(
                     f"zeta -> zeta^{k} does not map E_{j} into the idempotent "
@@ -153,7 +159,6 @@ def sigma_permutations(
         perm = tuple(cols)
         if len(set(perm)) != dp1:
             raise NotPermutation(f"automorphism {k} does not act bijectively")
-        signature = tuple(image.col_key(j) for j in range(dp1))
         if by_perm.setdefault(perm, signature) != signature:
             raise InternalAssertion(
                 "two distinct restrictions induced the same permutation"
@@ -195,22 +200,16 @@ def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:
     for l, orbit in enumerate(orbits):
         for j in orbit:
             iota[j] = l
-    qbar_rows = []
-    for i in range(dp1):
-        row = []
-        for orbit in orbits:
-            acc = eigen.Q[i, orbit[0]]
-            for j in orbit[1:]:
-                acc = acc + eigen.Q[i, j]
-            row.append(acc)
-        qbar_rows.append(row)
-    qbar = CycMatrix(qbar_rows, eigen.conductor)
-    for i in range(dp1):
-        for l in range(len(orbits)):
-            if not subfield_membership(qbar[i, l], subfield):
-                raise InternalAssertion(
-                    f"merged idempotent F_{l} has an entry outside the subfield"
-                )
+    qbar = eigen.Q * CycMatrix(_partition_matrix(iota, len(orbits)))
+    merged = qbar.embed(subfield.conductor)
+    outside = np.zeros((dp1, len(orbits)), dtype=bool)
+    for g in subfield.generators:
+        outside |= ~(merged.galois(g) - merged).zero_mask()
+    if outside.any():
+        l = int(np.argwhere(outside)[0][1])
+        raise InternalAssertion(
+            f"merged idempotent F_{l} has an entry outside the subfield"
+        )
     return GaloisOrbitData(
         eigen=eigen,
         subfield=subfield,
@@ -256,24 +255,15 @@ def fuse_by_relation_partition(
     """
     cells = _validate_partition(partition, scheme.classes)
     e1 = len(cells)
-    po_rows = []
-    for j in range(scheme.classes):
-        row = []
-        for cell in cells:
-            acc = eigen.P[j, cell[0]]
-            for i in cell[1:]:
-                acc = acc + eigen.P[j, i]
-            row.append(acc)
-        po_rows.append(row)
-    po = CycMatrix(po_rows, eigen.conductor)
-    eigen_classes = _group_rows(po)
-    if len(eigen_classes) != e1:
-        raise NotAFusion(len(eigen_classes), e1)
-
     class_map = [0] * scheme.classes
     for c, cell in enumerate(cells):
         for i in cell:
             class_map[i] = c
+    po = eigen.P * CycMatrix(_partition_matrix(class_map, e1))
+    eigen_classes = _group_rows(po)
+    if len(eigen_classes) != e1:
+        raise NotAFusion(len(eigen_classes), e1)
+
     lookup = np.array(class_map, dtype=np.int64)
     fused_rel = lookup[scheme.relation]
     try:
@@ -281,22 +271,17 @@ def fuse_by_relation_partition(
     except NotAScheme as exc:  # criterion passed, so this cannot happen
         raise InternalAssertion(f"fused relation failed verification: {exc}") from exc
 
-    p_f = CycMatrix(
-        [[po[cell[0], c] for c in range(e1)] for cell in eigen_classes],
-        eigen.conductor,
-    )
+    p_f = po.select(rows=[cell[0] for cell in eigen_classes])
     s_mat = np.zeros((e1, scheme.classes), dtype=np.int64)
     for l, cell in enumerate(eigen_classes):
         for j in cell:
             s_mat[l, j] = 1
     s_mat.setflags(write=False)
     fused_mult = [sum(eigen.multiplicities[j] for j in cell) for cell in eigen_classes]
-    q_f = CycMatrix(
-        [
-            [p_f[l, i].conjugate() * Fraction(fused_mult[l], v) for l in range(e1)]
-            for i, v in enumerate(fused_scheme.valencies)
-        ],
-        eigen.conductor,
+    q_f = (
+        CycMatrix.diagonal([Fraction(1, v) for v in fused_scheme.valencies])
+        * p_f.adjoint()
+        * CycMatrix.diagonal(fused_mult)
     )
     try:
         fused_eigen = attach_eigendata(fused_scheme, q_f)
@@ -335,13 +320,10 @@ def galois_fusion(
             "PO row classes disagree with the Galois orbits: "
             f"{fs.eigen_classes} vs {orbit_data.orbits}"
         )
-    for c, cell in enumerate(fs.partition):
-        rep = cell[0]
-        for l in range(orbit_data.orbit_count):
-            if fs.eigen.Q[c, l] != orbit_data.Qbar[rep, l]:
-                raise InternalAssertion(
-                    "fused eigenmatrix disagrees with the distinct rows of Qbar"
-                )
+    if fs.eigen.Q != orbit_data.Qbar.select(rows=[cell[0] for cell in fs.partition]):
+        raise InternalAssertion(
+            "fused eigenmatrix disagrees with the distinct rows of Qbar"
+        )
     return replace(fs, subfield=subfield, orbit_data=orbit_data)
 
 

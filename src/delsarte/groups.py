@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,11 @@ class CharacterTable:
     def value(self, j: int, i: int) -> Cyclotomic:
         return self.rows[j][i]
 
+    @cached_property
+    def matrix(self) -> CycMatrix:
+        """The table as one exact matrix (rows are characters)."""
+        return CycMatrix(self.rows, self.conductor)
+
 
 def make_character_table(conductor: int, rows) -> CharacterTable:
     grid = CycMatrix(rows, conductor)
@@ -199,33 +205,32 @@ def make_character_table(conductor: int, rows) -> CharacterTable:
 def verify_character_table(
     table: CharacterTable, group: GroupTable, classes: ConjClassData
 ) -> None:
-    """Check shape, the trivial first row and both orthogonality relations."""
+    """Check shape, the trivial first row and both orthogonality relations.
+
+    With X the table and D = diag(|C_i|), row orthogonality is
+    X D X^* = |G| I and column orthogonality is X^T conj(X) = |G| D^(-1),
+    each one kernel product.
+    """
     dp1 = len(classes.classes)
     if table.count != dp1 or any(len(r) != dp1 for r in table.rows):
         raise BadEigenbasis("character_table_shape")
-    if any(v != 1 for v in table.rows[0]):
+    x = table.matrix
+    if x.select(rows=[0]) != CycMatrix([[1] * dp1]):
         raise BadEigenbasis("trivial_character", "first row must be all ones")
     order = group.order
     sizes = classes.sizes
-    for j in range(dp1):
-        for k in range(j, dp1):
-            acc = Cyclotomic.from_rational(0, 1)
-            for i in range(dp1):
-                acc = acc + table.rows[j][i] * table.rows[k][i].conjugate() * sizes[i]
-            if acc != (order if j == k else 0):
-                raise BadEigenbasis(
-                    "character_row_orthogonality", f"rows {j}, {k}"
-                )
-    for a in range(dp1):
-        for b in range(a, dp1):
-            acc = Cyclotomic.from_rational(0, 1)
-            for j in range(dp1):
-                acc = acc + table.rows[j][a] * table.rows[j][b].conjugate()
-            expected = Fraction(order, sizes[a]) if a == b else 0
-            if acc != expected:
-                raise BadEigenbasis(
-                    "character_column_orthogonality", f"classes {a}, {b}"
-                )
+    rows = x * CycMatrix.diagonal(sizes) * x.adjoint() - CycMatrix.identity(dp1).scale(order)
+    bad = np.argwhere(np.triu(~rows.zero_mask()))
+    if len(bad):
+        j, k = map(int, bad[0])
+        raise BadEigenbasis("character_row_orthogonality", f"rows {j}, {k}")
+    cols = x.transpose() * x.conjugate() - CycMatrix.diagonal(
+        [Fraction(order, size) for size in sizes]
+    )
+    bad = np.argwhere(np.triu(~cols.zero_mask()))
+    if len(bad):
+        a, b = map(int, bad[0])
+        raise BadEigenbasis("character_column_orthogonality", f"classes {a}, {b}")
 
 
 def eigendata_from_characters(
@@ -244,12 +249,8 @@ def eigendata_from_characters(
         scheme, found = conj_class_scheme(group)
         if found.classes != classes.classes:
             raise BadEigenbasis("class_order", "classes disagree with the group")
-    dp1 = len(classes.classes)
-    q_rows = [
-        [table.rows[j][i].conjugate() * table.degrees[j] for j in range(dp1)]
-        for i in range(dp1)
-    ]
-    eigen = attach_eigendata(scheme, CycMatrix(q_rows, table.conductor))
+    q = table.matrix.adjoint() * CycMatrix.diagonal(table.degrees)
+    eigen = attach_eigendata(scheme, q)
     expected = tuple(f * f for f in table.degrees)
     if eigen.multiplicities != expected:
         raise BadEigenbasis(
@@ -262,19 +263,14 @@ def eigendata_from_characters(
 def character_product_multiplicities(
     table: CharacterTable, classes: ConjClassData, order: int, i: int, j: int
 ) -> tuple[int, ...]:
-    """Multiplicities r with chi_i chi_j = sum_k r[k] chi_k (pointwise)."""
-    dp1 = table.count
+    """Multiplicities r with chi_i chi_j = sum_k r[k] chi_k (pointwise).
+
+    r = (chi_i o chi_j) D X^* / |G|, one kernel product.
+    """
+    x = table.matrix
+    prod = x.select(rows=[i]).schur(x.select(rows=[j])) * CycMatrix.diagonal(classes.sizes)
     out = []
-    for k in range(dp1):
-        acc = Cyclotomic.from_rational(0, 1)
-        for m in range(dp1):
-            acc = acc + (
-                table.rows[i][m]
-                * table.rows[j][m]
-                * table.rows[k][m].conjugate()
-                * classes.sizes[m]
-            )
-        val = acc / order
+    for k, val in enumerate((prod * x.adjoint()).scale(Fraction(1, order)).row(0)):
         if not (val.is_rational() and val.as_rational().denominator == 1
                 and val.as_rational() >= 0):
             raise InternalAssertion(

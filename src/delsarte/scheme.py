@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycMatrix, Cyclotomic, exact_sign, fixed_field_conductor, units_mod
+from .cyclotomic import CycMatrix, Cyclotomic, fixed_field_conductor, units_mod
 from .errors import BadEigenbasis, InternalAssertion, KreinViolation, NotAScheme
 
 
@@ -210,27 +210,24 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     size = scheme.size
     if Q.rows != dp1 or Q.cols != dp1:
         raise BadEigenbasis("shape", f"Q must be {dp1}x{dp1}")
-    if any(Q[i, 0] != 1 for i in range(dp1)):
+    if Q.select(cols=[0]) != CycMatrix([[1]] * dp1):
         raise BadEigenbasis("E0", "column 0 of Q must be all ones")
 
     mult = []
-    for j in range(dp1):
-        m = _int_positive(Q[0, j])
+    for j, value in enumerate(Q.row(0)):
+        m = _int_positive(value)
         if m is None:
-            raise BadEigenbasis("multiplicity", f"Q[0][{j}] = {Q[0, j]}")
+            raise BadEigenbasis("multiplicity", f"Q[0][{j}] = {value}")
         mult.append(m)
     if sum(mult) != size:
         raise BadEigenbasis("multiplicity", "multiplicities do not sum to |X|")
 
     # Second orthogonality: m_j P[j][i] = v_i conj(Q[i][j]).  With Q[i][0] = 1
     # and m_0 = v_0 = 1 this gives P[0][i] = v_i and P[j][0] = 1 outright.
-    vals = scheme.valencies
-    P = CycMatrix(
-        [
-            [Q[i, j].conjugate() * Fraction(vals[i], mult[j]) for i in range(dp1)]
-            for j in range(dp1)
-        ],
-        Q.conductor,
+    P = (
+        CycMatrix.diagonal([Fraction(1, m) for m in mult])
+        * Q.adjoint()
+        * CycMatrix.diagonal(scheme.valencies)
     )
     if P * Q != CycMatrix.identity(dp1).scale(size):
         raise BadEigenbasis("orthogonality", "PQ != |X| I")
@@ -238,34 +235,28 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     # Common-eigenvector identity: B_i Qcol_j = P[j][i] Qcol_j where
     # (B_i)[m][l] = p[i][l][m].  Together with PQ = |X| I this forces
     # E_j E_k = delta_{jk} E_j, sum E_j = I, and A_i = sum_j P[j][i] E_j.
-    p = scheme.intersection
-    for j in range(dp1):
-        qcol = [Q[l, j] for l in range(dp1)]
-        for i in range(dp1):
-            pij = P[j, i]
-            for m in range(dp1):
-                acc = Cyclotomic.from_rational(0, 1)
-                row = p[i, :, m]
-                for l in range(dp1):
-                    c = int(row[l])
-                    if c:
-                        acc = acc + qcol[l] * c
-                if acc != pij * qcol[m]:
-                    raise BadEigenbasis(
-                        "eigenvector",
-                        f"intersection matrix B_{i} does not act as "
-                        f"P[{j}][{i}] on column {j}",
-                    )
+    # Rows of both sides are indexed by (i, m), columns by j.
+    p = scheme.intersection.transpose(0, 2, 1).reshape(dp1 * dp1, dp1)
+    idx = np.arange(dp1)
+    lhs = Q.left_rational(p)
+    rhs = P.transpose().select(rows=np.repeat(idx, dp1)).schur(
+        Q.select(rows=np.tile(idx, dp1))
+    )
+    bad = ~(lhs - rhs).zero_mask().reshape(dp1, dp1, dp1).all(axis=1)  # (i, j)
+    if bad.any():
+        j, i = map(int, np.argwhere(bad.T)[0])
+        raise BadEigenbasis(
+            "eigenvector",
+            f"intersection matrix B_{i} does not act as "
+            f"P[{j}][{i}] on column {j}",
+        )
 
     # Dual map: E_{j*} = adjoint(E_j), i.e. Q[i][j*] = conj(Q[i'][j]).
-    tmap = scheme.transpose_map
     col_keys = {Q.col_key(j): j for j in range(dp1)}
+    want = Q.select(rows=scheme.transpose_map).conjugate()
     dual = []
     for j in range(dp1):
-        want = CycMatrix(
-            [[Q[tmap[i], j].conjugate()] for i in range(dp1)], Q.conductor
-        )
-        j_star = col_keys.get(want.col_key(0))
+        j_star = col_keys.get(want.col_key(j))
         if j_star is None:
             raise BadEigenbasis("dual_map", f"adjoint of E_{j} not in the basis")
         dual.append(j_star)
@@ -296,47 +287,41 @@ def krein_parameters(eigen: EigenData) -> KreinData:
     """Expand E_i o E_j in the idempotent basis to recover q[i][j][k].
 
     Entrywise, E_i o E_j has A_m-coefficient Q[m][i] Q[m][j] / |X|^2, so
-    q[i][j][k] = (1/|X|) sum_m P[k][m] Q[m][i] Q[m][j].  Realness is checked
-    exactly; nonnegativity by exact zero test then interval sign evaluation.
+    q[i][j][k] = (1/|X|) sum_m P[k][m] Q[m][i] Q[m][j].  The whole tensor
+    comes from two contractions on the integer form: the Schur products
+    W[m][(i, j)] = Q[m][i] Q[m][j], then P W / |X|.  Realness and the
+    Galois-fixing group are decided by comparing that array with its images
+    under the automorphisms; nonnegativity by the integer sign of rational
+    entries, and interval evaluation of the irrational ones only.
     """
     Q, P = eigen.Q, eigen.P
     dp1 = eigen.scheme.classes
-    size = eigen.scheme.size
-    tensor = []
-    for i in range(dp1):
-        plane = []
-        for j in range(dp1):
-            w = [Q[m, i] * Q[m, j] for m in range(dp1)]
-            row = []
-            for k in range(dp1):
-                acc = Cyclotomic.from_rational(0, 1)
-                for m in range(dp1):
-                    if not w[m].is_zero():
-                        acc = acc + P[k, m] * w[m]
-                q_ijk = acc / size
-                if not q_ijk.is_real():
-                    raise KreinViolation(i, j, k, f"= {q_ijk} is not real")
-                if exact_sign(q_ijk) < 0:
-                    raise KreinViolation(i, j, k, f"= {q_ijk} is negative")
-                row.append(q_ijk)
-            plane.append(tuple(row))
-        tensor.append(tuple(plane))
+    idx = np.arange(dp1)
+    w = Q.select(cols=np.repeat(idx, dp1)).schur(Q.select(cols=np.tile(idx, dp1)))
+    K = (P * w).scale(Fraction(1, eigen.scheme.size))  # K[k][(i, j)] = q[i][j][k]
 
-    for j in range(dp1):
-        for k in range(dp1):
-            expected = 1 if j == k else 0
-            if tensor[0][j][k] != expected:
-                raise KreinViolation(0, j, k, f"!= {expected}")
+    def by_ijk(mask):
+        return mask.reshape(dp1, dp1, dp1).transpose(1, 2, 0)
+
+    nonreal = ~(K - K.conjugate()).zero_mask()
+    real = K if not nonreal.any() else K.schur(CycMatrix((~nonreal).astype(np.int64)))
+    bad = by_ijk(nonreal | (real.signs() < 0))
+    if bad.any():
+        i, j, k = map(int, np.argwhere(bad)[0])
+        q_ijk = K[k, i * dp1 + j]
+        reason = "is not real" if by_ijk(nonreal)[i, j, k] else "is negative"
+        raise KreinViolation(i, j, k, f"= {q_ijk} {reason}")
+
+    # q[0][j][k] = delta_jk, read off K[k][(0, j)]
+    off = ~(K.select(cols=idx) - CycMatrix.identity(dp1)).zero_mask().T
+    if off.any():
+        j, k = map(int, np.argwhere(off)[0])
+        raise KreinViolation(0, j, k, f"!= {1 if j == k else 0}")
 
     n = eigen.conductor
-    fixing = [
-        k
-        for k in units_mod(n)
-        if all(
-            v.galois(k) == v for plane in tensor for row in plane for v in row
-        )
-    ]
+    fixing = [k for k in units_mod(n) if K.galois(k) == K]
+    q = K.transpose()  # rows (i, j), columns k
     return KreinData(
-        q=tuple(tensor),
+        q=tuple(tuple(q.row(i * dp1 + j) for j in range(dp1)) for i in range(dp1)),
         krein_conductor=fixed_field_conductor(n, fixing),
     )

@@ -15,3 +15,63 @@ def test_no_bare_asserts_in_library():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def _zero_seeded_accumulators(tree):
+    """Names bound to Cyclotomic.from_rational(0, ...) and later grown by
+    `name = name + ...` or `name += ...`, with their line numbers."""
+    seeded = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and ast.unparse(node.value.func) == "Cyclotomic.from_rational"
+                and node.value.args
+                and isinstance(node.value.args[0], ast.Constant)
+                and node.value.args[0].value == 0):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    seeded.append((target.id, node.lineno))
+    grown = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            grown.add(node.target.id)
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+                and isinstance(node.value.left, ast.Name)
+                and any(isinstance(t, ast.Name) and t.id == node.value.left.id
+                        for t in node.targets)):
+            grown.add(node.value.left.id)
+    return [line for name, line in seeded if name in grown]
+
+
+def test_no_scalar_accumulation_loops_in_library():
+    # matrix-shaped identities run on the integer kernel in cyclotomic.py,
+    # not on sums of Cyclotomic values built up from zero
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _zero_seeded_accumulators(tree)]
+    assert not found, found
+
+
+def test_accumulator_guard_catches_the_old_loop():
+    old = (
+        "def f(xs):\n"
+        "    acc = Cyclotomic.from_rational(0, 1)\n"
+        "    for x in xs:\n"
+        "        acc = acc + x\n"
+        "    return acc\n"
+    )
+    assert _zero_seeded_accumulators(ast.parse(old)) == [2]
+
+
+def test_only_cyclotomic_reads_coefficients():
+    # the integer lift of cyclotomic coefficients lives in one place: no
+    # other module reads Cyclotomic.coeffs or the CycMatrix integer form
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cyclotomic.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("coeffs", "_num", "_den")]
+    assert not found, found
