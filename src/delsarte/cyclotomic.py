@@ -650,6 +650,14 @@ def _fit(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def bounded_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for integer (or boolean) arrays, exactly: every partial sum is at
+    most max|x| max|y| times the inner dimension, so int64 is used only when
+    that bound is below 2^62 and Python ints otherwise."""
+    dtype = _dtype(_maxabs(x) * _maxabs(y) * x.shape[-1])
+    return _fit(x.astype(dtype, copy=False) @ y.astype(dtype, copy=False))
+
+
 def rational_lift(rows) -> tuple[np.ndarray, int]:
     """Integer numerators and the least positive common denominator of a
     rational matrix (nested rows of ints/Fractions, or an integer array)."""
@@ -777,8 +785,10 @@ class CycMatrix:
 
     def _set(self, n, num, den):
         if den != 1:
-            g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
-            if g > 1:
+            top = int(np.gcd.reduce(num, axis=None))
+            if not top:
+                den = 1  # a zero matrix; dividing by den itself may not fit int64
+            elif (g := math.gcd(den, top)) > 1:
                 num, den = num // g, den // g
         num = _fit(num)
         num.setflags(write=False)
@@ -829,7 +839,10 @@ class CycMatrix:
         return self._key(self._num[:, j])
 
     def _key(self, part):
-        g = math.gcd(self._den, int(np.gcd.reduce(part, axis=None)))
+        top = int(np.gcd.reduce(part, axis=None))
+        if not top:
+            return 1, (0,) * part.size
+        g = math.gcd(self._den, top)
         return self._den // g, tuple((part // g).ravel().tolist())
 
     def zero_mask(self) -> np.ndarray:

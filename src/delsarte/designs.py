@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, rational_lift
+from .cyclotomic import Cyclotomic, SubfieldSpec, bounded_matmul, rational_lift
 from .errors import (
     IncompatibleT,
     InternalAssertion,
@@ -132,18 +132,21 @@ def design_report(
     """
     w = _as_subset(scheme, w)
     a = inner_distribution(scheme, w)
-    b = dual_distribution(eigen, a)
+    # b = aQ as a 1 x (d+1) matrix: signs and zeros are read off its integer form
+    dual = eigen.Q.left_rational([a])
+    b = dual.row(0)
     if verify_signs:
         try:
-            signs = CycMatrix([b]).signs()[0]
+            signs = dual.signs()[0]
         except ValueError as exc:
             raise InternalAssertion(f"b = {b} is not real") from exc
         if (signs < 0).any():
             j = int(np.argmax(signs < 0))
             raise InternalAssertion(f"b[{j}] = {b[j]} is negative")
-    if b[0].is_zero():
+    zero = dual.zero_mask()[0]
+    if zero[0]:
         raise InternalAssertion("b[0] vanished for a nonzero subset")
-    annihilated = tuple(j for j in range(1, len(b)) if b[j].is_zero())
+    annihilated = tuple(int(j) for j in np.flatnonzero(zero[1:]) + 1)
     t_set = set(annihilated)
     closed = all(
         set(orbit) <= t_set or not (set(orbit) & t_set)
@@ -181,8 +184,8 @@ def is_T_design_via_merges(orbit_data: GaloisOrbitData, w, T) -> bool:
     # (F_l x)_y = (1/|X|) sum_i c[y][i] Qbar[i][l], with c[y][i] the weight
     # of x on the vertices z with (y, z) in R_i
     weights, _ = rational_lift([w.weights])
-    in_class = scheme.relation[:, :, None] == np.arange(scheme.classes)
-    c = (in_class * weights.reshape(1, -1, 1)).sum(axis=1)
+    in_class = scheme.relation[:, None, :] == np.arange(scheme.classes)[:, None]
+    c = bounded_matmul(in_class, weights[0])
     return bool(orbit_data.Qbar.left_rational(c, merged).zero_mask().all())
 
 

@@ -195,11 +195,13 @@ def make_character_table(conductor: int, rows) -> CharacterTable:
                 and f.as_rational() > 0):
             raise ValidationError(f"degree of character {j} is {f}, not a positive integer")
         degrees.append(int(f.as_rational()))
-    return CharacterTable(
+    table = CharacterTable(
         conductor=grid.conductor,
         rows=grid.entries,
         degrees=tuple(degrees),
     )
+    table.__dict__["matrix"] = grid  # the cached matrix is the one just built
+    return table
 
 
 def verify_character_table(

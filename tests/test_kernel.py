@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from delsarte import fileio
 from delsarte.catalog import CATALOG, build_dicyclic, build_x8, load_entry
+from delsarte.groups import cyclic_group
 from delsarte.cyclotomic import (
     INT64_BOUND,
     CycMatrix,
@@ -32,7 +33,14 @@ from delsarte.cyclotomic import (
     exact_sign,
     units_mod,
 )
-from delsarte.designs import dual_distribution, enumerate_T_designs, inner_distribution
+from delsarte.designs import (
+    WeightedSubset,
+    dual_distribution,
+    enumerate_T_designs,
+    inner_distribution,
+    is_T_design_via_merges,
+    rational_orbit_data,
+)
 from delsarte.errors import KreinViolation, ParseError
 from delsarte.scheme import krein_parameters
 
@@ -246,6 +254,64 @@ def test_enumeration_survives_a_huge_column(build, shift):
         scaled = dataclasses.replace(eigen, Q=eigen.Q * CycMatrix.diagonal(factors))
         want = enumerate_T_designs(scheme, eigen, {j}, 1, scheme.size)
         assert enumerate_T_designs(scheme, scaled, {j}, 1, scheme.size) == want
+
+
+def reference_via_merges(orbit_data, weights, T):
+    """F_l x = 0 for l in iota(T), with Fraction class sums and scalar loops."""
+    scheme = orbit_data.eigen.scheme
+    merged = sorted({orbit_data.iota[j] for j in T})
+    for y in range(scheme.size):
+        coeffs = [Fraction(0)] * scheme.classes
+        for z, wz in enumerate(weights):
+            coeffs[scheme.relation[y, z]] += wz
+        for l in merged:
+            acc = zero()
+            for i, c in enumerate(coeffs):
+                acc = acc + orbit_data.Qbar[i, l] * c
+            if not acc.is_zero():
+                return False
+    return True
+
+
+@pytest.mark.parametrize("build", [build_x8, build_dic3])
+def test_merged_design_test_survives_huge_weights(build):
+    # class sums of weights exceed int64: four weights of 2^62 in one class
+    # of x8 sum to 2^64, which wraps to 0; weights 1 and 1/(2^62 - 57) lift
+    # to numerators near 2^62 over a denominator near 2^62
+    scheme, eigen = build()
+    orbit_data = rational_orbit_data(eigen)
+    y, cls = next((y, c) for y in range(scheme.size) for c in range(scheme.classes)
+                  if (scheme.relation[y] == c).sum() >= 3)
+    same_class = np.flatnonzero(scheme.relation[y] == cls)
+    tiny = Fraction(1, 2**62 - 57)
+    mixed = [Fraction(0)] * scheme.size
+    for z, wz in zip(same_class, (1, 1, tiny, 1)):
+        mixed[z] = Fraction(wz)
+    cases = [[Fraction(2**62)] * scheme.size, mixed, [tiny] * scheme.size]
+    for weights in cases:
+        w = WeightedSubset.from_weights(weights)
+        for T in [{j} for j in range(1, scheme.classes)] + [range(1, scheme.classes)]:
+            want = reference_via_merges(orbit_data, weights, T)
+            assert is_T_design_via_merges(orbit_data, w, T) == want
+    # the whole vertex set with equal weights is a design for every T
+    assert is_T_design_via_merges(orbit_data, WeightedSubset.from_weights(cases[0]),
+                                  range(1, scheme.classes))
+
+
+def test_zero_matrices_over_huge_denominators():
+    # a zero numerator over a denominator beyond int64 reduces to 0 / 1
+    a = CycMatrix([[Fraction(1, 2**64)]])
+    assert a - a == CycMatrix([[0]])
+    assert (a - a).zero_mask().all()
+    m = CycMatrix([[Fraction(1, 2**64), 0], [0, 0]])
+    assert m.row_key(1) == m.col_key(1) == CycMatrix([[0, 0]]).row_key(0)
+    assert m.row_key(0) != m.row_key(1)
+
+
+def test_character_table_keeps_its_matrix():
+    _, _, table = cyclic_group(5)
+    assert table.matrix.entries == table.rows
+    assert table.matrix[1, 1] is table.rows[1][1]  # the cells are shared, not rebuilt
 
 
 def test_annihilator_dtype_follows_the_bound():
