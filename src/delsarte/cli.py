@@ -4,8 +4,8 @@ Every subcommand is a thin shell over the library: files are parsed, the
 relevant operations run, and results print as exact-value text tables or
 machine-readable JSON (--json).  No floating point ever appears in output.
 
-Exit codes: 0 success, 1 domain error (invalid scheme, no fusion, ...),
-2 usage error.
+Exit codes: 0 success, 1 domain error (invalid scheme, no fusion, an index
+out of range, ...), 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 from . import catalog, fileio
 from .cyclotomic import SubfieldSpec
 from .designs import (
+    _validate_T,
     design_report,
     dicyclic_subgroup_table,
     enumerate_T_designs,
@@ -273,18 +274,19 @@ def cmd_dicyclic_table(args):
     return 0
 
 
-def _lp_source(args):
+def _lp_source(args, text: str, name: str):
+    """Eigendata, the Galois fusion over Q when --fuse asks for it, and the
+    index set, checked against the unfused scheme before anything maps it."""
     scheme, eigen = _load_scheme_eigen(args)
+    indices = _validate_T(_parse_indices(text), scheme.d, name)
+    fused = None
     if args.fuse == "rational":
-        return scheme, eigen, galois_fusion(
-            scheme, eigen, SubfieldSpec.rationals(eigen.conductor)
-        )
-    return scheme, eigen, None
+        fused = galois_fusion(scheme, eigen, SubfieldSpec.rationals(eigen.conductor))
+    return eigen, fused, indices
 
 
 def cmd_lp_design(args):
-    scheme, eigen, fused = _lp_source(args)
-    t_set = set(_parse_indices(args.T))
+    eigen, fused, t_set = _lp_source(args, args.T, "T")
     if fused is not None:
         merged = sorted({fused.orbit_data.iota[j] for j in t_set})
         result = delsarte_design_lp(fused, merged)
@@ -299,8 +301,7 @@ def cmd_lp_design(args):
 
 
 def cmd_lp_code(args):
-    scheme, eigen, fused = _lp_source(args)
-    s_set = set(_parse_indices(args.S))
+    eigen, fused, s_set = _lp_source(args, args.S, "S")
     if fused is not None:
         mapped = sorted({fused.class_map[i] for i in s_set})
         result = delsarte_code_lp(fused, mapped)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
     InternalAssertion,
     OrbitClosureViolation,
     TooLarge,
+    ValidationError,
     ZeroVector,
 )
 from .fusion import FusionScheme, GaloisOrbitData, galois_fusion, orbit_merge
@@ -34,6 +35,9 @@ from .scheme import EigenData, SchemeData
 #: exhaustive enumeration guardrails
 ENUM_VERTEX_CAP = 40
 ENUM_SUBSET_CAP = 2_000_000
+#: vertex pairs gathered per enumeration chunk (m subsets of size r hold
+#: m * r^2 pairs, about 2 MB of int64), so memory stays flat in the count
+ENUM_CHUNK_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ class WeightedSubset:
 
     def __post_init__(self):
         if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+            raise ValidationError("weights must be nonnegative")
         if not any(self.weights):
             raise ZeroVector("weighted subset is identically zero")
 
@@ -52,6 +56,8 @@ class WeightedSubset:
     def from_indices(cls, size: int, indices) -> "WeightedSubset":
         w = [Fraction(0)] * size
         for i in indices:
+            if not 0 <= i < size:
+                raise ValidationError(f"vertex index {i} outside 0..{size - 1}")
             w[i] = Fraction(1)
         return cls(tuple(w))
 
@@ -83,14 +89,23 @@ class DesignReport:
     orbit_closed: bool
 
 
+def _pair_counts(scheme: SchemeData, idx: np.ndarray) -> np.ndarray:
+    """Pair counts of a batch of 01 subsets: row k of the (m, d+1) result
+    counts the ordered pairs of the vertices idx[k] in each relation."""
+    m, r = idx.shape
+    rel = scheme.relation[idx[:, :, None], idx[:, None, :]].reshape(m, r * r)
+    # offset row k into its own block of d+1 bins, so one bincount does all
+    rel += scheme.classes * np.arange(m, dtype=rel.dtype)[:, None]
+    counts = np.bincount(rel.ravel(), minlength=m * scheme.classes)
+    return counts.reshape(m, scheme.classes)
+
+
 def inner_distribution(scheme: SchemeData, w) -> tuple[Fraction, ...]:
     """a_i = x^T A_i x / x^T x, exactly; pair counting for 01 subsets."""
     w = _as_subset(scheme, w)
     support = w.support
     if w.is_characteristic():
-        idx = np.fromiter(support, dtype=np.int64)
-        sub = scheme.relation[np.ix_(idx, idx)]
-        counts = np.bincount(sub.ravel(), minlength=scheme.classes)
+        counts = _pair_counts(scheme, np.array([support], dtype=np.int64))[0]
         return tuple(Fraction(int(c), len(support)) for c in counts)
     num = [Fraction(0)] * scheme.classes
     for x in support:
@@ -189,10 +204,10 @@ def is_T_design_via_merges(orbit_data: GaloisOrbitData, w, T) -> bool:
     return bool(orbit_data.Qbar.left_rational(c, merged).zero_mask().all())
 
 
-def _validate_T(T, d: int) -> tuple[int, ...]:
+def _validate_T(T, d: int, name: str = "T") -> tuple[int, ...]:
     T = tuple(sorted(set(T)))
     if any(j < 1 or j > d for j in T):
-        raise ValueError(f"T must be a subset of 1..{d}: {T}")
+        raise ValidationError(f"{name} must be a subset of 1..{d}: {T}")
     return T
 
 
@@ -242,19 +257,22 @@ def enumerate_T_designs(
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
 
-    rel = scheme.relation
     # b_j = 0 iff counts . Q[:, j] = 0; the counts sum to |C|^2 <= |X|^2,
     # which bounds the kernel's integer block (int64 only where it cannot wrap)
     check = eigen.Q.annihilator(T, scheme.size**2) if T else None
     found = []
     for r in range(max(min_size, 1), min(max_size, scheme.size) + 1):
-        for combo in combinations(range(scheme.size), r):
-            idx = np.fromiter(combo, dtype=np.int64)
-            counts = np.bincount(
-                rel[np.ix_(idx, idx)].ravel(), minlength=scheme.classes
-            )
-            if check is None or not (counts @ check).any():
-                found.append(combo)
+        combos = combinations(range(scheme.size), r)
+        chunk = max(1, ENUM_CHUNK_PAIRS // (r * r))
+        while True:
+            flat = chain.from_iterable(islice(combos, chunk))
+            idx = np.fromiter(flat, dtype=np.int64).reshape(-1, r)
+            if not len(idx):
+                break
+            if check is not None:
+                counts = _pair_counts(scheme, idx).astype(check.dtype, copy=False)
+                idx = idx[~(counts @ check != 0).any(axis=1)]
+            found.extend(map(tuple, idx.tolist()))
     return tuple(sorted(found))
 
 

@@ -128,5 +128,6 @@ class ParseError(DelsarteError):
         super().__init__(where + reason)
 
 
-class ValidationError(DelsarteError):
-    """Parsed data failed downstream verification."""
+class ValidationError(DelsarteError, ValueError):
+    """Parsed data or an index set failed validation (an index out of
+    range, a table that is not a group, ...)."""

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delsarte.catalog import data_dir
+from delsarte.catalog import data_dir, load_entry
 from delsarte.cli import main
 
 
@@ -96,6 +100,19 @@ def test_design_report_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert payload["T"] == [1, 2, 3]
+
+
+def test_design_file_with_a_negative_weight_is_a_domain_error(tmp_path, capsys):
+    scheme, eigen = entry_paths("x8")
+    design = tmp_path / "w.json"
+    design.write_text('{"weights": ["-1", "1", "1", "1", "0", "0", "0", "0"]}')
+    code, payload = run_json(
+        capsys,
+        ["design", "report", "--scheme", scheme, "--eigen", eigen,
+         "--design", str(design)],
+    )
+    assert code == 1
+    assert payload["error"] == "ValidationError"
 
 
 def test_design_enum(capsys):
@@ -194,3 +211,38 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scheme", "verify"])  # missing --scheme
     assert exc.value.code == 2
+
+
+# (argv prefix, option, the indices it accepts given |X| and d) per command
+FUZZED = [
+    (["design", "report"], "--subset", lambda n, d: range(n)),
+    (["design", "enum", "--max", "12"], "--T", lambda n, d: range(1, d + 1)),
+    (["lp", "design-bound"], "--T", lambda n, d: range(1, d + 1)),
+    (["lp", "design-bound", "--fuse", "rational"], "--T", lambda n, d: range(1, d + 1)),
+    (["lp", "code-bound"], "--S", lambda n, d: range(1, d + 1)),
+    (["lp", "code-bound", "--fuse", "rational"], "--S", lambda n, d: range(1, d + 1)),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["x8", "z12"]),
+    command=st.sampled_from(FUZZED),
+    values=st.lists(st.integers(min_value=-15, max_value=30), max_size=5),
+)
+def test_index_options_fail_cleanly(name, command, values):
+    # negatives, indices >= |X| or > d, duplicates and the empty list: every
+    # run ends in a JSON line, and any index out of range is a domain error
+    prefix, option, valid = command
+    scheme = load_entry(name).scheme
+    paths = entry_paths(name)
+    argv = prefix + ["--scheme", paths[0], "--eigen", paths[1], "--json",
+                     f"{option}={','.join(map(str, values))}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1)
+    payload = json.loads(out.getvalue().splitlines()[-1])
+    if any(v not in valid(scheme.size, scheme.d) for v in values):
+        assert code == 1
+        assert payload["error"] == "ValidationError"

@@ -1,15 +1,23 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delsarte import designs
 from delsarte.catalog import (
+    CATALOG,
     build_coxeter,
     build_dicyclic,
     build_x8,
     build_y8,
     coxeter_second_fano,
+    load_entry,
 )
 from delsarte.cyclotomic import SubfieldSpec
 from delsarte.designs import (
@@ -27,7 +35,7 @@ from delsarte.designs import (
     rational_orbit_data,
     transfer_design,
 )
-from delsarte.errors import IncompatibleT, TooLarge, ZeroVector
+from delsarte.errors import IncompatibleT, TooLarge, ValidationError, ZeroVector
 from delsarte.fusion import galois_fusion, orbit_merge
 
 # the running example subset: vertices {1, 2, 5, 6} when numbered from 1
@@ -90,6 +98,16 @@ def test_weighted_subset_distribution():
 def test_zero_vector_rejected():
     with pytest.raises(ZeroVector):
         WeightedSubset.from_weights([0, 0, 0])
+
+
+@pytest.mark.parametrize("index", [-1, -8, 8, 99])
+def test_subset_indices_are_range_checked(index):
+    # a negative index must not wrap around to the last vertices
+    with pytest.raises(ValidationError):
+        WeightedSubset.from_indices(8, [0, index])
+    scheme, eigen = build_x8()
+    with pytest.raises(ValidationError):
+        design_report(scheme, eigen, [index])
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +207,82 @@ def test_enumeration_lexicographic_order():
     scheme, eigen = build_x8()
     out = enumerate_T_designs(scheme, eigen, set(), 1, 3)
     assert list(out) == sorted(out)
+
+
+def reference_enumeration(scheme, eigen, T, min_size, max_size):
+    """The enumeration as one loop over subsets: pair counts of each subset
+    on its own, tested against the annihilator block one subset at a time."""
+    T = sorted(set(T))
+    check = eigen.Q.annihilator(T, scheme.size**2) if T else None
+    found = []
+    for r in range(max(min_size, 1), min(max_size, scheme.size) + 1):
+        for combo in combinations(range(scheme.size), r):
+            idx = np.fromiter(combo, dtype=np.int64)
+            counts = np.bincount(
+                scheme.relation[np.ix_(idx, idx)].ravel(), minlength=scheme.classes
+            )
+            if check is None or not (counts @ check).any():
+                found.append(combo)
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_enumeration_matches_the_subset_loop_on_the_catalog(name):
+    # every singleton T and the full T: all sizes up to 12 vertices, sizes
+    # <= 3 above that
+    entry = load_entry(name)
+    scheme, eigen = entry.scheme, entry.eigen
+    cap = scheme.size if scheme.size <= 12 else 3
+    full = tuple(range(1, scheme.classes))
+    for T in [(j,) for j in full] + [full]:
+        want = reference_enumeration(scheme, eigen, T, 1, cap)
+        got = enumerate_T_designs(scheme, eigen, T, 1, cap)
+        assert got == want, T
+        assert all(type(v) is int for c in got for v in c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["x8", "y8", "a4", "dic3"]),
+    mask=st.integers(min_value=0, max_value=(1 << 5) - 1),
+    lo=st.integers(min_value=-2, max_value=14),
+    hi=st.integers(min_value=-2, max_value=14),
+)
+def test_enumeration_windows_match_the_subset_loop(name, mask, lo, hi):
+    # min > max, min <= 0 and max > |X| included
+    entry = load_entry(name)
+    T = [j for j in range(1, entry.scheme.classes) if mask >> (j - 1) & 1]
+    want = reference_enumeration(entry.scheme, entry.eigen, T, lo, hi)
+    assert enumerate_T_designs(entry.scheme, entry.eigen, T, lo, hi) == want
+
+
+@pytest.mark.parametrize("pairs", [1, 7, 30])
+@pytest.mark.parametrize("name", ["x8", "dic3"])
+def test_enumeration_across_chunk_boundaries(name, pairs, monkeypatch):
+    # a few pairs per chunk: every size but the largest spans several chunks
+    monkeypatch.setattr(designs, "ENUM_CHUNK_PAIRS", pairs)
+    entry = load_entry(name)
+    scheme, eigen = entry.scheme, entry.eigen
+    for T in [(), (1,), tuple(range(1, scheme.classes))]:
+        want = reference_enumeration(scheme, eigen, T, 1, scheme.size)
+        assert enumerate_T_designs(scheme, eigen, T, 1, scheme.size) == want
+        fused = enumerate_T_designs(scheme, eigen, T, 1, scheme.size, "fused")
+        assert fused == want
+
+
+def test_enumeration_memory_stays_flat():
+    # 122 437 candidates of sizes 1..5 on 28 vertices; the 98 280 of size 5
+    # gathered at once would hold about 20 MB of pairs, a chunk about 2 MB
+    scheme, eigen = build_coxeter()
+    assert sum(math.comb(28, r) for r in range(1, 6)) == 122_437
+    tracemalloc.start()
+    try:
+        found = enumerate_T_designs(scheme, eigen, {1}, 1, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 14
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

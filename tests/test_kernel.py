@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsarte import fileio
+from delsarte import designs, fileio
 from delsarte.catalog import CATALOG, build_dicyclic, build_x8, load_entry
 from delsarte.groups import cyclic_group
 from delsarte.cyclotomic import (
@@ -254,6 +254,21 @@ def test_enumeration_survives_a_huge_column(build, shift):
         scaled = dataclasses.replace(eigen, Q=eigen.Q * CycMatrix.diagonal(factors))
         want = enumerate_T_designs(scheme, eigen, {j}, 1, scheme.size)
         assert enumerate_T_designs(scheme, scaled, {j}, 1, scheme.size) == want
+
+
+@pytest.mark.parametrize("shift", [55, 60])
+@pytest.mark.parametrize("build", [build_x8, build_dic3])
+def test_enumeration_survives_a_huge_column_in_tiny_chunks(build, shift, monkeypatch):
+    # the same with a few pairs per chunk, so the Python-int products of the
+    # 2^60 case run across chunk boundaries
+    scheme, eigen = build()
+    for j in range(1, scheme.classes):
+        factors = [2**shift if l == j else 1 for l in range(scheme.classes)]
+        scaled = dataclasses.replace(eigen, Q=eigen.Q * CycMatrix.diagonal(factors))
+        want = enumerate_T_designs(scheme, eigen, {j}, 1, scheme.size)
+        with monkeypatch.context() as patch:
+            patch.setattr(designs, "ENUM_CHUNK_PAIRS", 5)
+            assert enumerate_T_designs(scheme, scaled, {j}, 1, scheme.size) == want
 
 
 def reference_via_merges(orbit_data, weights, T):
