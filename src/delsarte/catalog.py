@@ -349,7 +349,6 @@ def load_entry(name: str, base: Path | None = None) -> LoadedEntry:
     character table induces.
     """
     from . import fileio
-    from .groups import conjugacy_classes
 
     try:
         entry = CATALOG[name]

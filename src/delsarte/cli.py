@@ -5,7 +5,7 @@ relevant operations run, and results print as exact-value text tables or
 machine-readable JSON (--json).  No floating point ever appears in output.
 
 Exit codes: 0 success, 1 domain error (invalid scheme, no fusion, an index
-out of range, ...), 2 usage error.
+out of range, a malformed index list, ...), 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,13 +17,8 @@ from pathlib import Path
 
 from . import catalog, fileio
 from .cyclotomic import SubfieldSpec
-from .designs import (
-    _validate_T,
-    design_report,
-    dicyclic_subgroup_table,
-    enumerate_T_designs,
-)
-from .errors import DelsarteError
+from .designs import design_report, dicyclic_subgroup_table, enumerate_T_designs
+from .errors import DelsarteError, ParseError
 from .fusion import (
     bannai_muzychuk_idempotent,
     fuse_by_relation_partition,
@@ -32,7 +27,7 @@ from .fusion import (
 )
 from .groups import builtin_group, conj_class_scheme, eigendata_from_characters, rational_class_fusion
 from .lp import delsarte_code_lp, delsarte_design_lp
-from .scheme import attach_eigendata
+from .scheme import attach_eigendata, validate_indices
 
 
 def _emit(args, payload: dict, text_lines):
@@ -68,7 +63,7 @@ def _parse_indices(text) -> list[int]:
     try:
         return [int(t) for t in str(text).split(",") if t != ""]
     except ValueError:
-        raise DelsarteError(f"bad index list {text!r}; expected e.g. 1,2,5") from None
+        raise ParseError(None, f"bad index list {text!r}; expected e.g. 1,2,5") from None
 
 
 def _subfield(spec_text: str, conductor: int) -> SubfieldSpec:
@@ -278,7 +273,7 @@ def _lp_source(args, text: str, name: str):
     """Eigendata, the Galois fusion over Q when --fuse asks for it, and the
     index set, checked against the unfused scheme before anything maps it."""
     scheme, eigen = _load_scheme_eigen(args)
-    indices = _validate_T(_parse_indices(text), scheme.d, name)
+    indices = validate_indices(_parse_indices(text), scheme.d, name)
     fused = None
     if args.fuse == "rational":
         fused = galois_fusion(scheme, eigen, SubfieldSpec.rationals(eigen.conductor))
@@ -288,9 +283,9 @@ def _lp_source(args, text: str, name: str):
 def cmd_lp_design(args):
     eigen, fused, t_set = _lp_source(args, args.T, "T")
     if fused is not None:
-        merged = sorted({fused.orbit_data.iota[j] for j in t_set})
+        merged = fused.orbit_data.merge(t_set)
         result = delsarte_design_lp(fused, merged)
-        note = f"(fused over Q; merged T = {merged})"
+        note = f"(fused over Q; merged T = {list(merged)})"
     else:
         result = delsarte_design_lp(eigen, t_set)
         note = ""

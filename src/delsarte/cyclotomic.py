@@ -986,6 +986,11 @@ class CycMatrix:
     def transpose(self) -> "CycMatrix":
         return CycMatrix._from_array(self.conductor, self._num.transpose(1, 0, 2), self._den)
 
+    def reshape(self, rows: int, cols: int) -> "CycMatrix":
+        """The same entries in row-major order, as a rows x cols matrix."""
+        num = self._num.reshape(rows, cols, self._num.shape[2])
+        return CycMatrix._from_array(self.conductor, num, self._den)
+
     def galois(self, k: int) -> "CycMatrix":
         """Entrywise image under zeta_n -> zeta_n^k; gcd(k, n) must be 1."""
         n = self.conductor

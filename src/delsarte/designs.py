@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fusion import FusionScheme, GaloisOrbitData, galois_fusion, orbit_merge
 from .groups import conj_class_scheme, dicyclic_group, eigendata_from_characters
-from .scheme import EigenData, SchemeData
+from .scheme import EigenData, SchemeData, validate_indices
 
 #: exhaustive enumeration guardrails
 ENUM_VERTEX_CAP = 40
@@ -135,6 +135,12 @@ def rational_orbit_data(eigen: EigenData) -> GaloisOrbitData:
     return orbit_merge(eigen, SubfieldSpec.rationals(eigen.conductor))
 
 
+@lru_cache(maxsize=32)
+def rational_fusion(eigen: EigenData) -> FusionScheme:
+    """The Galois fusion over Q (cached); raises NotClosed when there is none."""
+    return galois_fusion(eigen.scheme, eigen, SubfieldSpec.rationals(eigen.conductor))
+
+
 def design_report(
     scheme: SchemeData, eigen: EigenData, w, verify_signs: bool = True
 ) -> DesignReport:
@@ -162,11 +168,7 @@ def design_report(
     if zero[0]:
         raise InternalAssertion("b[0] vanished for a nonzero subset")
     annihilated = tuple(int(j) for j in np.flatnonzero(zero[1:]) + 1)
-    t_set = set(annihilated)
-    closed = all(
-        set(orbit) <= t_set or not (set(orbit) & t_set)
-        for orbit in rational_orbit_data(eigen).orbits
-    )
+    closed = rational_orbit_data(eigen).closure(annihilated) == annihilated
     if not closed:
         raise OrbitClosureViolation(
             f"T = {annihilated} is not a union of Galois orbits"
@@ -176,7 +178,7 @@ def design_report(
 
 def is_T_design(scheme: SchemeData, eigen: EigenData, w, T) -> bool:
     """True iff b_j = 0 for every j in T (equivalently E_j x = 0)."""
-    T = _validate_T(T, scheme.d)
+    T = validate_indices(T, scheme.d)
     if not T:
         return True
     a = inner_distribution(scheme, _as_subset(scheme, w))
@@ -191,9 +193,8 @@ def is_T_design_via_merges(orbit_data: GaloisOrbitData, w, T) -> bool:
     whole Galois closure of T.
     """
     scheme = orbit_data.eigen.scheme
-    T = _validate_T(T, scheme.d)
+    merged = orbit_data.merge(validate_indices(T, scheme.d))
     w = _as_subset(scheme, w)
-    merged = sorted({orbit_data.iota[j] for j in T})
     if not merged:
         return True
     # (F_l x)_y = (1/|X|) sum_i c[y][i] Qbar[i][l], with c[y][i] the weight
@@ -202,13 +203,6 @@ def is_T_design_via_merges(orbit_data: GaloisOrbitData, w, T) -> bool:
     in_class = scheme.relation[:, None, :] == np.arange(scheme.classes)[:, None]
     c = bounded_matmul(in_class, weights[0])
     return bool(orbit_data.Qbar.left_rational(c, merged).zero_mask().all())
-
-
-def _validate_T(T, d: int, name: str = "T") -> tuple[int, ...]:
-    T = tuple(sorted(set(T)))
-    if any(j < 1 or j > d for j in T):
-        raise ValidationError(f"{name} must be a subset of 1..{d}: {T}")
-    return T
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +220,12 @@ def enumerate_T_designs(
     """All 01 subsets C with T(C) containing T and min <= |C| <= max,
     lexicographically ordered.
 
-    ``method = "fused"`` enumerates on the Galois fusion over Q with the
-    merged index set iota(T) (identical by the design-correspondence
-    theorem); ``"cross_check"`` runs both and asserts they agree.
+    ``method = "fused"`` enumerates on the Galois fusion over Q (cached by
+    :func:`rational_fusion`) with the merged index set iota(T) (identical by
+    the design-correspondence theorem); ``"cross_check"`` runs both and
+    asserts they agree.
     """
-    T = _validate_T(T, scheme.d)
+    T = validate_indices(T, scheme.d)
     if scheme.size > ENUM_VERTEX_CAP:
         raise TooLarge(f"|X| = {scheme.size} exceeds the exhaustive cap")
     total = sum(
@@ -247,12 +242,9 @@ def enumerate_T_designs(
             raise InternalAssertion("direct and fused enumerations disagree")
         return direct
     if method == "fused":
-        fs = galois_fusion(
-            scheme, eigen, SubfieldSpec.rationals(eigen.conductor)
-        )
-        merged_T = sorted({fs.orbit_data.iota[j] for j in T})
+        fs = rational_fusion(eigen)
         return enumerate_T_designs(
-            fs.fused, fs.eigen, merged_T, min_size, max_size, "direct"
+            fs.fused, fs.eigen, fs.orbit_data.merge(T), min_size, max_size, "direct"
         )
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
@@ -373,17 +365,11 @@ def transfer_design(
     src, tgt = transfer.source, transfer.target
     if src.orbit_data is None or tgt.orbit_data is None:
         raise ValueError("design transfer needs Galois fusions (orbit data)")
-    T = _validate_T(T, src.parent.d)
+    T = validate_indices(T, src.parent.d)
     if not is_T_design(src.parent, src.parent_eigen, subset, T):
         raise ValueError(f"{tuple(subset)} is not a {T}-design of the source")
-    merged = sorted({src.orbit_data.iota[j] for j in T})
-    mapped = sorted(transfer.eigen_match[l] for l in merged)
-    t_prime = tuple(
-        sorted(
-            j
-            for lp in mapped
-            for j in tgt.orbit_data.orbits[lp]
-        )
+    t_prime = tgt.orbit_data.unmerge(
+        transfer.eigen_match[l] for l in src.orbit_data.merge(T)
     )
     image = tuple(sorted(transfer.vertex_map[c] for c in subset))
     if not is_T_design(tgt.parent, tgt.parent_eigen, image, t_prime):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -28,7 +29,13 @@ from .errors import (
     NotClosed,
     NotPermutation,
 )
-from .scheme import EigenData, SchemeData, attach_eigendata, verify_scheme
+from .scheme import (
+    EigenData,
+    SchemeData,
+    attach_eigendata,
+    validate_indices,
+    verify_scheme,
+)
 
 
 @dataclass(frozen=True)
@@ -49,18 +56,32 @@ class GaloisOrbitData:
     @property
     def O(self) -> np.ndarray:
         """The (d+1) x (e+1) 01 partition matrix with Qbar = Q O."""
-        out = _partition_matrix(self.iota, len(self.orbits))
-        out.setflags(write=False)
-        return out
+        return _partition_matrix(self.iota, len(self.orbits))
 
     def merged_idempotent(self, l: int) -> CycMatrix:
-        """F_l = sum of E_j over the l-th orbit, as a dense matrix."""
-        scheme = self.eigen.scheme
-        rel = scheme.relation
-        col = [self.Qbar[i, l] / scheme.size for i in range(scheme.classes)]
-        return CycMatrix(
-            [[col[rel[x, y]] for y in range(scheme.size)] for x in range(scheme.size)]
-        )
+        """F_l = sum of E_j over the l-th orbit, as a dense matrix: entry
+        Qbar[i][l]/|X| wherever (x, y) is in R_i, one gather of Qbar's rows."""
+        size = self.eigen.scheme.size
+        gathered = self.Qbar.select(rows=self.eigen.scheme.relation.ravel(), cols=[l])
+        return gathered.reshape(size, size).scale(Fraction(1, size))
+
+    def merge(self, T) -> tuple[int, ...]:
+        """iota(T) for T in 1..d: the sorted indices of the orbits that meet T."""
+        T = validate_indices(T, len(self.iota) - 1)
+        return tuple(sorted({self.iota[j] for j in T}))
+
+    def unmerge(self, L) -> tuple[int, ...]:
+        """The sorted union of the orbits indexed by L, a subset of 1..e."""
+        L = validate_indices(L, len(self.orbits) - 1, "L")
+        return tuple(sorted(j for l in L for j in self.orbits[l]))
+
+    def closure(self, T) -> tuple[int, ...]:
+        """T' = unmerge(merge(T)), the union of the Galois orbits that meet T.
+
+        A rational vector x with E_j x = 0 for j in T has E_j x = 0 on all of
+        T', since sigma(E_j) x = sigma(E_j x): a T-design is a T'-design.
+        """
+        return self.unmerge(self.merge(T))
 
 
 @dataclass(frozen=True)
@@ -83,7 +104,6 @@ class FusionScheme:
     fused: SchemeData
     eigen: EigenData
     eigen_classes: tuple[tuple[int, ...], ...]
-    S: np.ndarray
     subfield: SubfieldSpec | None = None
     orbit_data: GaloisOrbitData | None = None
 
@@ -97,10 +117,9 @@ class FusionScheme:
 
     def eigen_iota(self, j: int) -> int:
         """Fused eigenspace index containing original eigenspace j."""
-        for l, cell in enumerate(self.eigen_classes):
-            if j in cell:
-                return l
-        raise IndexError(j)
+        if not 0 <= j < self.parent.classes:
+            raise IndexError(j)
+        return _cell_labels(self.eigen_classes, self.parent.classes)[j]
 
 
 def _partition_matrix(labels, cells: int) -> np.ndarray:
@@ -108,18 +127,34 @@ def _partition_matrix(labels, cells: int) -> np.ndarray:
     sums the columns of each cell."""
     out = np.zeros((len(labels), cells), dtype=np.int64)
     out[np.arange(len(labels)), labels] = 1
+    out.setflags(write=False)
     return out
+
+
+def _cell_labels(cells, size: int) -> tuple[int, ...]:
+    """The label map of a partition of {0..size-1}: element t gets the
+    index of the cell that holds it."""
+    labels = [0] * size
+    for l, cell in enumerate(cells):
+        for t in cell:
+            labels[t] = l
+    return tuple(labels)
 
 
 def _canonical_cells(cells) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(c)) for c in cells), key=lambda c: c[0]))
 
 
+def _label_cells(labels) -> tuple[tuple[int, ...], ...]:
+    """The canonical partition of {0, 1, ...} by equal labels."""
+    cells: dict = {}
+    for t, label in enumerate(labels):
+        cells.setdefault(label, []).append(t)
+    return tuple(map(tuple, cells.values()))
+
+
 def _group_rows(matrix: CycMatrix) -> tuple[tuple[int, ...], ...]:
-    seen: dict[tuple, list[int]] = {}
-    for i in range(matrix.rows):
-        seen.setdefault(matrix.row_key(i), []).append(i)
-    return _canonical_cells(seen.values())
+    return _label_cells(matrix.row_key(i) for i in range(matrix.rows))
 
 
 def sigma_permutations(
@@ -176,30 +211,12 @@ def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:
     """Orbits, iota, merged idempotents and Qbar = QO for Gal(F/K)."""
     perms = sigma_permutations(eigen, subfield)
     dp1 = eigen.scheme.classes
-    seen = [False] * dp1
-    orbits = []
-    for j in range(dp1):
-        if seen[j]:
-            continue
-        orbit = {j}
-        frontier = [j]
-        while frontier:
-            a = frontier.pop()
-            for perm in perms:
-                b = perm[a]
-                if b not in orbit:
-                    orbit.add(b)
-                    frontier.append(b)
-        for a in orbit:
-            seen[a] = True
-        orbits.append(tuple(sorted(orbit)))
-    orbits = _canonical_cells(orbits)
+    # the orbits are the join of the cells {j, sigma(j)}
+    pairs = [(j, perm[j]) for perm in perms for j in range(dp1)]
+    orbits = partition_join(pairs, (), dp1)
     if orbits[0] != (0,):
         raise InternalAssertion("E_0 is rational and must sit in its own orbit")
-    iota = [0] * dp1
-    for l, orbit in enumerate(orbits):
-        for j in orbit:
-            iota[j] = l
+    iota = _cell_labels(orbits, dp1)
     qbar = eigen.Q * CycMatrix(_partition_matrix(iota, len(orbits)))
     merged = qbar.embed(subfield.conductor)
     outside = np.zeros((dp1, len(orbits)), dtype=bool)
@@ -215,7 +232,7 @@ def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:
         subfield=subfield,
         perms=perms,
         orbits=orbits,
-        iota=tuple(iota),
+        iota=iota,
         Qbar=qbar,
     )
 
@@ -233,8 +250,7 @@ def bannai_muzychuk_idempotent(orbit_data: GaloisOrbitData) -> BMVerdict:
 
 def _validate_partition(cells, dp1: int) -> tuple[tuple[int, ...], ...]:
     cells = _canonical_cells(cells)
-    flat = [i for cell in cells for i in cell]
-    if sorted(flat) != list(range(dp1)) or len(flat) != dp1:
+    if sorted(chain.from_iterable(cells)) != list(range(dp1)):
         raise ValueError(f"not a partition of 0..{dp1 - 1}: {cells}")
     if cells[0] != (0,):
         raise ValueError("class 0 (the identity relation) must be a singleton cell")
@@ -255,28 +271,19 @@ def fuse_by_relation_partition(
     """
     cells = _validate_partition(partition, scheme.classes)
     e1 = len(cells)
-    class_map = [0] * scheme.classes
-    for c, cell in enumerate(cells):
-        for i in cell:
-            class_map[i] = c
+    class_map = _cell_labels(cells, scheme.classes)
     po = eigen.P * CycMatrix(_partition_matrix(class_map, e1))
     eigen_classes = _group_rows(po)
     if len(eigen_classes) != e1:
         raise NotAFusion(len(eigen_classes), e1)
 
-    lookup = np.array(class_map, dtype=np.int64)
-    fused_rel = lookup[scheme.relation]
+    fused_rel = np.array(class_map, dtype=np.int64)[scheme.relation]
     try:
         fused_scheme = verify_scheme(fused_rel)
     except NotAScheme as exc:  # criterion passed, so this cannot happen
         raise InternalAssertion(f"fused relation failed verification: {exc}") from exc
 
     p_f = po.select(rows=[cell[0] for cell in eigen_classes])
-    s_mat = np.zeros((e1, scheme.classes), dtype=np.int64)
-    for l, cell in enumerate(eigen_classes):
-        for j in cell:
-            s_mat[l, j] = 1
-    s_mat.setflags(write=False)
     fused_mult = [sum(eigen.multiplicities[j] for j in cell) for cell in eigen_classes]
     q_f = (
         CycMatrix.diagonal([Fraction(1, v) for v in fused_scheme.valencies])
@@ -291,11 +298,10 @@ def fuse_by_relation_partition(
         parent=scheme,
         parent_eigen=eigen,
         partition=cells,
-        class_map=tuple(class_map),
+        class_map=class_map,
         fused=fused_scheme,
         eigen=fused_eigen,
         eigen_classes=eigen_classes,
-        S=s_mat,
     )
 
 
@@ -328,7 +334,12 @@ def galois_fusion(
 
 
 def partition_join(p1, p2, dp1: int) -> tuple[tuple[int, ...], ...]:
-    """Finest partition of {0..d} coarser than both arguments."""
+    """Finest partition of {0..d} coarser than both arguments.
+
+    The arguments may be any collections of cells, not only partitions:
+    every cell of either ends up inside one part.  This is the package's
+    one union-find; Galois orbits and rational classes are joins of it.
+    """
     parent = list(range(dp1))
 
     def find(a):
@@ -337,17 +348,11 @@ def partition_join(p1, p2, dp1: int) -> tuple[tuple[int, ...], ...]:
             a = parent[a]
         return a
 
-    for cells in (p1, p2):
-        for cell in cells:
-            cell = tuple(cell)
-            for i in cell[1:]:
-                ra, rb = find(cell[0]), find(i)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(dp1):
-        groups.setdefault(find(i), []).append(i)
-    return _canonical_cells(groups.values())
+    for cell in chain(p1, p2):
+        cell = tuple(cell)
+        for i in cell[1:]:
+            parent[find(i)] = find(cell[0])
+    return _label_cells(find(i) for i in range(dp1))
 
 
 def common_fusion(

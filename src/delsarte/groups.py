@@ -32,7 +32,12 @@ from .errors import (
     UnsupportedFamily,
     ValidationError,
 )
-from .fusion import FusionScheme, fuse_by_relation_partition, galois_fusion
+from .fusion import (
+    FusionScheme,
+    fuse_by_relation_partition,
+    galois_fusion,
+    partition_join,
+)
 from .scheme import EigenData, SchemeData, attach_eigendata, verify_scheme
 
 zeta = Cyclotomic.zeta
@@ -407,28 +412,13 @@ def builtin_group(family: str, *params: int):
 
 def rational_classes(group: GroupTable, classes: ConjClassData):
     """Partition of class indices closing each class under g -> g^m,
-    gcd(m, order(g)) = 1."""
-    dp1 = len(classes.classes)
-    parent = list(range(dp1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(dp1):
-        g = classes.representative(i)
-        o = group.element_order(g)
-        for m in units_mod(o):
-            j = classes.class_of[group.power(g, m)]
-            ra, rb = find(i), find(j)
-            if ra != rb:
-                parent[rb] = ra
-    cells: dict[int, list[int]] = {}
-    for i in range(dp1):
-        cells.setdefault(find(i), []).append(i)
-    return tuple(sorted((tuple(sorted(c)) for c in cells.values()), key=lambda c: c[0]))
+    gcd(m, order(g)) = 1: the join of the cells {class(g^m)}, one per class
+    (m = 1 puts g's own class in its cell)."""
+    cells = [
+        [classes.class_of[group.power(g, m)] for m in units_mod(group.element_order(g))]
+        for g in map(classes.representative, range(len(classes.classes)))
+    ]
+    return partition_join(cells, (), len(cells))
 
 
 def rational_class_fusion(

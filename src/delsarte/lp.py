@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InternalAssertion, IrrationalData
 from .fusion import FusionScheme, GaloisOrbitData
-from .scheme import EigenData
+from .scheme import EigenData, validate_indices
 
 Relation = str  # "<=", "=", ">="
 
@@ -228,9 +228,7 @@ def delsarte_design_lp(source, T) -> LPResult:
     """
     m = _rational_matrix(source)
     classes, spaces = len(m), len(m[0])
-    T = sorted(set(T))
-    if any(j < 1 or j >= spaces for j in T):
-        raise ValueError(f"T must be a subset of 1..{spaces - 1}")
+    T = validate_indices(T, spaces - 1)
     constraints = [(tuple(_ONE if i == 0 else _ZERO for i in range(classes)), "=", _ONE)]
     for j in range(spaces):
         col = tuple(m[i][j] for i in range(classes))
@@ -252,9 +250,7 @@ def delsarte_code_lp(source, S) -> LPResult:
     """
     m = _rational_matrix(source)
     classes, spaces = len(m), len(m[0])
-    S = sorted(set(S))
-    if any(i < 1 or i >= classes for i in S):
-        raise ValueError(f"S must be a subset of 1..{classes - 1}")
+    S = validate_indices(S, classes - 1, "S")
     constraints = [(tuple(_ONE if i == 0 else _ZERO for i in range(classes)), "=", _ONE)]
     for i in S:
         constraints.append(

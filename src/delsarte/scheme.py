@@ -18,7 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import CycMatrix, Cyclotomic, fixed_field_conductor, units_mod
-from .errors import BadEigenbasis, InternalAssertion, KreinViolation, NotAScheme
+from .errors import (
+    BadEigenbasis,
+    InternalAssertion,
+    KreinViolation,
+    NotAScheme,
+    ValidationError,
+)
 
 
 @dataclass(frozen=True)
@@ -169,17 +175,23 @@ class EigenData:
         return self.scheme.d
 
     def idempotent(self, j: int) -> CycMatrix:
-        """The primitive idempotent E_j as a dense |X| x |X| matrix."""
-        rel = self.scheme.relation
+        """The primitive idempotent E_j as a dense |X| x |X| matrix: entry
+        Q[i][j]/|X| wherever (x, y) is in R_i, one gather of Q's rows."""
         size = self.scheme.size
-        col = [self.Q[i, j] / size for i in range(self.scheme.classes)]
-        return CycMatrix(
-            [[col[rel[x, y]] for y in range(size)] for x in range(size)]
-        )
+        gathered = self.Q.select(rows=self.scheme.relation.ravel(), cols=[j])
+        return gathered.reshape(size, size).scale(Fraction(1, size))
 
     def eigenvalue(self, j: int, i: int) -> Cyclotomic:
         """P[j][i], the eigenvalue of A_i on the j-th eigenspace."""
         return self.P[j, i]
+
+
+def validate_indices(indices, top: int, name: str = "T") -> tuple[int, ...]:
+    """The sorted distinct indices; ValidationError unless all lie in 1..top."""
+    out = tuple(sorted(set(indices)))
+    if any(j < 1 or j > top for j in out):
+        raise ValidationError(f"{name} must be a subset of 1..{top}: {out}")
+    return out
 
 
 def _int_positive(value: Cyclotomic):

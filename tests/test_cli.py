@@ -246,3 +246,18 @@ def test_index_options_fail_cleanly(name, command, values):
     if any(v not in valid(scheme.size, scheme.d) for v in values):
         assert code == 1
         assert payload["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "report", "--subset", "a,b"],
+    ["lp", "design-bound", "--T", "x"],
+    ["lp", "code-bound", "--S", "1;2"],
+])
+def test_malformed_index_list_is_a_parse_error(capsys, argv):
+    scheme, eigen = entry_paths("x8")
+    code, payload = run_json(
+        capsys, argv[:2] + ["--scheme", scheme, "--eigen", eigen] + argv[2:]
+    )
+    assert code == 1
+    assert payload["error"] == "ParseError"
+    assert "bad index list" in payload["message"]

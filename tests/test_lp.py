@@ -7,7 +7,7 @@ import pytest
 from delsarte.catalog import build_a4, build_x8, build_z12
 from delsarte.cyclotomic import SubfieldSpec
 from delsarte.designs import enumerate_T_designs, rational_orbit_data
-from delsarte.errors import IrrationalData
+from delsarte.errors import DelsarteError, IrrationalData, ValidationError
 from delsarte.fusion import galois_fusion
 from delsarte.groups import rational_class_fusion
 from delsarte.lp import (
@@ -225,3 +225,19 @@ def test_z12_design_lp_via_fusion():
     assert r.value >= 1
     # the whole group is always feasible: value can never exceed |X|
     assert r.value <= 12
+
+
+def test_lp_index_sets_are_checked_as_validation_errors():
+    # T and S go through the package's one index check, so a bad index is a
+    # domain error (a ValidationError), not a bare ValueError
+    z12 = build_z12()
+    source = rational_orbit_data(z12.eigen)
+    e, d = len(source.orbits) - 1, z12.scheme.d
+    for T in ([7], [0], [-1], [e + 1]):
+        with pytest.raises(ValidationError) as info:
+            delsarte_design_lp(source, T)
+        assert isinstance(info.value, DelsarteError)
+    for S in ([0], [d + 1], [-2]):
+        with pytest.raises(ValidationError):
+            delsarte_code_lp(source, S)
+    assert delsarte_design_lp(source, [1, 1]).status == "optimal"

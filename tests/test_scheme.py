@@ -15,6 +15,7 @@ from delsarte.catalog import (
     load_entry,
 )
 from delsarte.cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec
+from delsarte.designs import rational_orbit_data
 from delsarte.errors import BadEigenbasis, NotAScheme, NotClosed
 from delsarte.fusion import galois_fusion
 from delsarte.scheme import (
@@ -277,3 +278,22 @@ def test_krein_literal_schur_expansion():
             for k in range(1, eigen.scheme.classes):
                 acc = acc + es[k].scale(kd.q[i][j][k])
             assert lhs == acc
+
+
+def test_dense_idempotents_match_the_entrywise_construction():
+    # the one-gather idempotents equal the matrices built entry by entry:
+    # E_j[x][y] = Q[i][j] / |X| for (x, y) in R_i, and likewise F_l from Qbar
+    for name in ("x8", "z12", "dic3", "a4"):
+        entry = load_entry(name)
+        scheme, eigen = entry.scheme, entry.eigen
+        rel, size = scheme.relation, scheme.size
+
+        def spread(M, j):
+            return CycMatrix([[M[int(rel[x, y]), j] / size for y in range(size)]
+                              for x in range(size)])
+
+        for j in range(scheme.classes):
+            assert eigen.idempotent(j) == spread(eigen.Q, j)
+        data = rational_orbit_data(eigen)
+        for l in range(len(data.orbits)):
+            assert data.merged_idempotent(l) == spread(data.Qbar, l)

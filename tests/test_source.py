@@ -75,3 +75,28 @@ def test_only_cyclotomic_reads_coefficients():
                   if isinstance(node, ast.Attribute)
                   and node.attr in ("coeffs", "_num", "_den")]
     assert not found, found
+
+
+def _iota_subscripts(tree):
+    """Line numbers of every `<expr>.iota[...]` in the tree."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "iota"]
+
+
+def test_only_fusion_reads_iota_by_index():
+    # iota(T), its inverse and T' are GaloisOrbitData.merge, .unmerge and
+    # .closure; no other module rebuilds them from the label map
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fusion.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _iota_subscripts(tree)]
+    assert not found, found
+
+
+def test_iota_guard_catches_the_old_line():
+    old = "merged = sorted({orbit_data.iota[j] for j in T})\n"
+    assert _iota_subscripts(ast.parse(old)) == [1]
