@@ -15,7 +15,6 @@ defining identities with zero tolerance.
 from .cyclotomic import (
     CycMatrix,
     Cyclotomic,
-    Rational,
     SubfieldSpec,
     exact_sign,
     subfield_membership,
@@ -91,7 +90,6 @@ __all__ = [
     "KreinData",
     "LPProblem",
     "LPResult",
-    "Rational",
     "Representation",
     "SchemeData",
     "SubfieldSpec",

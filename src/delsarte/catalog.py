@@ -233,7 +233,7 @@ def alternating_group_4() -> tuple[GroupTable, ConjClassData, CharacterTable]:
         [one, one, w * w, w],
         [3, -1, 0, 0],
     ]
-    return group, classes, make_character_table(3, rows)
+    return group, classes, make_character_table(CycMatrix(rows, 3))
 
 
 def build_z12() -> GroupSchemeBundle:

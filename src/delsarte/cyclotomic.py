@@ -1,29 +1,30 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-An element is stored by its conductor n together with its coordinates on the
-power basis 1, zeta_n, ..., zeta_n^(phi(n)-1), reduced modulo the n-th
-cyclotomic polynomial.  Coefficients are ``fractions.Fraction``, so every
-operation is exact.  Two elements are equal iff they agree after embedding
-into the lcm of their conductors; mixed-conductor arithmetic embeds
-automatically.
+Every value has one integer form: integer numerators on the power basis
+1, zeta_n, ..., zeta_n^(phi(n)-1), reduced modulo the n-th cyclotomic
+polynomial, over one positive denominator, in lowest terms.  A matrix
+(``CycMatrix``) holds a numerator array of shape (rows, cols, phi(n)) over
+one common denominator; a scalar (``Cyclotomic``) is one cell of that form,
+and its operations run the same array functions on its numerator vector.
+Two values are equal iff they agree after embedding into the lcm of their
+conductors; mixed-conductor arithmetic embeds automatically.
 
-Matrices (``CycMatrix``) have one integer form: a numerator array of shape
-(rows, cols, phi(n)) over one positive common denominator, in lowest terms.
-Every matrix-shaped identity in the package runs on it.  A product
-convolves the coefficient slices over the power basis and reduces once
-against rows phi..2phi-2 of the power table; a Galois automorphism or an
-embedding is one integer phi x phi (or phi(n) x phi(m)) matrix read off the
-same table.  Before each operation a cheap bound on every partial sum is
-computed from the largest entries (for a product, max|A| max|B| times the
-inner dimension, phi and the reduction factor); int64 is used only when it
-is below 2^62, and Python integers (``dtype=object``) otherwise, so
-overflow can never wrap silently.  ``Cyclotomic`` entries are built only
-when read.
+A product convolves the coefficient slices over the power basis and reduces
+once against rows phi..2phi-2 of the power table; a Galois automorphism, an
+embedding or a list of (exponent, coefficient) terms is one integer matrix
+read off the same table by ``_basis_map``, its only reader.  Before each
+operation a cheap bound on every partial sum is computed from the largest
+entries (for a product, max|A| max|B| times the inner dimension, phi and the
+reduction factor); int64 is used only when it is below 2^62, and Python
+integers (``dtype=object``) otherwise, so overflow can never wrap silently.
+A scalar inverse goes through the norm: x^(-1) = prod_{k != 1} sigma_k(x) /
+N(x), where N(x) = prod_k sigma_k(x) is rational.  The ``Cyclotomic``
+entries of a matrix are built, all at once, when one is first read.
 
-Real elements (fixed by complex conjugation) additionally support exact sign
-determination: an exact zero test first, then adaptive-precision interval
-evaluation of the real embedding via ``mpmath.iv``, under a lock because the
-working precision ``mpmath.iv.prec`` is global to the process.
+Real values additionally support exact sign determination: an exact zero
+test first, then adaptive-precision interval evaluation of the real
+embedding via ``mpmath.iv``, under a lock because the working precision
+``mpmath.iv.prec`` is global to the process.
 """
 
 from __future__ import annotations
@@ -38,13 +39,8 @@ import numpy as np
 
 from .errors import ConductorMismatch, InternalAssertion, NotAUnit, SingularMatrix
 
-Rational = Fraction
-
 #: Largest tolerated field degree phi(n); guards against runaway lcm growth.
 PHI_LIMIT = 10_000
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -129,26 +125,9 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce(n: int, vec) -> tuple[Fraction, ...]:
-    """Reduce a dense coefficient vector (length <= 2n) modulo Phi_n."""
-    phi = euler_phi(n)
-    out = [_ZERO] * phi
-    for j in range(min(phi, len(vec))):
-        if vec[j]:
-            out[j] += vec[j]
-    if len(vec) > phi:
-        pows = _power_table(n)
-        for j in range(phi, len(vec)):
-            c = vec[j]
-            if c:
-                row = pows[j]
-                for t in range(phi):
-                    if row[t]:
-                        out[t] += c * row[t]
-    return tuple(out)
-
-
-def _check_degree(n: int) -> None:
+def _check_conductor(n: int) -> None:
+    if n < 1:
+        raise ValueError("conductor must be >= 1")
     if euler_phi(n) > PHI_LIMIT:
         raise ConductorMismatch(
             f"conductor {n} has degree {euler_phi(n)} > {PHI_LIMIT}"
@@ -160,167 +139,149 @@ def _check_degree(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 class Cyclotomic:
-    """An exact element of Q(zeta_n) in canonical power-basis form."""
+    """An exact element of Q(zeta_n): one cell of the integer form.
 
-    __slots__ = ("conductor", "coeffs")
+    The value is sum_e _num[e] zeta_n^e / _den on the power basis, with
+    integer numerators and a positive denominator in lowest terms, so equal
+    values of one conductor have equal fields.  Arithmetic, Galois images
+    and embeddings run the array kernel below (``_sum``, ``_scaled``,
+    ``_convolve``, ``_mapped``) on the numerators as a vector.
+    """
 
-    def __init__(self, conductor, coeffs, _canonical=False):
-        if conductor < 1:
-            raise ValueError("conductor must be >= 1")
-        _check_degree(conductor)
-        self.conductor = conductor
-        if _canonical:
-            self.coeffs = coeffs
-        else:
-            self.coeffs = _reduce(conductor, [Fraction(c) for c in coeffs])
+    __slots__ = ("conductor", "_num", "_den")
+
+    def __init__(self, conductor, coeffs):
+        """sum_e coeffs[e] zeta_n^e, for rational coefficients of any length."""
+        cell = Cyclotomic.from_terms(conductor, enumerate(coeffs))
+        self.conductor, self._num, self._den = cell.conductor, cell._num, cell._den
+
+    @classmethod
+    def _cell(cls, n: int, num, den: int) -> "Cyclotomic":
+        """sum_e num[e] zeta_n^e / den, for a sequence of integer numerators
+        already reduced on the power basis and den > 0, put in lowest terms."""
+        num = tuple(num)
+        if den != 1 and (g := math.gcd(den, *num)) > 1:
+            num, den = tuple(c // g for c in num), den // g
+        self = object.__new__(cls)
+        self.conductor, self._num, self._den = n, num, den
+        return self
+
+    def _pair(self, other):
+        """self and other embedded into Q(zeta_n), n the lcm of their
+        conductors, both in canonical form there; None for an operand that
+        is not a number."""
+        if isinstance(other, (int, Fraction)):
+            other = Cyclotomic.from_rational(other, self.conductor)
+        elif not isinstance(other, Cyclotomic):
+            return None
+        n = math.lcm(self.conductor, other.conductor)
+        return self.embed(n), other.embed(n)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "Cyclotomic":
         """The root of unity zeta_n^k."""
-        _check_degree(n)
-        if n == 1:
-            return cls.from_rational(1, 1)
-        vec = [_ZERO] * (k % n + 1)
-        vec[k % n] = _ONE
-        return cls(n, vec)
+        return cls.from_terms(n, [(k, 1)])
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> "Cyclotomic":
+        _check_conductor(conductor)
         q = Fraction(value)
-        phi = euler_phi(conductor)
-        return cls(conductor, (q,) + (_ZERO,) * (phi - 1), _canonical=True)
+        pad = (0,) * (euler_phi(conductor) - 1)
+        return cls._cell(conductor, (int(q.numerator),) + pad, int(q.denominator))
 
     @classmethod
     def from_terms(cls, conductor: int, terms) -> "Cyclotomic":
         """Canonical form of sum(c * zeta^e) for (exponent, coefficient) pairs."""
-        _check_degree(conductor)
-        vec = [_ZERO] * conductor
-        for exponent, coeff in terms:
-            vec[exponent % conductor] += Fraction(coeff)
-        return cls(conductor, vec)
+        return CycMatrix.from_terms(conductor, [[terms]])[0, 0]
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coordinates on the power basis, as Fractions."""
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     def terms(self) -> list[tuple[int, Fraction]]:
         """Nonzero (exponent, coefficient) pairs, ascending exponents."""
-        return [(e, c) for e, c in enumerate(self.coeffs) if c]
+        den = self._den
+        return [(e, Fraction(c, den)) for e, c in enumerate(self._num) if c]
 
     def embed(self, m: int) -> "Cyclotomic":
         """The same value viewed in Q(zeta_m); requires conductor | m."""
-        n = self.conductor
-        if m == n:
+        maps = _embedding(self.conductor, m)
+        if maps is None:
             return self
-        if m % n:
-            raise ConductorMismatch(f"{n} does not divide {m}")
-        _check_degree(m)
-        step = m // n
-        vec = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for e, c in enumerate(self.coeffs):
-            if c:
-                vec[e * step] = c
-        return Cyclotomic(m, vec)
+        return Cyclotomic._cell(m, _mapped(_int_array(self._num), *maps).tolist(), self._den)
 
-    def _pair(self, other):
-        other = _coerce(other, self.conductor)
-        if other is NotImplemented:
-            return None, None
-        if self.conductor == other.conductor:
-            return self, other
-        m = math.lcm(self.conductor, other.conductor)
-        return self.embed(m), other.embed(m)
-
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic on the numerator vectors ---------------------------------
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        if (pair := self._pair(other)) is None:
             return NotImplemented
-        return Cyclotomic(
-            a.conductor,
-            tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
-            _canonical=True,
-        )
+        x, y = pair
+        num, den = _sum(_int_array(x._num), x._den, _int_array(y._num), y._den)
+        return Cyclotomic._cell(x.conductor, num.tolist(), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(
-            self.conductor, tuple(-c for c in self.coeffs), _canonical=True
-        )
+        return self * -1
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        if not isinstance(other, (int, Fraction, Cyclotomic)):
             return NotImplemented
-        return Cyclotomic(
-            a.conductor,
-            tuple(x - y for x, y in zip(a.coeffs, b.coeffs)),
-            _canonical=True,
-        )
+        return self + -other
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Cyclotomic.from_rational(0, self.conductor)
             q = Fraction(other)
-            return Cyclotomic(
-                self.conductor, tuple(c * q for c in self.coeffs), _canonical=True
-            )
-        a, b = self._pair(other)
-        if a is None:
+            num = _scaled(_int_array(self._num), q.numerator)
+            return Cyclotomic._cell(self.conductor, num.tolist(), self._den * q.denominator)
+        if (pair := self._pair(other)) is None:
             return NotImplemented
-        n = a.conductor
-        xs, ys = a.coeffs, b.coeffs
-        conv = [_ZERO] * (len(xs) + len(ys) - 1)
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in enumerate(ys):
-                    if y:
-                        conv[i + j] += x * y
-        return Cyclotomic(n, _reduce(n, conv), _canonical=True)
+        x, y = pair
+        num = _convolve(x.conductor, _int_array(x._num), _int_array(y._num), _entrywise, 1)
+        return Cyclotomic._cell(x.conductor, num.tolist(), x._den * y._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse through the norm; raises ZeroDivisionError
+        on zero.
+
+        With c = prod_{k != 1} sigma_k(x) over the units k mod n, x c is the
+        norm N(x), a nonzero rational, and x^(-1) = c / N(x).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        if self.is_rational():
-            return Cyclotomic.from_rational(1 / self.coeffs[0], self.conductor)
-        n = self.conductor
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        # Extended Euclid: find s with s * self == gcd (a nonzero constant).
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(_poly_trim(r0)) != 1:
-            raise InternalAssertion("cyclotomic polynomial not coprime")
-        g = r0[0]
-        return Cyclotomic(n, [c / g for c in s0])
+        cofactor = Cyclotomic.from_rational(1, self.conductor)
+        if not self.is_rational():
+            for k in units_mod(self.conductor)[1:]:
+                cofactor = cofactor * self.galois(k)
+        norm = self * cofactor
+        if not norm.is_rational():
+            raise InternalAssertion(f"norm of {self} is not rational")
+        return cofactor * (1 / norm.as_rational())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return self * (1 / q)
+            return self * (1 / Fraction(other))
         if isinstance(other, Cyclotomic):
             return self * other.inverse()
         return NotImplemented
@@ -344,40 +305,23 @@ class Cyclotomic:
 
     def galois(self, k: int) -> "Cyclotomic":
         """Image under the automorphism zeta_n -> zeta_n^k; gcd(k, n) must be 1."""
-        n = self.conductor
-        if n == 1:
+        maps = _galois_matrix(self.conductor, k)
+        if maps is None:
             return self
-        if math.gcd(k, n) != 1:
-            raise NotAUnit(f"{k} is not a unit modulo {n}")
-        k %= n
-        if k == 1:
-            return self
-        vec = [_ZERO] * n
-        for e, c in enumerate(self.coeffs):
-            if c:
-                vec[(e * k) % n] += c
-        return Cyclotomic(n, vec)
+        num = _mapped(_int_array(self._num), *maps)
+        return Cyclotomic._cell(self.conductor, num.tolist(), self._den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugate, i.e. the automorphism zeta -> zeta^(-1)."""
-        if self.conductor <= 2:
-            return self
-        return self.galois(self.conductor - 1)
-
-    def is_real(self) -> bool:
-        return self == self.conjugate()
+        return self.galois(-1)
 
     # -- comparisons / rendering --------------------------------------------
 
     def __eq__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        if (pair := self._pair(other)) is None:
             return NotImplemented
-        return a.coeffs == b.coeffs
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
+        x, y = pair
+        return x._num == y._num and x._den == y._den
 
     __hash__ = None  # equality crosses conductors; use CycMatrix keys instead
 
@@ -408,61 +352,6 @@ class Cyclotomic:
         return out
 
 
-def _coerce(value, conductor):
-    if isinstance(value, Cyclotomic):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Cyclotomic.from_rational(value, 1)
-    return NotImplemented
-
-
-# Plain-polynomial helpers over Fraction, ascending coefficients.
-
-def _poly_trim(p):
-    k = len(p)
-    while k > 0 and not p[k - 1]:
-        k -= 1
-    return p[:k]
-
-
-def _poly_sub(a, b):
-    out = [_ZERO] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return [], a
-    q = [_ZERO] * (len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1] * inv_lead
-        q[k] = c
-        if c:
-            for t, bc in enumerate(b):
-                a[k + t] -= c * bc
-    return _poly_trim(q), _poly_trim(a)
-
-
 # ---------------------------------------------------------------------------
 # Exact sign of real values
 # ---------------------------------------------------------------------------
@@ -479,8 +368,9 @@ def _cos_table(n: int, prec: int):
     return tuple(mpmath.iv.cos(two_pi * j / n) for j in range(n))
 
 
-def _interval_sign(n: int, coeffs) -> int:
-    """Sign of the nonzero real value sum_e c_e zeta_n^e (rational c_e).
+def _interval_sign(n: int, num) -> int:
+    """Sign of the nonzero real value sum_e num[e] zeta_n^e for integer
+    numerators (a positive common denominator does not change the sign).
 
     The real embedding zeta_n -> exp(2 pi i / n) is evaluated with interval
     arithmetic, doubling the working precision until the interval excludes
@@ -495,9 +385,9 @@ def _interval_sign(n: int, coeffs) -> int:
             try:
                 cos = _cos_table(n, prec)
                 total = mpmath.iv.mpf(0)
-                for e, c in enumerate(coeffs):
+                for e, c in enumerate(num):
                     if c:
-                        total += (mpmath.iv.mpf(c.numerator) / c.denominator) * cos[e]
+                        total += mpmath.iv.mpf(c) * cos[e]
                 positive, negative = bool(total > 0), bool(total < 0)
             finally:
                 mpmath.iv.prec = old
@@ -510,19 +400,9 @@ def _interval_sign(n: int, coeffs) -> int:
 
 
 def exact_sign(x: Cyclotomic) -> int:
-    """Sign (-1, 0, +1) of a real cyclotomic value, decided exactly.
-
-    Zero and rational values are decided by exact arithmetic; otherwise the
-    real embedding is evaluated with interval arithmetic (``_interval_sign``),
-    which holds a lock while it changes the global ``mpmath.iv.prec``.
-    """
-    if not x.is_real():
-        raise ValueError(f"{x} is not real; sign undefined")
-    if x.is_zero():
-        return 0
-    if x.is_rational():
-        return 1 if x.coeffs[0] > 0 else -1
-    return _interval_sign(x.conductor, x.coeffs)
+    """Sign (-1, 0, +1) of a real cyclotomic value, decided exactly by
+    ``CycMatrix.signs`` on the value as a 1 x 1 matrix."""
+    return int(CycMatrix([[x]]).signs()[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +421,7 @@ class SubfieldSpec:
     __slots__ = ("conductor", "generators", "group")
 
     def __init__(self, conductor: int, generators):
-        _check_degree(conductor)
+        _check_conductor(conductor)
         gens = []
         for g in generators:
             g %= conductor
@@ -592,12 +472,8 @@ def _closure(n: int, gens) -> tuple[int, ...]:
 
 
 def subfield_membership(x: Cyclotomic, spec: SubfieldSpec) -> bool:
-    """True iff x is fixed by every generator of the fixing group of K."""
-    if spec.conductor % x.conductor:
-        raise ConductorMismatch(
-            f"value of conductor {x.conductor} does not embed in "
-            f"Q(zeta_{spec.conductor})"
-        )
+    """True iff x is fixed by every generator of the fixing group of K;
+    raises ConductorMismatch unless x embeds into Q(zeta_n) of K."""
     y = x.embed(spec.conductor)
     return all(y.galois(g) == y for g in spec.generators)
 
@@ -665,8 +541,6 @@ def rational_lift(rows) -> tuple[np.ndarray, int]:
         return rows, 1
     rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
     den = math.lcm(*{v.denominator for row in rows for v in row})
-    if den == 1:
-        return _int_array([[v.numerator for v in row] for row in rows]), 1
     return _int_array([[v.numerator * (den // v.denominator) for v in row] for row in rows]), den
 
 
@@ -690,18 +564,47 @@ def _reduction(n: int) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=256)
-def _galois_matrix(n: int, k: int) -> tuple[np.ndarray, int]:
-    """sigma_k: zeta_n -> zeta_n^k on the power basis, phi x phi; row e is
-    the power-table row (e k) mod n.  The cache is bounded because a sweep
-    over every unit k would otherwise keep phi^3 integers per conductor."""
+def _galois_matrix(n: int, k: int):
+    """sigma_k: zeta_n -> zeta_n^k on the power basis, phi x phi (row e is
+    the power-table row (e k) mod n), or None where sigma_k is the identity;
+    raises NotAUnit unless gcd(k, n) = 1.  The cache is bounded because a
+    sweep over every unit k would otherwise keep phi^3 integers per conductor."""
+    if n == 1 or k % n == 1:
+        return None
+    if math.gcd(k, n) != 1:
+        raise NotAUnit(f"{k} is not a unit modulo {n}")
     return _basis_map(n, [(e * k) % n for e in range(euler_phi(n))])
 
 
 @lru_cache(maxsize=None)
-def _embedding(n: int, m: int) -> tuple[np.ndarray, int]:
-    """Q(zeta_n) -> Q(zeta_m) on the power bases, phi(n) x phi(m), for n | m."""
-    step = m // n
-    return _basis_map(m, [e * step for e in range(euler_phi(n))])
+def _embedding(n: int, m: int):
+    """Q(zeta_n) -> Q(zeta_m) on the power bases, phi(n) x phi(m), or None
+    for m == n; raises ConductorMismatch unless n | m."""
+    if m == n:
+        return None
+    if m % n:
+        raise ConductorMismatch(f"{n} does not divide {m}")
+    _check_conductor(m)
+    return _basis_map(m, [e * (m // n) for e in range(euler_phi(n))])
+
+
+def _mapped(num: np.ndarray, table: np.ndarray, factor: int) -> np.ndarray:
+    """num @ table for a basis map whose column sums of |table| are at most factor."""
+    dtype = _dtype(_maxabs(num) * factor)
+    return num.astype(dtype, copy=False) @ table.astype(dtype, copy=False)
+
+
+def _sum(a: np.ndarray, da: int, b: np.ndarray, db: int) -> tuple[np.ndarray, int]:
+    """a / da + b / db for numerator arrays, as numerators over the lcm."""
+    den = math.lcm(da, db)
+    fa, fb = den // da, den // db
+    dtype = _dtype((_maxabs(a) + 1) * fa + (_maxabs(b) + 1) * fb)
+    return a.astype(dtype, copy=False) * fa + b.astype(dtype, copy=False) * fb, den
+
+
+def _scaled(num: np.ndarray, c: int) -> np.ndarray:
+    """c num for an integer c."""
+    return num.astype(_dtype((_maxabs(num) + 1) * abs(c)), copy=False) * c
 
 
 def _matmul(x, b):
@@ -718,10 +621,10 @@ def _convolve(n: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.n
     """Reduced power-basis coefficients of a bilinear product of cyclotomic arrays.
 
     ``product(x, b)`` applies the product to one coefficient slice
-    x = a[..., s] and sums at most ``inner`` terms per entry.  The slices are
-    convolved over the power basis and the result is reduced once against
-    rows phi..2phi-2 of ``_power_table(n)``.  Every partial sum is at most
-    max|a| max|b| inner phi times the reduction factor, so int64 is used
+    x = a[..., s] and sums at most ``inner`` terms per entry.  The nonzero
+    slices are convolved over the power basis and the result is reduced once
+    against rows phi..2phi-2 of ``_power_table(n)``.  Every partial sum is at
+    most max|a| max|b| inner phi times the reduction factor, so int64 is used
     only when that bound is below 2^62 and Python ints otherwise.
     """
     phi = euler_phi(n)
@@ -729,14 +632,20 @@ def _convolve(n: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.n
     dtype = _dtype(_maxabs(a) * _maxabs(b) * inner * phi * factor)
     a = a.astype(dtype, copy=False)
     b = np.ascontiguousarray(b, dtype=dtype)
-    first = product(a[..., 0], b)
+    s0, *rest = np.flatnonzero(a.reshape(-1, phi).any(axis=0)).tolist() or [0]
+    first = product(a[..., s0], b)
     conv = np.zeros(first.shape[:-1] + (2 * phi - 1,), dtype=dtype)
-    conv[..., :phi] = first
-    for s in range(1, phi):
-        x = a[..., s]
-        if x.any():
-            conv[..., s:s + phi] += product(x, b)
+    conv[..., s0:s0 + phi] = first
+    for s in rest:
+        conv[..., s:s + phi] += product(a[..., s], b)
     return conv[..., :phi] + conv[..., phi:] @ red.astype(dtype, copy=False)
+
+
+def _shape(grid) -> tuple[int, int]:
+    rows, cols = len(grid), len(grid[0]) if grid else 0
+    if any(len(r) != cols for r in grid):
+        raise ValueError("ragged matrix")
+    return rows, cols
 
 
 class CycMatrix:
@@ -746,36 +655,51 @@ class CycMatrix:
     (rows, cols, phi(n)) on the power basis over one positive common
     denominator, in lowest terms, so equal matrices have equal forms.
     Products, sums, Galois images and comparisons run on that array (see
-    ``_convolve`` for the overflow rule); ``entries`` and ``[i, j]`` build
-    ``Cyclotomic`` values only when first read, and cache them.
+    ``_convolve`` for the overflow rule); the first read of ``entries`` or
+    ``[i, j]`` builds every cell as a ``Cyclotomic`` from one ``tolist()``,
+    and caches them.
     """
 
     __slots__ = ("rows", "cols", "conductor", "_num", "_den", "_cells")
 
     def __init__(self, entries, conductor=None):
+        """The matrix of the given rows of Cyclotomic, int or Fraction
+        entries, over the lcm of ``conductor`` and the entries' conductors;
+        their numerators are stacked over one common denominator."""
         grid = [list(row) for row in entries]
-        rows = len(grid)
-        cols = len(grid[0]) if grid else 0
-        if any(len(r) != cols for r in grid):
-            raise ValueError("ragged matrix")
-        n = conductor or 1
-        for row in grid:
-            for v in row:
-                if isinstance(v, Cyclotomic):
-                    n = math.lcm(n, v.conductor)
-        _check_degree(n)
-        coeffs = []
-        for row in grid:
-            for v in row:
-                if not isinstance(v, Cyclotomic):
-                    coeffs.append((Fraction(v),))
-                elif v.conductor == n or v.is_rational():
-                    coeffs.append(v.coeffs)
-                else:
-                    coeffs.append(v.embed(n).coeffs)
-        phi = euler_phi(n)
-        num, den = rational_lift(c + (_ZERO,) * (phi - len(c)) for c in coeffs)
-        self._set(n, num.reshape(rows, cols, phi), den)
+        rows, cols = _shape(grid)
+        flat = [v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v)
+                for row in grid for v in row]
+        n = math.lcm(conductor or 1, *(v.conductor for v in flat))
+        _check_conductor(n)
+        flat = [v if v.is_rational() else v.embed(n) for v in flat]  # rationals are padded
+        den, phi = math.lcm(*(v._den for v in flat)), euler_phi(n)
+        num = [[c * (den // v._den) for c in v._num] + [0] * (phi - len(v._num)) for v in flat]
+        self._set(n, _int_array(num).reshape(rows, cols, phi), den)
+
+    @classmethod
+    def from_terms(cls, n: int, grid) -> "CycMatrix":
+        """The matrix over Q(zeta_n) whose (i, j) entry is sum(c * zeta_n^e)
+        over the (exponent, rational coefficient) pairs of grid[i][j].
+
+        Only the given coefficients are lifted, to integers over their
+        common denominator; they are reduced on the power basis by one
+        product with the basis map of the exponents that occur.
+        """
+        _check_conductor(n)
+        cells = [[list(cell) for cell in row] for row in grid]
+        rows, cols = _shape(cells)
+        flat = [[(e % n, Fraction(c)) for e, c in cell] for row in cells for cell in row]
+        den = math.lcm(*(c.denominator for cell in flat for _, c in cell))
+        exponents = sorted({e for cell in flat for e, _ in cell})
+        column = {e: t for t, e in enumerate(exponents)}
+        lifted = [[0] * len(exponents) for _ in flat]
+        for out, cell in zip(lifted, flat):
+            for e, c in cell:
+                out[column[e]] += c.numerator * (den // c.denominator)
+        table, _ = _basis_map(n, exponents)
+        num = bounded_matmul(_int_array(lifted).reshape(len(flat), len(exponents)), table)
+        return cls._from_array(n, num.reshape(rows, cols, euler_phi(n)), den)
 
     @classmethod
     def _from_array(cls, n: int, num: np.ndarray, den: int = 1) -> "CycMatrix":
@@ -803,23 +727,18 @@ class CycMatrix:
     @classmethod
     def diagonal(cls, values) -> "CycMatrix":
         """The square matrix with the given rational diagonal."""
-        return cls([[v if i == j else 0 for j in range(len(values))]
-                    for i, v in enumerate(values)])
+        ints, den = rational_lift([list(values)])
+        return cls._from_array(1, (np.eye(ints.shape[1], dtype=ints.dtype) * ints)[..., None], den)
 
-    # -- entries, built on first read -----------------------------------------
+    # -- entries, built together on the first read -----------------------------
 
     def __getitem__(self, key):
         i, j = key
         if self._cells is None:
-            self._cells = [[None] * self.cols for _ in range(self.rows)]
-        cell = self._cells[i][j]
-        if cell is None:
-            den = self._den
-            coeffs = tuple(
-                Fraction(c, den) if c else _ZERO for c in self._num[i, j].tolist()
-            )
-            cell = self._cells[i][j] = Cyclotomic(self.conductor, coeffs, _canonical=True)
-        return cell
+            n, den = self.conductor, self._den
+            self._cells = [[Cyclotomic._cell(n, c, den) for c in row]
+                           for row in self._num.tolist()]
+        return self._cells[i][j]
 
     @property
     def entries(self):
@@ -882,21 +801,12 @@ class CycMatrix:
         m = math.lcm(self.conductor, other.conductor)
         return self.embed(m), other.embed(m)
 
-    def _apply(self, table, factor, m) -> "CycMatrix":
-        """Coefficients mapped through an integer basis map into Q(zeta_m)."""
-        dtype = _dtype(_maxabs(self._num) * factor)
-        num = self._num.astype(dtype, copy=False) @ table.astype(dtype, copy=False)
-        return CycMatrix._from_array(m, num, self._den)
-
     def embed(self, m: int) -> "CycMatrix":
         """The same matrix viewed over Q(zeta_m); requires conductor | m."""
-        n = self.conductor
-        if m == n:
+        maps = _embedding(self.conductor, m)
+        if maps is None:
             return self
-        if m % n:
-            raise ConductorMismatch(f"{n} does not divide {m}")
-        _check_degree(m)
-        return self._apply(*_embedding(n, m), m)
+        return CycMatrix._from_array(m, _mapped(self._num, *maps), self._den)
 
     def __add__(self, other):
         if not isinstance(other, CycMatrix):
@@ -904,11 +814,7 @@ class CycMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         a, b = self._common(other)
-        den = math.lcm(a._den, b._den)
-        fa, fb = den // a._den, den // b._den
-        dtype = _dtype((_maxabs(a._num) + 1) * fa + (_maxabs(b._num) + 1) * fb)
-        num = a._num.astype(dtype, copy=False) * fa + b._num.astype(dtype, copy=False) * fb
-        return CycMatrix._from_array(a.conductor, num, den)
+        return CycMatrix._from_array(a.conductor, *_sum(a._num, a._den, b._num, b._den))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -917,8 +823,7 @@ class CycMatrix:
         if isinstance(c, Cyclotomic):
             return self._entrywise(CycMatrix([[c]]))
         q = Fraction(c)
-        dtype = _dtype((_maxabs(self._num) + 1) * abs(q.numerator))
-        num = self._num.astype(dtype, copy=False) * q.numerator
+        num = _scaled(self._num, q.numerator)
         return CycMatrix._from_array(self.conductor, num, self._den * q.denominator)
 
     def annihilator(self, cols, bound: int) -> np.ndarray:
@@ -993,19 +898,14 @@ class CycMatrix:
 
     def galois(self, k: int) -> "CycMatrix":
         """Entrywise image under zeta_n -> zeta_n^k; gcd(k, n) must be 1."""
-        n = self.conductor
-        if n == 1:
+        maps = _galois_matrix(self.conductor, k)
+        if maps is None:
             return self
-        if math.gcd(k, n) != 1:
-            raise NotAUnit(f"{k} is not a unit modulo {n}")
-        k %= n
-        if k == 1:
-            return self
-        return self._apply(*_galois_matrix(n, k), n)
+        return CycMatrix._from_array(self.conductor, _mapped(self._num, *maps), self._den)
 
     def conjugate(self) -> "CycMatrix":
         """Entrywise complex conjugate, the automorphism zeta -> zeta^(-1)."""
-        return self if self.conductor <= 2 else self.galois(-1)
+        return self.galois(-1)
 
     def adjoint(self) -> "CycMatrix":
         """Hermitian adjoint (conjugate transpose)."""

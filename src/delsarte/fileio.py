@@ -78,16 +78,25 @@ def cyc_to_literal(value: Cyclotomic):
     return [[e, rational_to_str(c)] for e, c in value.terms()]
 
 
-def cyc_from_literal(lit, conductor: int) -> Cyclotomic:
+def _literal_terms(lit) -> list:
+    """The (exponent, rational) terms of a "p/q" or term-list literal."""
     if isinstance(lit, (int, str)):
-        return Cyclotomic.from_rational(rational_from_str(lit), 1)
+        return [(0, rational_from_str(lit))]
     if isinstance(lit, list):
         try:
-            terms = [(int(e), rational_from_str(c)) for e, c in lit]
+            return [(int(e), rational_from_str(c)) for e, c in lit]
         except (TypeError, ValueError) as exc:
             raise ParseError(None, f"bad cyclotomic literal {lit!r}") from exc
-        return Cyclotomic.from_terms(conductor, terms)
     raise ParseError(None, f"bad cyclotomic literal {lit!r}")
+
+
+def cyc_from_literal(lit, conductor: int) -> Cyclotomic:
+    return Cyclotomic.from_terms(conductor, _literal_terms(lit))
+
+
+def _literal_matrix(rows, conductor: int) -> CycMatrix:
+    """A matrix of literals, built in one call."""
+    return CycMatrix.from_terms(conductor, [[_literal_terms(v) for v in row] for row in rows])
 
 
 def cyclotomic_to_json(value: Cyclotomic) -> dict:
@@ -99,10 +108,7 @@ def cyclotomic_to_json(value: Cyclotomic) -> dict:
 
 def cyclotomic_from_json(obj) -> Cyclotomic:
     _expect_keys(obj, {"conductor", "terms"}, "cyclotomic")
-    return Cyclotomic.from_terms(
-        _declared_conductor(obj["conductor"]),
-        [(int(e), rational_from_str(c)) for e, c in obj["terms"]],
-    )
+    return cyc_from_literal(obj["terms"], _declared_conductor(obj["conductor"]))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +182,7 @@ def parse_eigen_file(text: str) -> tuple[int, CycMatrix]:
     obj = parse_json(text)
     _expect_keys(obj, {"conductor", "Q"}, "eigen")
     n = _declared_conductor(obj["conductor"])
-    rows = [[cyc_from_literal(v, n) for v in row] for row in obj["Q"]]
-    return n, CycMatrix(rows, n)
+    return n, _literal_matrix(obj["Q"], n)
 
 
 def dump_eigen(eigen: EigenData) -> str:
@@ -213,8 +218,7 @@ def parse_character_file(text: str) -> CharacterTable:
     obj = parse_json(text)
     _expect_keys(obj, {"conductor", "rows", "degrees"}, "character table")
     n = _declared_conductor(obj["conductor"])
-    rows = [[cyc_from_literal(v, n) for v in row] for row in obj["rows"]]
-    table = make_character_table(n, rows)
+    table = make_character_table(_literal_matrix(obj["rows"], n))
     if list(table.degrees) != list(obj["degrees"]):
         raise ParseError(None, "declared degrees disagree with the table")
     return table

@@ -34,6 +34,8 @@ from .errors import (
 )
 from .fusion import (
     FusionScheme,
+    _cell_labels,
+    _label_cells,
     fuse_by_relation_partition,
     galois_fusion,
     partition_join,
@@ -124,22 +126,20 @@ class ConjClassData:
 
 
 def conjugacy_classes(group: GroupTable) -> ConjClassData:
-    order = group.order
-    mult, inv = group.mult, group.inverse
-    class_of = [-1] * order
-    classes = []
-    for g in range(order):
-        if class_of[g] >= 0:
-            continue
-        orbit = sorted({int(mult[mult[inv[x], g], x]) for x in range(order)})
-        for h in orbit:
-            class_of[h] = len(classes)
-        classes.append(tuple(orbit))
-    inverse_map = tuple(class_of[group.inverse[c[0]]] for c in classes)
+    """Classes keyed by their least element, so ordered by first occurrence.
+
+    conj[x, g] = x^(-1) g x is one gather of the multiplication table; the
+    class of g is column g, and its least entry labels it.
+    """
+    mult = group.mult
+    x = np.arange(group.order)
+    conj = mult[mult[np.asarray(group.inverse, dtype=np.intp)], x[:, None]]
+    classes = _label_cells(conj.min(axis=0).tolist())
+    class_of = _cell_labels(classes, group.order)
     return ConjClassData(
-        classes=tuple(classes),
-        class_of=tuple(class_of),
-        class_inverse_map=inverse_map,
+        classes=classes,
+        class_of=class_of,
+        class_inverse_map=tuple(class_of[group.inverse[c[0]]] for c in classes),
     )
 
 
@@ -191,8 +191,8 @@ class CharacterTable:
         return CycMatrix(self.rows, self.conductor)
 
 
-def make_character_table(conductor: int, rows) -> CharacterTable:
-    grid = CycMatrix(rows, conductor)
+def make_character_table(grid: CycMatrix) -> CharacterTable:
+    """A character table whose rows are the characters, as one matrix."""
     degrees = []
     for j in range(grid.rows):
         f = grid[j, 0]
@@ -301,7 +301,7 @@ def cyclic_group(n: int):
     group = make_group_table(mult)
     classes = conjugacy_classes(group)
     rows = [[zeta(n, i * j) for i in range(n)] for j in range(n)]
-    return group, classes, make_character_table(n, rows)
+    return group, classes, make_character_table(CycMatrix(rows, n))
 
 
 def abelian_group(*orders: int):
@@ -327,7 +327,7 @@ def abelian_group(*orders: int):
                 for ti in tuples
             ]
         )
-    return group, classes, make_character_table(L, rows)
+    return group, classes, make_character_table(CycMatrix(rows, L))
 
 
 def dicyclic_group(n: int):
@@ -387,7 +387,7 @@ def dicyclic_group(n: int):
             + [kappa(r * k) for k in range(1, n + 1)]
             + [0 * one, 0 * one]
         )
-    return group, classes, make_character_table(m, rows)
+    return group, classes, make_character_table(CycMatrix(rows, m))
 
 
 _FAMILIES = {

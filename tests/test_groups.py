@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delsarte.catalog import build_a4, build_dicyclic, build_z12, cycle_scheme
+from delsarte.catalog import CATALOG, build_a4, build_dicyclic, build_z12, cycle_scheme, load_entry
 from delsarte.cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec
 from delsarte.errors import BadEigenbasis, UnsupportedFamily, ValidationError
 from delsarte.fusion import galois_fusion
@@ -13,6 +13,7 @@ from delsarte.groups import (
     builtin_representations,
     character_product_multiplicities,
     conj_class_scheme,
+    conjugacy_classes,
     cyclic_group,
     dicyclic_group,
     eigendata_from_characters,
@@ -48,6 +49,44 @@ def test_a4_class_sizes_and_valencies():
     b = build_a4()
     assert b.classes.sizes == (1, 3, 4, 4)
     assert b.scheme.valencies == (1, 3, 4, 4)
+
+
+def reference_conjugacy_classes(group):
+    """The discovery loop conjugacy_classes used before its conjugation table."""
+    mult, inv = group.mult, group.inverse
+    class_of = [-1] * group.order
+    classes = []
+    for g in range(group.order):
+        if class_of[g] >= 0:
+            continue
+        orbit = sorted({int(mult[mult[inv[x], g], x]) for x in range(group.order)})
+        for h in orbit:
+            class_of[h] = len(classes)
+        classes.append(tuple(orbit))
+    return tuple(classes), tuple(class_of), tuple(class_of[inv[c[0]]] for c in classes)
+
+
+def _relabelled(group, seed):
+    """An isomorphic table with the non-identity elements shuffled."""
+    rng = random.Random(seed)
+    perm = [0] + rng.sample(range(1, group.order), group.order - 1)
+    P = np.array(perm)
+    mult = np.empty_like(group.mult)
+    mult[np.ix_(P, P)] = P[group.mult]
+    return make_group_table(mult)
+
+
+@pytest.mark.parametrize("family, n", [
+    *(("catalog", name) for name in sorted(CATALOG) if CATALOG[name].group_file),
+    *(("cyclic", n) for n in range(2, 31)),
+    *(("dicyclic", n) for n in range(3, 14, 2)),
+])
+def test_conjugacy_classes_match_the_discovery_loop(family, n):
+    group = load_entry(n).group if family == "catalog" else builtin_group(family, n)[0]
+    for g in (group, _relabelled(group, n if family != "catalog" else 7)):
+        classes = conjugacy_classes(g)
+        assert (classes.classes, classes.class_of, classes.class_inverse_map) == \
+            reference_conjugacy_classes(g)
 
 
 def test_dicyclic_presentation_relations():
@@ -170,7 +209,7 @@ def test_inconsistent_character_table_rejected():
     group, classes, table = cyclic_group(6)
     rows = [list(r) for r in table.rows]
     rows[1][1], rows[1][2] = rows[1][2], rows[1][1]  # breaks orthogonality
-    bad = make_character_table(6, rows)
+    bad = make_character_table(CycMatrix(rows, 6))
     with pytest.raises(BadEigenbasis):
         eigendata_from_characters(group, classes, bad)
 

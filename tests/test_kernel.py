@@ -1,12 +1,12 @@
-"""The integer matrix kernel against scalar Cyclotomic arithmetic.
+"""The integer matrix kernel against the Fraction reference.
 
-Every matrix identity in the library runs on CycMatrix's integer form
-(numerators on the power basis over one common denominator).  These tests
-pin that form to the scalar path with Fraction coefficients, computed here
-with plain loops: products, Galois images and conjugates on random
-matrices, the catalog's P Q, Galois images of Q, Krein tensors and dual
-distributions, the overflow rule (int64 only under a proven bound), and the
-thread safety of interval signs.
+Every identity in the library, scalar or matrix, runs on CycMatrix's
+integer form (numerators on the power basis over one common denominator).
+These tests pin that form to the Fraction arithmetic of
+tests/fraction_reference.py, computed here with plain loops: products,
+Galois images and conjugates on random matrices, the catalog's P Q, Galois
+images of Q, Krein tensors and dual distributions, the overflow rule (int64
+only under a proven bound), and the thread safety of interval signs.
 """
 
 import dataclasses
@@ -43,36 +43,28 @@ from delsarte.designs import (
 )
 from delsarte.errors import KreinViolation, ParseError
 from delsarte.scheme import krein_parameters
+from fraction_reference import Ref, ref_matrix, ref_rows, ref_sum
 
 CONDUCTORS = (1, 4, 5, 8, 12, 20, 28)
 
 
-def zero():
-    return Cyclotomic.from_rational(0, 1)
-
-
 def reference_product(a, b):
-    """a b with scalar Cyclotomic loops."""
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = zero()
-            for k in range(a.cols):
-                acc = acc + a[i, k] * b[k, j]
-            row.append(acc)
-        out.append(row)
-    return out
+    """a b with Fraction reference loops."""
+    A, B = ref_rows(a), ref_rows(b)
+    return [[ref_sum(A[i][k] * B[k][j] for k in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)]
 
 
 def entrywise(m, f):
-    return [[f(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    """f applied to the reference value of every entry."""
+    return [[f(v) for v in row] for row in ref_rows(m)]
 
 
 def same(m, rows):
-    """Entry-by-entry scalar equality, independent of CycMatrix.__eq__."""
+    """Entry-by-entry equality with reference values, independent of the
+    kernel's comparisons."""
     return (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0) and all(
-        m[i, j] == rows[i][j] for i in range(m.rows) for j in range(m.cols)
+        Ref.of(m[i, j]) == rows[i][j] for i in range(m.rows) for j in range(m.cols)
     )
 
 
@@ -104,14 +96,15 @@ def test_products_match_scalar_arithmetic(data):
     b = data.draw(matrices(n2, k, c))
     assert same(a * b, reference_product(a, b))
     b2 = data.draw(matrices(n2, r, k))
-    assert same(a.schur(b2), [[a[i, j] * b2[i, j] for j in range(k)] for i in range(r)])
-    assert same(a + b2, [[a[i, j] + b2[i, j] for j in range(k)] for i in range(r)])
-    assert same(a - b2, [[a[i, j] - b2[i, j] for j in range(k)] for i in range(r)])
+    A, B2 = ref_rows(a), ref_rows(b2)
+    assert same(a.schur(b2), [[A[i][j] * B2[i][j] for j in range(k)] for i in range(r)])
+    assert same(a + b2, [[A[i][j] + B2[i][j] for j in range(k)] for i in range(r)])
+    assert same(a - b2, [[A[i][j] - B2[i][j] for j in range(k)] for i in range(r)])
     x = data.draw(elements(n2))
     q = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=5))
-    assert same(a.scale(x), entrywise(a, lambda v: v * x))
+    assert same(a.scale(x), entrywise(a, lambda v: v * Ref.of(x)))
     assert same(a.scale(q), entrywise(a, lambda v: v * q))
-    assert (a * b == CycMatrix(reference_product(a, b))) is True
+    assert (a * b == ref_matrix(reference_product(a, b))) is True
 
 
 @FAST
@@ -135,12 +128,8 @@ def test_rational_left_products_match_scalar_arithmetic(data):
     r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     m = data.draw(matrices(n, r, c))
     v = [data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=7)) for _ in range(r)]
-    want = []
-    for j in range(c):
-        acc = zero()
-        for i in range(r):
-            acc = acc + m[i, j] * v[i]
-        want.append(acc)
+    rows = ref_rows(m)
+    want = [ref_sum(rows[i][j] * v[i] for i in range(r)) for j in range(c)]
     assert same(m.left_rational([v]), [want])
     cols = data.draw(st.lists(st.integers(0, c - 1), max_size=c))
     assert same(m.left_rational([v], cols), [[want[j] for j in cols]])
@@ -177,14 +166,13 @@ def test_catalog_identities_against_scalar_loops(name):
 
     # q[i][j][k] = (1/|X|) sum_m P[k][m] Q[m][i] Q[m][j], term by term
     kd = krein_parameters(eigen)
+    Pr, Qr = ref_rows(P), ref_rows(Q)
     for i in range(dp1):
         for j in range(dp1):
-            w = [Q[m, i] * Q[m, j] for m in range(dp1)]
+            w = [Qr[m][i] * Qr[m][j] for m in range(dp1)]
             for k in range(dp1):
-                acc = zero()
-                for m in range(dp1):
-                    acc = acc + P[k, m] * w[m]
-                assert kd.q[i][j][k] == acc / size
+                acc = ref_sum(Pr[k][m] * w[m] for m in range(dp1))
+                assert Ref.of(kd.q[i][j][k]) == acc * Fraction(1, size)
 
 
 @pytest.mark.parametrize("corrupt, indices, reason", [
@@ -211,11 +199,10 @@ def test_dual_distribution_on_seeded_subsets():
         subset = rng.sample(range(scheme.size), rng.randint(1, scheme.size))
         a = inner_distribution(scheme, subset)
         b = dual_distribution(eigen, a)
+        Qr = ref_rows(eigen.Q)
         for j in range(scheme.classes):
-            acc = zero()
-            for i in range(scheme.classes):
-                acc = acc + eigen.Q[i, j] * a[i]
-            assert b[j] == acc
+            acc = ref_sum(Qr[i][j] * a[i] for i in range(scheme.classes))
+            assert Ref.of(b[j]) == acc
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +220,7 @@ def test_product_beyond_the_bound_takes_the_object_path():
     product = a * b
     assert product._num.dtype == object
     assert same(product, reference_product(a, b))
-    assert product.galois(3) == CycMatrix(entrywise(product, lambda v: v.galois(3)))
+    assert product.galois(3) == ref_matrix(entrywise(product, lambda v: v.galois(3)))
     assert (product - product).zero_mask().all()
 
 
@@ -272,18 +259,16 @@ def test_enumeration_survives_a_huge_column_in_tiny_chunks(build, shift, monkeyp
 
 
 def reference_via_merges(orbit_data, weights, T):
-    """F_l x = 0 for l in iota(T), with Fraction class sums and scalar loops."""
+    """F_l x = 0 for l in iota(T), with Fraction class sums and reference loops."""
     scheme = orbit_data.eigen.scheme
     merged = sorted({orbit_data.iota[j] for j in T})
+    qbar = ref_rows(orbit_data.Qbar)
     for y in range(scheme.size):
         coeffs = [Fraction(0)] * scheme.classes
         for z, wz in enumerate(weights):
             coeffs[scheme.relation[y, z]] += wz
         for l in merged:
-            acc = zero()
-            for i, c in enumerate(coeffs):
-                acc = acc + orbit_data.Qbar[i, l] * c
-            if not acc.is_zero():
+            if not ref_sum(qbar[i][l] * c for i, c in enumerate(coeffs)).is_zero():
                 return False
     return True
 

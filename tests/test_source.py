@@ -100,3 +100,34 @@ def test_only_fusion_reads_iota_by_index():
 def test_iota_guard_catches_the_old_line():
     old = "merged = sorted({orbit_data.iota[j] for j in T})\n"
     assert _iota_subscripts(ast.parse(old)) == [1]
+
+
+def _power_table_readers(tree):
+    """Names of the functions that mention _power_table, other than the
+    function that builds it."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name != "_power_table"
+            and any(isinstance(n, ast.Name) and n.id == "_power_table"
+                    for n in ast.walk(node))}
+
+
+def test_one_reduction_path():
+    # every reduction on the power basis (products, Galois images,
+    # embeddings, term lists, hence every scalar) goes through one basis map
+    tree = ast.parse((SRC / "cyclotomic.py").read_text())
+    assert _power_table_readers(tree) == {"_basis_map"}
+
+
+def test_reduction_guard_catches_the_old_reader():
+    old = (
+        "def _reduce(n, vec):\n"
+        "    pows = _power_table(n)\n"
+        "    return [pows[j] for j in vec]\n"
+        "class Cyclotomic:\n"
+        "    def galois(self, k):\n"
+        "        return _power_table(self.conductor)[k]\n"
+        "def _basis_map(n, exponents):\n"
+        "    return [_power_table(n)[e] for e in exponents]\n"
+    )
+    assert _power_table_readers(ast.parse(old)) == {"_reduce", "galois", "_basis_map"}
