@@ -768,6 +768,14 @@ class CycMatrix:
         """Boolean (rows, cols) array, True exactly where the entry is zero."""
         return ~(self._num != 0).any(axis=-1)
 
+    def rational_part(self) -> tuple[np.ndarray, int, tuple[int, int] | None]:
+        """Integer numerators (rows, cols) of the rational parts of the
+        entries over the common denominator, and the (i, j) of the first
+        irrational entry in row-major order (None when every entry is rational)."""
+        irrational = np.argwhere((self._num[..., 1:] != 0).any(axis=-1))
+        first = tuple(irrational[0].tolist()) if len(irrational) else None
+        return self._num[..., 0], self._den, first
+
     def signs(self) -> np.ndarray:
         """Exact signs (-1, 0, +1) of the entries, which must all be real.
 

@@ -1,8 +1,19 @@
 """Exact linear programming over the rationals, and Delsarte-style bounds.
 
-The solver is a plain two-phase simplex on Fraction tableaus with Bland's
-anti-cycling rule; optima are exact and re-substituted before being
-returned.  On top of it sit the two standard Delsarte models: the design LP
+The solver is a two-phase simplex with Bland's anti-cycling rule on a
+fraction-free integer tableau (Bareiss, Math. Comp. 22, 1968; Edmonds,
+J. Res. NBS 71B, 1967).  The constraint matrix, the right-hand side and the
+costs are lifted to integers by positive scalings, which change no pivot
+decision.  The tableau then holds D times the rational tableau, where D is
+the last pivot, and each pivot T' = (p T - T[:, c] T[r]) / D divides
+exactly; the objective row is one more row under the same pivots.  So the
+pivots, the final basis and the optimum are those of Bland's rule on
+Fraction tableaus.  Before either is returned, the optimum is
+re-substituted into the constraints and the dual vector read from the
+final objective row is checked (its sign on each relation, dual
+feasibility and b . y = value), both exactly on the integer lift.
+
+On top of the solver sit the two standard Delsarte models: the design LP
 (minimise the distribution sum subject to the annihilation constraints, a
 lower bound on T-design size) and the code LP (maximise it subject to
 forbidden relations, an upper bound on code size).  Both require rational
@@ -14,15 +25,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
+import numpy as np
+
+from .cyclotomic import _dtype, _fit, _int_array, _maxabs, bounded_matmul, rational_lift
 from .errors import InternalAssertion, IrrationalData
 from .fusion import FusionScheme, GaloisOrbitData
 from .scheme import EigenData, validate_indices
 
 Relation = str  # "<=", "=", ">="
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+class _Integers(NamedTuple):
+    """An LP in integers: its constraint matrix (m x n), right-hand side and
+    objective times the positive scalars mu, mu_b and mu_c."""
+
+    coeffs: np.ndarray
+    mu: int
+    rhs: np.ndarray
+    mu_b: int
+    costs: np.ndarray
+    mu_c: int
 
 
 @dataclass(frozen=True)
@@ -41,12 +69,29 @@ class LPProblem:
             if rel not in ("<=", "=", ">="):
                 raise ValueError(f"unknown relation {rel!r}")
 
+    @cached_property
+    def _integers(self) -> _Integers:
+        """The problem in integers, each part over its least common denominator."""
+        m, n = len(self.constraints), len(self.objective)
+        coeffs, mu = rational_lift([row for row, _, _ in self.constraints])
+        rhs, mu_b = rational_lift([[b for _, _, b in self.constraints]])
+        costs, mu_c = rational_lift([self.objective])
+        return _Integers(coeffs.reshape(m, n), mu, rhs.reshape(m), mu_b, costs.reshape(n), mu_c)
+
 
 @dataclass(frozen=True)
 class LPResult:
+    """Status, and for an optimum its value, a solution x and a dual vector y.
+
+    y has one entry per constraint, with value = b . y.  For a maximisation
+    y is >= 0 on "<=" rows, <= 0 on ">=" rows and A^T y >= objective; for a
+    minimisation the signs and the inequality are reversed.
+    """
+
     status: str  # "optimal", "infeasible", "unbounded"
     value: Fraction | None = None
     solution: tuple[Fraction, ...] | None = None
+    dual: tuple[Fraction, ...] | None = None
 
 
 def make_problem(objective, constraints, maximize=False) -> LPProblem:
@@ -60,141 +105,176 @@ def make_problem(objective, constraints, maximize=False) -> LPProblem:
     )
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for r, line in enumerate(tableau):
-        if r != row and line[col]:
-            f = line[col]
-            tableau[r] = [a - f * b for a, b in zip(line, tableau[row])]
-    basis[row] = col
+class _Tableau:
+    """Fraction-free simplex tableau.
 
+    ``rows`` is an integer array: the m constraint rows, then the objective
+    row.  For the current basis B of the integer constraint matrix [A | b]
+    it equals ``det`` times the rational tableau, B^-1 [A | b] above and
+    (c - c_B B^-1 A | -c_B B^-1 b) for the costs c below.  ``det`` is the
+    last pivot, 1 at the identity start basis, and kept positive.
+    """
 
-def _phase(tableau, basis, costs):
-    """Maximise costs . x on the current tableau with Bland's rule."""
-    m = len(tableau)
-    width = len(tableau[0]) - 1
-    while True:
-        cb = [costs[basis[r]] for r in range(m)]
-        entering = None
-        for j in range(width):
-            reduced = costs[j] - sum(cb[r] * tableau[r][j] for r in range(m))
-            if reduced > 0:
-                entering = j
-                break
-        if entering is None:
-            return "optimal"
-        leaving, best = None, None
-        for r in range(m):
-            a = tableau[r][entering]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leaving]
-                ):
-                    leaving, best = r, ratio
-        if leaving is None:
-            return "unbounded"
-        _pivot(tableau, basis, leaving, entering)
+    def __init__(self, rows: np.ndarray, basis: list[int]):
+        self.rows, self.basis, self.det = rows, basis, 1
+
+    def pivot(self, r: int, c: int) -> None:
+        """Bring column c into the basis at row r: one Bareiss step, whose
+        division by the previous pivot must be exact."""
+        p = int(self.rows[r, c])
+        bound = _maxabs(self.rows)
+        t = self.rows.astype(_dtype(2 * bound * bound), copy=False)
+        num = p * t - np.outer(t[:, c], t[r])
+        if (num % self.det).any():
+            raise InternalAssertion(f"inexact Bareiss division at pivot ({r}, {c})")
+        out = num // self.det
+        out[r] = t[r]
+        if p < 0:
+            out, p = -out, -p
+        self.rows, self.det = _fit(out), p
+        self.basis[r] = c
+
+    def set_costs(self, costs: np.ndarray) -> None:
+        """Objective row for integer costs over the columns (rhs entry 0)."""
+        body = self.rows[:-1]
+        cb = costs[self.basis]
+        dtype = _dtype(_maxabs(costs) * self.det)
+        row = costs.astype(dtype) * self.det - bounded_matmul(cb[None, :], body)[0]
+        self.rows = _fit(np.vstack([body, row]))
+
+    def run(self, limit: int) -> str:
+        """Bland's rule on the columns below limit: "optimal" or "unbounded"."""
+        while True:
+            improving = np.flatnonzero(self.rows[-1, :limit] > 0)
+            if not improving.size:
+                return "optimal"
+            c = int(improving[0])
+            r = self._leaving(c)
+            if r is None:
+                return "unbounded"
+            self.pivot(r, c)
+
+    def _leaving(self, c: int) -> int | None:
+        """Least ratio rhs / a over rows with a > 0, ties to the least basic index."""
+        col = self.rows[:-1, c]
+        leaving, best_a, best_b = None, 1, 0
+        for r in np.flatnonzero(col > 0).tolist():
+            a, b = int(col[r]), int(self.rows[r, -1])
+            if leaving is None or b * best_a < best_b * a or (
+                b * best_a == best_b * a and self.basis[r] < self.basis[leaving]
+            ):
+                leaving, best_a, best_b = r, a, b
+        return leaving
 
 
 def simplex_solve(problem: LPProblem) -> LPResult:
     """Exact optimum of the problem; statuses instead of exceptions.
 
     Two-phase simplex: artificial variables are minimised first, then the
-    objective.  Every arithmetic step is a Fraction operation and the
-    reported solution is re-substituted into all constraints as a guard.
+    objective, over an integer tableau (see the module docstring).  The
+    reported solution is re-substituted into all constraints and the dual
+    vector is checked, each in exact arithmetic, as guards.
     """
-    n = len(problem.objective)
-    rows = []
-    for coeffs, rel, rhs in problem.constraints:
-        coeffs = list(coeffs)
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((coeffs, rel, rhs))
+    n, m = len(problem.objective), len(problem.constraints)
+    coeffs, mu, rhs, mu_b, costs, mu_c = problem._integers
+    # int64 only below the kernel's bound, so sign changes cannot wrap
+    dtype = _dtype(max(_maxabs(coeffs), _maxabs(rhs), _maxabs(costs)))
+    coeffs, rhs, costs = (a.astype(dtype, copy=False) for a in (coeffs, rhs, costs))
+    relations = [rel for _, rel, _ in problem.constraints]
+    flips = np.where(rhs < 0, -1, 1)
+    flipped = [_FLIPPED[rel] if f < 0 else rel for f, rel in zip(flips.tolist(), relations)]
 
-    slack_count = sum(1 for _, rel, _ in rows if rel != "=")
-    art_count = sum(1 for _, rel, _ in rows if rel != "<=")
-    width = n + slack_count + art_count
-    tableau, basis = [], []
-    slack_at, art_at = n, n + slack_count
-    for coeffs, rel, rhs in rows:
-        line = [_ZERO] * (width + 1)
-        line[:n] = coeffs
-        line[-1] = rhs
-        if rel == "<=":
-            line[slack_at] = _ONE
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            line[slack_at] = -_ONE
-            slack_at += 1
-            line[art_at] = _ONE
-            basis.append(art_at)
-            art_at += 1
-        else:
-            line[art_at] = _ONE
-            basis.append(art_at)
-            art_at += 1
-        tableau.append(line)
+    slack = [k for k, rel in enumerate(flipped) if rel != "="]
+    art = [k for k, rel in enumerate(flipped) if rel != "<="]
+    real = n + len(slack)
+    width = real + len(art)
+    rows = np.zeros((m + 1, width + 1), dtype=dtype)
+    rows[:m, :n] = coeffs * flips[:, None]
+    rows[:m, -1] = rhs * flips
+    start = [0] * m
+    for i, k in enumerate(slack):
+        rows[k, n + i] = 1 if flipped[k] == "<=" else -1
+        start[k] = n + i
+    for i, k in enumerate(art):
+        rows[k, real + i] = 1
+        start[k] = real + i
+    tab = _Tableau(rows, list(start))
 
-    if art_count:
-        phase1 = [_ZERO] * width
-        for j in range(n + slack_count, width):
-            phase1[j] = -_ONE
-        status = _phase(tableau, basis, phase1)
-        if status != "optimal":
+    if art:
+        tab.set_costs(np.array([0] * real + [-1] * len(art) + [0]))
+        if tab.run(width) != "optimal":
             raise InternalAssertion("phase 1 is always bounded")
-        infeas = -sum(
-            tableau[r][-1] for r in range(len(tableau)) if basis[r] >= n + slack_count
-        )
-        if infeas != 0:
+        if tab.rows[-1, -1] != 0:
             return LPResult(status="infeasible")
-        for r in range(len(tableau)):
-            if basis[r] >= n + slack_count:
-                pivot_col = next(
-                    (j for j in range(n + slack_count) if tableau[r][j] != 0), None
-                )
-                if pivot_col is not None:
-                    _pivot(tableau, basis, r, pivot_col)
-        keep = [r for r in range(len(tableau)) if basis[r] < n + slack_count]
-        tableau = [tableau[r][: n + slack_count] + [tableau[r][-1]] for r in keep]
-        basis = [basis[r] for r in keep]
-        width = n + slack_count
+        # drive the zero artificials out; a row with none to swap in is redundant
+        for r in range(m):
+            if tab.basis[r] >= real:
+                nonzero = np.flatnonzero(tab.rows[r, :real])
+                if nonzero.size:
+                    tab.pivot(r, int(nonzero[0]))
 
-    sign = _ONE if problem.maximize else -_ONE
-    costs = [sign * c for c in problem.objective] + [_ZERO] * (width - n)
-    status = _phase(tableau, basis, costs)
-    if status == "unbounded":
+    sign = 1 if problem.maximize else -1
+    tab.set_costs(np.concatenate([sign * costs, np.zeros(width + 1 - n, dtype=costs.dtype)]))
+    # artificial columns stay in the tableau for the dual but never enter
+    if tab.run(real) == "unbounded":
         return LPResult(status="unbounded")
 
-    solution = [_ZERO] * n
-    for r, b in enumerate(basis):
+    # x and y are the optimum in lifted units: the solution is mu x / (det mu_b)
+    # and the dual sign mu y / (det mu_c).  Column start[k] is +e_k in the
+    # sign-flipped row k, so its reduced cost is -det times that row's dual.
+    x = np.zeros(n, dtype=tab.rows.dtype)
+    for r, b in enumerate(tab.basis):
         if b < n:
-            solution[b] = tableau[r][-1]
-    value = sum(c * x for c, x in zip(problem.objective, solution))
-    _check_solution(problem, solution)
-    return LPResult(status="optimal", value=value, solution=tuple(solution))
+            x[b] = tab.rows[r, -1]
+    y = -flips * tab.rows[-1, start]
+    cx = sum(c * v for c, v in zip(costs.tolist(), x.tolist()))
+    _check_solution(coeffs, relations, rhs, x, tab.det)
+    _check_dual(coeffs, relations, rhs, sign * costs, y, tab.det, sign * cx)
+    return LPResult(
+        status="optimal",
+        value=Fraction(mu * cx, mu_c * tab.det * mu_b),
+        solution=tuple(Fraction(mu * v, tab.det * mu_b) for v in x.tolist()),
+        dual=tuple(Fraction(sign * mu * v, tab.det * mu_c) for v in y.tolist()),
+    )
 
 
-def _check_solution(problem, solution):
-    if any(x < 0 for x in solution):
+def _holds(lhs: int, rel: Relation, rhs: int) -> bool:
+    return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
+
+
+def _check_solution(coeffs, relations, rhs, x, det):
+    """Primal re-substitution in lifted units: x >= 0 and coeffs x (rel) det rhs."""
+    if (x < 0).any():
         raise ArithmeticError("simplex produced a negative variable")
-    for coeffs, rel, rhs in problem.constraints:
-        lhs = sum(c * x for c, x in zip(coeffs, solution))
-        ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
-        if not ok:
-            raise ArithmeticError("optimal solution violates a constraint")
+    lhs = bounded_matmul(coeffs, x[:, None])[:, 0]
+    for k, (left, rel, b) in enumerate(zip(lhs.tolist(), relations, rhs.tolist())):
+        if not _holds(left, rel, det * b):
+            raise ArithmeticError(f"optimal solution violates constraint {k}")
+
+
+def _check_dual(coeffs, relations, rhs, costs, y, det, primal):
+    """Optimality certificate in lifted units, for the maximisation of
+    costs x with value primal = costs . x: y >= 0 on "<=" rows and <= 0 on
+    ">=" rows, coeffs^T y >= det costs, and rhs . y = primal, so x and y
+    are both optimal."""
+    for k, (v, rel) in enumerate(zip(y.tolist(), relations)):
+        if rel != "=" and not _holds(v, _FLIPPED[rel], 0):
+            raise InternalAssertion(f"dual value of constraint {k} has the wrong sign for {rel!r}")
+    reduced = bounded_matmul(y[None, :], coeffs)[0].tolist()
+    for j, (left, c) in enumerate(zip(reduced, costs.tolist())):
+        if left < det * c:
+            raise InternalAssertion(f"dual infeasible at variable {j}")
+    if sum(b * v for b, v in zip(rhs.tolist(), y.tolist())) != primal:
+        raise InternalAssertion("dual objective differs from the primal value")
 
 
 # ---------------------------------------------------------------------------
 # Delsarte bounds
 # ---------------------------------------------------------------------------
 
-def _rational_matrix(source) -> list[list[Fraction]]:
-    """Rows-by-classes, columns-by-eigenspaces rational matrix of source."""
+def _rational_matrix(source) -> tuple[np.ndarray, int]:
+    """Integer numerators (classes x eigenspaces) of the rational eigenvalue
+    matrix of source, over their common denominator."""
     if isinstance(source, EigenData):
         matrix, what = source.Q, "Q"
     elif isinstance(source, FusionScheme):
@@ -203,19 +283,35 @@ def _rational_matrix(source) -> list[list[Fraction]]:
         matrix, what = source.Qbar, "merged Qbar"
     else:
         raise TypeError(f"cannot pose an LP over {type(source).__name__}")
-    out = []
-    for i in range(matrix.rows):
-        row = []
-        for j in range(matrix.cols):
-            v = matrix[i, j]
-            if not v.is_rational():
-                raise IrrationalData(
-                    f"{what}[{i}][{j}] = {v} is irrational; fuse over a "
-                    "rational subfield first (see galois_fusion / orbit_merge)"
-                )
-            row.append(v.as_rational())
-        out.append(row)
-    return out
+    ints, den, irrational = matrix.rational_part()
+    if irrational is not None:
+        i, j = irrational
+        raise IrrationalData(
+            f"{what}[{i}][{j}] = {matrix[i, j]} is irrational; fuse over a "
+            "rational subfield first (see galois_fusion / orbit_merge)"
+        )
+    return ints, den
+
+
+def _distribution_problem(rows, den, relations, rhs, maximize) -> LPProblem:
+    """Optimise sum_i a_i subject to (rows / den) a (rel) rhs and a >= 0, for
+    an integer array rows and integers rhs.  The solver's integer form is
+    rows itself: a positive scaling of the columns changes no pivot."""
+    problem = LPProblem(
+        objective=(_ONE,) * rows.shape[1],
+        constraints=tuple((tuple(Fraction(v, den) for v in row), rel, Fraction(b))
+                          for row, rel, b in zip(rows.tolist(), relations, rhs)),
+        maximize=maximize,
+    )
+    ones = np.ones(rows.shape[1], dtype=np.int64)
+    object.__setattr__(problem, "_integers",
+                       _Integers(rows, den, np.array(rhs, dtype=np.int64), 1, ones, 1))
+    return problem
+
+
+def _units(indices, classes: int, den: int) -> np.ndarray:
+    """Rows den e_i for i in indices: the constraints a_i = ... over den."""
+    return _int_array([[den if t == i else 0 for t in range(classes)] for i in indices])
 
 
 def delsarte_design_lp(source, T) -> LPResult:
@@ -226,19 +322,13 @@ def delsarte_design_lp(source, T) -> LPResult:
     the source.  For subsets, sum_i a_i = |C|, so the optimum bounds |C|
     from below.
     """
-    m = _rational_matrix(source)
-    classes, spaces = len(m), len(m[0])
+    ints, den = _rational_matrix(source)
+    classes, spaces = ints.shape
     T = validate_indices(T, spaces - 1)
-    constraints = [(tuple(_ONE if i == 0 else _ZERO for i in range(classes)), "=", _ONE)]
-    for j in range(spaces):
-        col = tuple(m[i][j] for i in range(classes))
-        constraints.append((col, "=" if j in T else ">=", _ZERO))
-    problem = LPProblem(
-        objective=tuple(_ONE for _ in range(classes)),
-        constraints=tuple(constraints),
-        maximize=False,
-    )
-    return simplex_solve(problem)
+    rows = np.vstack([_units([0], classes, den), ints.T])
+    relations = ["="] + ["=" if j in T else ">=" for j in range(spaces)]
+    rhs = [1] + [0] * spaces
+    return simplex_solve(_distribution_problem(rows, den, relations, rhs, maximize=False))
 
 
 def delsarte_code_lp(source, S) -> LPResult:
@@ -248,20 +338,10 @@ def delsarte_code_lp(source, S) -> LPResult:
     (aM)_j >= 0 for all j.  For a subset meeting no relation of S, the
     distribution sum equals |C|, so the optimum bounds |C| from above.
     """
-    m = _rational_matrix(source)
-    classes, spaces = len(m), len(m[0])
+    ints, den = _rational_matrix(source)
+    classes, spaces = ints.shape
     S = validate_indices(S, classes - 1, "S")
-    constraints = [(tuple(_ONE if i == 0 else _ZERO for i in range(classes)), "=", _ONE)]
-    for i in S:
-        constraints.append(
-            (tuple(_ONE if t == i else _ZERO for t in range(classes)), "=", _ZERO)
-        )
-    for j in range(spaces):
-        col = tuple(m[i][j] for i in range(classes))
-        constraints.append((col, ">=", _ZERO))
-    problem = LPProblem(
-        objective=tuple(_ONE for _ in range(classes)),
-        constraints=tuple(constraints),
-        maximize=True,
-    )
-    return simplex_solve(problem)
+    rows = np.vstack([_units((0, *S), classes, den), ints.T])
+    relations = ["="] * (1 + len(S)) + [">="] * spaces
+    rhs = [1] + [0] * (len(S) + spaces)
+    return simplex_solve(_distribution_problem(rows, den, relations, rhs, maximize=True))

@@ -173,8 +173,13 @@ def test_design_lp_fused_equals_rational_idempotent_lp():
 
 def test_design_lp_rejects_irrational_q():
     _, eigen = build_x8()
-    with pytest.raises(IrrationalData):
+    with pytest.raises(IrrationalData) as info:
         delsarte_design_lp(eigen, {1})
+    # the message names the first irrational entry in row-major order
+    q = eigen.Q
+    i, j = next((i, j) for i in range(q.rows) for j in range(q.cols)
+                if not q[i, j].is_rational())
+    assert str(info.value).startswith(f"Q[{i}][{j}] = {q[i, j]} is irrational")
 
 
 def test_design_lp_rational_scheme_directly():

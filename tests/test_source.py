@@ -131,3 +131,53 @@ def test_reduction_guard_catches_the_old_reader():
         "    return [_power_table(n)[e] for e in exponents]\n"
     )
     assert _power_table_readers(ast.parse(old)) == {"_reduce", "galois", "_basis_map"}
+
+
+def _fraction_tableau(tree):
+    """Line numbers of a `_pivot` function and of every row update of a list
+    tableau, `rows[r] = [... for ...]`."""
+    return sorted(
+        [node.lineno for node in ast.walk(tree)
+         if isinstance(node, ast.FunctionDef) and node.name == "_pivot"]
+        + [node.lineno for node in ast.walk(tree)
+           if isinstance(node, ast.Assign) and isinstance(node.value, ast.ListComp)
+           and any(isinstance(t, ast.Subscript) for t in node.targets)])
+
+
+def _global_calls(tree, function, callee):
+    """Whether `function` calls `callee` by its bare module-level name, with
+    no local binding of that name to shadow it."""
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    names = [node for node in ast.walk(body) if isinstance(node, ast.Name) and node.id == callee]
+    bound = any(isinstance(node.ctx, ast.Store) for node in names) or any(
+        arg.arg == callee for arg in ast.walk(body.args) if isinstance(arg, ast.arg))
+    called = any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == callee for node in ast.walk(body))
+    return called and not bound
+
+
+def test_lp_has_no_fraction_tableau():
+    # the simplex pivots on the integer tableau; the Fraction tableau is the
+    # reference in tests/lp_reference.py.  Both Delsarte LPs solve through
+    # the module-level simplex_solve, so a wrapper installed on it sees every solve
+    tree = ast.parse((SRC / "lp.py").read_text())
+    assert _fraction_tableau(tree) == []
+    for function in ("delsarte_design_lp", "delsarte_code_lp"):
+        assert _global_calls(tree, function, "simplex_solve"), function
+
+
+def test_lp_guard_catches_the_old_tableau():
+    old = (
+        "def _pivot(tableau, basis, row, col):\n"
+        "    piv = tableau[row][col]\n"
+        "    tableau[row] = [v / piv for v in tableau[row]]\n"
+        "def delsarte_code_lp(source, S, simplex_solve=simplex_solve):\n"
+        "    return simplex_solve(problem)\n"
+        "def delsarte_design_lp(source, T):\n"
+        "    return lp.simplex_solve(problem)\n"
+    )
+    tree = ast.parse(old)
+    assert _fraction_tableau(tree) == [1, 3]
+    assert not _global_calls(tree, "delsarte_code_lp", "simplex_solve")
+    assert not _global_calls(tree, "delsarte_design_lp", "simplex_solve")
