@@ -772,9 +772,13 @@ class CycMatrix:
         """Integer numerators (rows, cols) of the rational parts of the
         entries over the common denominator, and the (i, j) of the first
         irrational entry in row-major order (None when every entry is rational)."""
-        irrational = np.argwhere((self._num[..., 1:] != 0).any(axis=-1))
+        irrational = self._irrational()
         first = tuple(irrational[0].tolist()) if len(irrational) else None
         return self._num[..., 0], self._den, first
+
+    def _irrational(self) -> np.ndarray:
+        """(i, j) of the irrational entries, in row-major order."""
+        return np.argwhere((self._num[..., 1:] != 0).any(axis=-1))
 
     def signs(self) -> np.ndarray:
         """Exact signs (-1, 0, +1) of the entries, which must all be real.
@@ -787,7 +791,7 @@ class CycMatrix:
             raise ValueError("matrix has a non-real entry; sign undefined")
         head = self._num[..., 0]
         out = (head > 0).astype(np.int64) - (head < 0).astype(np.int64)
-        for i, j in np.argwhere((self._num[..., 1:] != 0).any(axis=-1)):
+        for i, j in self._irrational():
             out[i, j] = _interval_sign(self.conductor, self._num[i, j].tolist())
         return out
 

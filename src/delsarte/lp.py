@@ -8,10 +8,11 @@ decision.  The tableau then holds D times the rational tableau, where D is
 the last pivot, and each pivot T' = (p T - T[:, c] T[r]) / D divides
 exactly; the objective row is one more row under the same pivots.  So the
 pivots, the final basis and the optimum are those of Bland's rule on
-Fraction tableaus.  Before either is returned, the optimum is
-re-substituted into the constraints and the dual vector read from the
-final objective row is checked (its sign on each relation, dual
-feasibility and b . y = value), both exactly on the integer lift.
+Fraction tableaus.  Before a result is returned, its solution x is
+re-substituted into the constraints, and its dual vector y, read from the
+final objective row, is checked: its sign on each relation, dual
+feasibility and c . x = b . y = value.  Both checks are exact, on the
+integer lifts of the returned Fractions and of the posed problem.
 
 On top of the solver sit the two standard Delsarte models: the design LP
 (minimise the distribution sum subject to the annihilation constraints, a
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,18 +38,6 @@ Relation = str  # "<=", "=", ">="
 
 _ONE = Fraction(1)
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
-
-
-class _Integers(NamedTuple):
-    """An LP in integers: its constraint matrix (m x n), right-hand side and
-    objective times the positive scalars mu, mu_b and mu_c."""
-
-    coeffs: np.ndarray
-    mu: int
-    rhs: np.ndarray
-    mu_b: int
-    costs: np.ndarray
-    mu_c: int
 
 
 @dataclass(frozen=True)
@@ -68,15 +55,6 @@ class LPProblem:
                 raise ValueError("constraint arity differs from objective")
             if rel not in ("<=", "=", ">="):
                 raise ValueError(f"unknown relation {rel!r}")
-
-    @cached_property
-    def _integers(self) -> _Integers:
-        """The problem in integers, each part over its least common denominator."""
-        m, n = len(self.constraints), len(self.objective)
-        coeffs, mu = rational_lift([row for row, _, _ in self.constraints])
-        rhs, mu_b = rational_lift([[b for _, _, b in self.constraints]])
-        costs, mu_c = rational_lift([self.objective])
-        return _Integers(coeffs.reshape(m, n), mu, rhs.reshape(m), mu_b, costs.reshape(n), mu_c)
 
 
 @dataclass(frozen=True)
@@ -172,14 +150,17 @@ def simplex_solve(problem: LPProblem) -> LPResult:
 
     Two-phase simplex: artificial variables are minimised first, then the
     objective, over an integer tableau (see the module docstring).  The
-    reported solution is re-substituted into all constraints and the dual
-    vector is checked, each in exact arithmetic, as guards.
+    returned solution is re-substituted into all constraints and the
+    returned dual vector is checked, each in exact arithmetic, as guards.
     """
     n, m = len(problem.objective), len(problem.constraints)
-    coeffs, mu, rhs, mu_b, costs, mu_c = problem._integers
+    coeffs, mu = rational_lift([row for row, _, _ in problem.constraints])
+    rhs, mu_b = rational_lift([[b for _, _, b in problem.constraints]])
+    costs, mu_c = rational_lift([problem.objective])
     # int64 only below the kernel's bound, so sign changes cannot wrap
     dtype = _dtype(max(_maxabs(coeffs), _maxabs(rhs), _maxabs(costs)))
-    coeffs, rhs, costs = (a.astype(dtype, copy=False) for a in (coeffs, rhs, costs))
+    coeffs, rhs, costs = (a.astype(dtype, copy=False).reshape(shape)
+                          for a, shape in ((coeffs, (m, n)), (rhs, m), (costs, n)))
     relations = [rel for _, rel, _ in problem.constraints]
     flips = np.where(rhs < 0, -1, 1)
     flipped = [_FLIPPED[rel] if f < 0 else rel for f, rel in zip(flips.tolist(), relations)]
@@ -222,49 +203,73 @@ def simplex_solve(problem: LPProblem) -> LPResult:
     # x and y are the optimum in lifted units: the solution is mu x / (det mu_b)
     # and the dual sign mu y / (det mu_c).  Column start[k] is +e_k in the
     # sign-flipped row k, so its reduced cost is -det times that row's dual.
-    x = np.zeros(n, dtype=tab.rows.dtype)
+    x = [0] * n
     for r, b in enumerate(tab.basis):
         if b < n:
-            x[b] = tab.rows[r, -1]
-    y = -flips * tab.rows[-1, start]
-    cx = sum(c * v for c, v in zip(costs.tolist(), x.tolist()))
-    _check_solution(coeffs, relations, rhs, x, tab.det)
-    _check_dual(coeffs, relations, rhs, sign * costs, y, tab.det, sign * cx)
-    return LPResult(
+            x[b] = int(tab.rows[r, -1])
+    y = (-flips * tab.rows[-1, start]).tolist()
+    result = LPResult(
         status="optimal",
-        value=Fraction(mu * cx, mu_c * tab.det * mu_b),
-        solution=tuple(Fraction(mu * v, tab.det * mu_b) for v in x.tolist()),
-        dual=tuple(Fraction(sign * mu * v, tab.det * mu_c) for v in y.tolist()),
+        value=Fraction(mu * sum(c * v for c, v in zip(costs.tolist(), x)), mu_c * tab.det * mu_b),
+        solution=tuple(Fraction(mu * v, tab.det * mu_b) for v in x),
+        dual=tuple(Fraction(sign * mu * v, tab.det * mu_c) for v in y),
     )
+    _check_solution((coeffs, mu), relations, (rhs, mu_b), result.solution)
+    _check_dual((coeffs, mu), relations, (rhs, mu_b), (costs, mu_c), sign, result)
+    return result
 
 
 def _holds(lhs: int, rel: Relation, rhs: int) -> bool:
     return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
 
 
-def _check_solution(coeffs, relations, rhs, x, det):
-    """Primal re-substitution in lifted units: x >= 0 and coeffs x (rel) det rhs."""
-    if (x < 0).any():
+def _lift_column(values) -> tuple[np.ndarray, int]:
+    """Integer numerators (as a column) of a rational vector, and their
+    least common denominator."""
+    ints, den = rational_lift([values])
+    return ints.reshape(-1, 1), den
+
+
+def _check_solution(A, relations, b, solution):
+    """Primal re-substitution of the returned solution, exactly.
+
+    A = (coeffs, mu) and b = (rhs, mu_b) are the lifted constraint matrix
+    coeffs / mu and right-hand side rhs / mu_b.  With the solution lifted to
+    s / d, the checks are s >= 0 and mu_b (coeffs s) (rel) mu d rhs.
+    """
+    (coeffs, mu), (rhs, mu_b) = A, b
+    s, d = _lift_column(solution)
+    if (s < 0).any():
         raise ArithmeticError("simplex produced a negative variable")
-    lhs = bounded_matmul(coeffs, x[:, None])[:, 0]
-    for k, (left, rel, b) in enumerate(zip(lhs.tolist(), relations, rhs.tolist())):
-        if not _holds(left, rel, det * b):
+    lhs = bounded_matmul(coeffs, s)[:, 0].tolist()
+    for k, (left, rel, v) in enumerate(zip(lhs, relations, rhs.tolist())):
+        if not _holds(mu_b * left, rel, mu * d * v):
             raise ArithmeticError(f"optimal solution violates constraint {k}")
 
 
-def _check_dual(coeffs, relations, rhs, costs, y, det, primal):
-    """Optimality certificate in lifted units, for the maximisation of
-    costs x with value primal = costs . x: y >= 0 on "<=" rows and <= 0 on
-    ">=" rows, coeffs^T y >= det costs, and rhs . y = primal, so x and y
-    are both optimal."""
-    for k, (v, rel) in enumerate(zip(y.tolist(), relations)):
+def _check_dual(A, relations, b, c, sign, result):
+    """Optimality certificate for the returned result, exactly.
+
+    A, b and c = (costs, mu_c) are lifted as in _check_solution; sign is +1
+    for a maximisation and -1 for a minimisation.  With sign times the dual
+    lifted to t / d, the checks are t >= 0 on "<=" rows and <= 0 on ">="
+    rows, sign A^T y >= sign costs / mu_c, and c . x = b . y = value for
+    the returned solution x, dual y and value.  Weak duality then makes x
+    and y both optimal.
+    """
+    (coeffs, mu), (rhs, mu_b), (costs, mu_c) = A, b, c
+    t, d = _lift_column([sign * v for v in result.dual])
+    for k, (v, rel) in enumerate(zip(t[:, 0].tolist(), relations)):
         if rel != "=" and not _holds(v, _FLIPPED[rel], 0):
             raise InternalAssertion(f"dual value of constraint {k} has the wrong sign for {rel!r}")
-    reduced = bounded_matmul(y[None, :], coeffs)[0].tolist()
-    for j, (left, c) in enumerate(zip(reduced, costs.tolist())):
-        if left < det * c:
+    reduced = bounded_matmul(t.T, coeffs)[0].tolist()
+    for j, (left, v) in enumerate(zip(reduced, costs.tolist())):
+        if mu_c * left < sign * mu * d * v:
             raise InternalAssertion(f"dual infeasible at variable {j}")
-    if sum(b * v for b, v in zip(rhs.tolist(), y.tolist())) != primal:
+    s, d_x = _lift_column(result.solution)
+    if Fraction(int(bounded_matmul(costs[None, :], s)[0, 0]), mu_c * d_x) != result.value:
+        raise InternalAssertion("returned value differs from the objective at the solution")
+    if Fraction(sign * int(bounded_matmul(rhs[None, :], t)[0, 0]), mu_b * d) != result.value:
         raise InternalAssertion("dual objective differs from the primal value")
 
 
@@ -295,18 +300,13 @@ def _rational_matrix(source) -> tuple[np.ndarray, int]:
 
 def _distribution_problem(rows, den, relations, rhs, maximize) -> LPProblem:
     """Optimise sum_i a_i subject to (rows / den) a (rel) rhs and a >= 0, for
-    an integer array rows and integers rhs.  The solver's integer form is
-    rows itself: a positive scaling of the columns changes no pivot."""
-    problem = LPProblem(
+    an integer array rows and integers rhs."""
+    return LPProblem(
         objective=(_ONE,) * rows.shape[1],
         constraints=tuple((tuple(Fraction(v, den) for v in row), rel, Fraction(b))
                           for row, rel, b in zip(rows.tolist(), relations, rhs)),
         maximize=maximize,
     )
-    ones = np.ones(rows.shape[1], dtype=np.int64)
-    object.__setattr__(problem, "_integers",
-                       _Integers(rows, den, np.array(rhs, dtype=np.int64), 1, ones, 1))
-    return problem
 
 
 def _units(indices, classes: int, den: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from delsarte import cyclotomic, lp
 from delsarte.catalog import CATALOG, load_entry
 from delsarte.designs import rational_fusion, rational_orbit_data
 from delsarte.errors import InternalAssertion, NotClosed
-from delsarte.lp import LPProblem, make_problem, simplex_solve
+from delsarte.lp import LPProblem, LPResult, make_problem, simplex_solve
 from lp_reference import reference_solve
 
 RELATIONS = ("<=", ">=", "=")
@@ -117,12 +117,13 @@ def test_clean_up_pivots_take_the_first_nonzero_column():
 
 def test_no_rows_or_only_redundant_rows():
     # with no rows, or rows 0 = 0 that phase 1 leaves with nothing to pivot
-    # on, phase 2 starts from an empty basis
-    for rows in ([], [([0, 0], "=", 0), ([0, 0], "=", 0)]):
-        for maximize, status in ((True, "unbounded"), (False, "optimal")):
-            result = assert_matches_reference(make_problem([1, 1], rows, maximize))
-            assert result.status == status
-    assert simplex_solve(make_problem([-1, 0], rows, True)).dual == (0, 0)
+    # on, phase 2 starts from an empty basis; a dropped row's dual is 0
+    for rows, dual in (([], ()), ([([0, 0], "=", 0), ([0, 0], "=", 0)], (0, 0))):
+        assert assert_matches_reference(make_problem([1, 1], rows, True)).status == "unbounded"
+        for objective in ([1, 1], [0, 0]):
+            result = assert_matches_reference(make_problem(objective, rows))
+            assert (result.status, result.value, result.dual) == ("optimal", 0, dual)
+        assert simplex_solve(make_problem([-1, 0], rows, True)).dual == dual
 
 
 def test_huge_coefficients_with_mixed_denominators():
@@ -148,6 +149,35 @@ def test_inexact_bareiss_division_raises():
     tableau.rows[1, 1] += 1
     with pytest.raises(InternalAssertion):
         tableau.pivot(1, 1)
+
+
+def _scaled(k):
+    return lambda values: tuple(k * v for v in values)
+
+
+@pytest.mark.parametrize("field, skew, error", [
+    ("solution", _scaled(2), ArithmeticError),  # infeasible
+    ("solution", _scaled(Fraction(1, 2)), InternalAssertion),  # feasible, not the value
+    ("dual", _scaled(2), InternalAssertion),  # b . y is not the value
+    ("dual", lambda y: (Fraction(7, 10), 0), InternalAssertion),  # b . y kept, A^T y < c
+    ("value", lambda v: 3 * v, InternalAssertion),
+])
+def test_guards_check_the_returned_result(monkeypatch, field, skew, error):
+    # a slip in the conversion from the integer tableau to the returned
+    # Fractions must meet the re-substitution or the dual certificate
+    problem = make_problem([1, 1], [([1, 2], "<=", 4), ([3, 1], "<=", 6)], maximize=True)
+    result = simplex_solve(problem)
+    assert (result.solution, result.dual) == ((Fraction(8, 5), Fraction(6, 5)),
+                                              (Fraction(2, 5), Fraction(1, 5)))
+
+    def skewed(**fields):
+        if fields.get(field) is not None:
+            fields[field] = skew(fields[field])
+        return LPResult(**fields)
+
+    monkeypatch.setattr(lp, "LPResult", skewed)
+    with pytest.raises(error):
+        simplex_solve(problem)
 
 
 # ---------------------------------------------------------------------------
