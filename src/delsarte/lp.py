@@ -214,7 +214,7 @@ def simplex_solve(problem: LPProblem) -> LPResult:
         solution=tuple(Fraction(mu * v, tab.det * mu_b) for v in x),
         dual=tuple(Fraction(sign * mu * v, tab.det * mu_c) for v in y),
     )
-    _check_solution((coeffs, mu), relations, (rhs, mu_b), result.solution)
+    _check_solution((coeffs, mu), relations, (rhs, mu_b), (costs, mu_c), result)
     _check_dual((coeffs, mu), relations, (rhs, mu_b), (costs, mu_c), sign, result)
     return result
 
@@ -230,35 +230,43 @@ def _lift_column(values) -> tuple[np.ndarray, int]:
     return ints.reshape(-1, 1), den
 
 
-def _check_solution(A, relations, b, solution):
+def _dot(u: np.ndarray, v: np.ndarray) -> int:
+    """u . v for integer arrays of n entries each, in Python ints."""
+    return sum(a * b for a, b in zip(u.ravel().tolist(), v.ravel().tolist()))
+
+
+def _check_solution(A, relations, b, c, result):
     """Primal re-substitution of the returned solution, exactly.
 
-    A = (coeffs, mu) and b = (rhs, mu_b) are the lifted constraint matrix
-    coeffs / mu and right-hand side rhs / mu_b.  With the solution lifted to
-    s / d, the checks are s >= 0 and mu_b (coeffs s) (rel) mu d rhs.
+    A = (coeffs, mu), b = (rhs, mu_b) and c = (costs, mu_c) are the lifted
+    constraint matrix coeffs / mu, right-hand side rhs / mu_b and objective
+    costs / mu_c.  With the solution lifted to s / d, the checks are s >= 0,
+    mu_b (coeffs s) (rel) mu d rhs, and costs . s / (mu_c d) = value.
     """
-    (coeffs, mu), (rhs, mu_b) = A, b
-    s, d = _lift_column(solution)
+    (coeffs, mu), (rhs, mu_b), (costs, mu_c) = A, b, c
+    s, d = _lift_column(result.solution)
     if (s < 0).any():
         raise ArithmeticError("simplex produced a negative variable")
     lhs = bounded_matmul(coeffs, s)[:, 0].tolist()
     for k, (left, rel, v) in enumerate(zip(lhs, relations, rhs.tolist())):
         if not _holds(mu_b * left, rel, mu * d * v):
             raise ArithmeticError(f"optimal solution violates constraint {k}")
+    if Fraction(_dot(costs, s), mu_c * d) != result.value:
+        raise InternalAssertion("returned value differs from the objective at the solution")
 
 
 def _check_dual(A, relations, b, c, sign, result):
-    """Optimality certificate for the returned result, exactly.
+    """Dual certificate of the returned result, exactly.
 
-    A, b and c = (costs, mu_c) are lifted as in _check_solution; sign is +1
-    for a maximisation and -1 for a minimisation.  With sign times the dual
+    A, b and c are lifted as in _check_solution; sign is +1 for a
+    maximisation and -1 for a minimisation.  With sign times the dual
     lifted to t / d, the checks are t >= 0 on "<=" rows and <= 0 on ">="
-    rows, sign A^T y >= sign costs / mu_c, and c . x = b . y = value for
-    the returned solution x, dual y and value.  Weak duality then makes x
-    and y both optimal.
+    rows, (coeffs / mu)^T t / d >= sign costs / mu_c, and b . y = value.  With
+    _check_solution, weak duality makes the solution and the dual optimal.
     """
     (coeffs, mu), (rhs, mu_b), (costs, mu_c) = A, b, c
-    t, d = _lift_column([sign * v for v in result.dual])
+    t, d = _lift_column(result.dual)
+    t = sign * t
     for k, (v, rel) in enumerate(zip(t[:, 0].tolist(), relations)):
         if rel != "=" and not _holds(v, _FLIPPED[rel], 0):
             raise InternalAssertion(f"dual value of constraint {k} has the wrong sign for {rel!r}")
@@ -266,10 +274,7 @@ def _check_dual(A, relations, b, c, sign, result):
     for j, (left, v) in enumerate(zip(reduced, costs.tolist())):
         if mu_c * left < sign * mu * d * v:
             raise InternalAssertion(f"dual infeasible at variable {j}")
-    s, d_x = _lift_column(result.solution)
-    if Fraction(int(bounded_matmul(costs[None, :], s)[0, 0]), mu_c * d_x) != result.value:
-        raise InternalAssertion("returned value differs from the objective at the solution")
-    if Fraction(sign * int(bounded_matmul(rhs[None, :], t)[0, 0]), mu_b * d) != result.value:
+    if Fraction(sign * _dot(rhs, t), mu_b * d) != result.value:
         raise InternalAssertion("dual objective differs from the primal value")
 
 
