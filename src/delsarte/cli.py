@@ -108,10 +108,8 @@ def cmd_scheme_eigen(args):
         "multiplicities": list(eigen.multiplicities),
         "valencies": list(scheme.valencies),
         "krein_conductor": kd.krein_conductor,
-        "P": [[fileio.cyc_to_literal(eigen.P[i, j]) for j in range(scheme.classes)]
-              for i in range(scheme.classes)],
-        "Q": [[fileio.cyc_to_literal(eigen.Q[i, j]) for j in range(scheme.classes)]
-              for i in range(scheme.classes)],
+        "P": fileio.literal_rows(eigen.P.entries),
+        "Q": fileio.literal_rows(eigen.Q.entries),
     }
     lines = [
         f"eigendata verified; splitting conductor {eigen.conductor}, "
@@ -226,10 +224,8 @@ def cmd_group_rational_fusion(args):
     payload = {
         "rational_classes": [list(c) for c in partition],
         "fused_classes": fused.fused.classes,
-        "P_F": [[fileio.cyc_to_literal(fused.P_F[i, j]) for j in range(fused.P_F.cols)]
-                for i in range(fused.P_F.rows)],
-        "Q_F": [[fileio.cyc_to_literal(fused.Q_F[i, j]) for j in range(fused.Q_F.cols)]
-                for i in range(fused.Q_F.rows)],
+        "P_F": fileio.literal_rows(fused.P_F.entries),
+        "Q_F": fileio.literal_rows(fused.Q_F.entries),
     }
     lines = [f"rational classes: {[list(c) for c in partition]}"]
     lines += _matrix_lines("P_F", fused.P_F)

@@ -346,10 +346,9 @@ class Cyclotomic:
                 parts.append(f"-{z}")
             else:
                 parts.append(f"{c}*{z}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return parts[0] + "".join(
+            f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:]
+        )
 
 
 # ---------------------------------------------------------------------------

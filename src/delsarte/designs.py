@@ -290,10 +290,9 @@ def build_design_transfer(
 
     The vertex map (identity by default) must carry the fused relation
     partition of the source onto that of the target; fused eigenspaces are
-    then matched by comparing eigenmatrix columns under the induced class
-    bijection, with multiplicities as a pre-filter.  Ambiguous matches are
-    rejected rather than guessed, and a supplied ``eigen_match`` override is
-    verified entry by entry.
+    then matched by the exact keys of the eigenmatrix columns under the
+    induced class bijection, and a supplied ``eigen_match`` override must
+    agree with that matching.
     """
     fx, fy = source.fused, target.fused
     if fx.size != fy.size:
@@ -317,27 +316,19 @@ def build_design_transfer(
     if sorted(class_map) != list(range(fx.classes)):
         raise IncompatibleT("induced class map is not a bijection")
 
-    qx, qy = source.Q_F, target.Q_F
-    e1 = qx.cols
-    my = [qy[0, l] for l in range(e1)]
+    # column l of the source, its rows carried along the class map, is
+    # matched by its exact key; the columns of a verified Q_F are distinct
+    # (PQ = |X| I), so a match is unique and the matching a bijection
+    n = math.lcm(source.Q_F.conductor, target.Q_F.conductor)
+    moved = source.Q_F.select(rows=np.argsort(class_map)).embed(n)
+    qy = target.Q_F.embed(n)
+    keys = {qy.col_key(l): l for l in range(qy.cols)}
     derived = []
-    for l in range(e1):
-        column = [None] * e1
-        for c in range(e1):
-            column[class_map[c]] = qx[c, l]
-        candidates = [
-            lp
-            for lp in range(e1)
-            if my[lp] == qx[0, l]
-            and all(qy[c, lp] == column[c] for c in range(e1))
-        ]
-        if not candidates:
+    for l in range(moved.cols):
+        match = keys.get(moved.col_key(l))
+        if match is None:
             raise IncompatibleT(f"fused eigenspace {l} has no match")
-        if len(candidates) > 1:
-            raise IncompatibleT(f"fused eigenspace {l} matches ambiguously")
-        derived.append(candidates[0])
-    if sorted(derived) != list(range(e1)):
-        raise IncompatibleT("eigenspace matching is not a bijection")
+        derived.append(match)
     if eigen_match is not None:
         if tuple(eigen_match) != tuple(derived):
             raise IncompatibleT(

@@ -78,6 +78,11 @@ def cyc_to_literal(value: Cyclotomic):
     return [[e, rational_to_str(c)] for e, c in value.terms()]
 
 
+def literal_rows(rows) -> list:
+    """Rows of cyclotomic values (``CycMatrix.entries``, table rows) as literals."""
+    return [[cyc_to_literal(v) for v in row] for row in rows]
+
+
 def _literal_terms(lit) -> list:
     """The (exponent, rational) terms of a "p/q" or term-list literal."""
     if isinstance(lit, (int, str)):
@@ -189,10 +194,7 @@ def dump_eigen(eigen: EigenData) -> str:
     return canonical_dumps(
         {
             "conductor": eigen.conductor,
-            "Q": [
-                [cyc_to_literal(eigen.Q[i, j]) for j in range(eigen.Q.cols)]
-                for i in range(eigen.Q.rows)
-            ],
+            "Q": literal_rows(eigen.Q.entries),
         }
     )
 
@@ -228,7 +230,7 @@ def dump_characters(table: CharacterTable) -> str:
     return canonical_dumps(
         {
             "conductor": table.conductor,
-            "rows": [[cyc_to_literal(v) for v in row] for row in table.rows],
+            "rows": literal_rows(table.rows),
             "degrees": list(table.degrees),
         }
     )
@@ -282,10 +284,7 @@ def fusion_report_to_json(passes, orbits, iota, row_classes, q_f) -> dict:
         out["Q_F"] = None
     else:
         out["conductor"] = q_f.conductor
-        out["Q_F"] = [
-            [cyc_to_literal(q_f[i, j]) for j in range(q_f.cols)]
-            for i in range(q_f.rows)
-        ]
+        out["Q_F"] = literal_rows(q_f.entries)
     return out
 
 

@@ -42,8 +42,6 @@ from .fusion import (
 )
 from .scheme import EigenData, SchemeData, attach_eigendata, verify_scheme
 
-zeta = Cyclotomic.zeta
-
 #: beyond this order, associativity is checked on random triples only
 FULL_ASSOCIATIVITY_CAP = 128
 
@@ -89,12 +87,11 @@ def make_group_table(mult, rng_seed: int = 0) -> GroupTable:
     idx = np.arange(order)
     if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
         raise ValidationError("index 0 must be a two-sided identity")
-    inverse = []
-    for a in range(order):
-        inv = np.flatnonzero(table[a] == 0)
-        if len(inv) != 1 or table[inv[0], a] != 0:
-            raise ValidationError(f"element {a} lacks a two-sided inverse")
-        inverse.append(int(inv[0]))
+    zeros = table == 0
+    inverse = zeros.argmax(axis=1)
+    lacking = np.flatnonzero((zeros.sum(axis=1) != 1) | (table[inverse, idx] != 0))
+    if len(lacking):
+        raise ValidationError(f"element {lacking[0]} lacks a two-sided inverse")
     if order <= FULL_ASSOCIATIVITY_CAP:
         left = table[table]          # left[a,b,c] = (ab)c
         right = table[:, table]      # right[a,b,c] = a(bc)
@@ -102,11 +99,12 @@ def make_group_table(mult, rng_seed: int = 0) -> GroupTable:
             raise ValidationError("multiplication is not associative")
     else:
         rng = random.Random(rng_seed)
-        for _ in range(20000):
-            a, b, c = (rng.randrange(order) for _ in range(3))
-            if table[table[a, b], c] != table[a, table[b, c]]:
-                raise ValidationError(f"associativity fails at {(a, b, c)}")
-    return GroupTable(order=order, mult=table, inverse=tuple(inverse))
+        a, b, c = np.array([rng.randrange(order) for _ in range(60000)]).reshape(-1, 3).T
+        bad = np.flatnonzero(table[table[a, b], c] != table[a, table[b, c]])
+        if len(bad):
+            t = bad[0]
+            raise ValidationError(f"associativity fails at {(int(a[t]), int(b[t]), int(c[t]))}")
+    return GroupTable(order=order, mult=table, inverse=tuple(inverse.tolist()))
 
 
 @dataclass(frozen=True)
@@ -296,38 +294,23 @@ def cyclic_group(n: int):
     """Z_n with characters chi_j(g_i) = zeta_n^(ij)."""
     if n < 1:
         raise UnsupportedFamily("cyclic(n) requires n >= 1")
-    idx = np.arange(n)
-    mult = (idx[:, None] + idx[None, :]) % n
-    group = make_group_table(mult)
-    classes = conjugacy_classes(group)
-    rows = [[zeta(n, i * j) for i in range(n)] for j in range(n)]
-    return group, classes, make_character_table(CycMatrix(rows, n))
+    return abelian_group(n)
 
 
 def abelian_group(*orders: int):
     """Direct product of cyclic groups with product characters."""
     if not orders or any(m < 1 for m in orders):
         raise UnsupportedFamily("abelian(...) requires positive orders")
-    shape = tuple(orders)
-    size = math.prod(shape)
-    tuples = [tuple(t) for t in np.ndindex(*shape)]
-    index = {t: k for k, t in enumerate(tuples)}
-    mult = np.zeros((size, size), dtype=np.int64)
-    for a, ta in enumerate(tuples):
-        for b, tb in enumerate(tuples):
-            mult[a, b] = index[tuple((x + y) % m for x, y, m in zip(ta, tb, shape))]
-    group = make_group_table(mult)
+    # coords[:, g] is element g's tuple, in np.ndindex order
+    shape = np.array(orders)[:, None]
+    coords = np.indices(orders).reshape(len(orders), -1)
+    sums = (coords[:, :, None] + coords[:, None, :]) % shape[..., None]
+    group = make_group_table(np.ravel_multi_index(tuple(sums), orders))
     classes = conjugacy_classes(group)
-    L = math.lcm(*shape)
-    rows = []
-    for tj in tuples:
-        rows.append(
-            [
-                zeta(L, sum((L // m) * cj * ci for cj, ci, m in zip(tj, ti, shape)))
-                for ti in tuples
-            ]
-        )
-    return group, classes, make_character_table(CycMatrix(rows, L))
+    L = math.lcm(*orders)
+    exponents = ((L // shape) * coords).T @ coords % L
+    rows = [[[(e, 1)] for e in row] for row in exponents.tolist()]
+    return group, classes, make_character_table(CycMatrix.from_terms(L, rows))
 
 
 def dicyclic_group(n: int):
@@ -343,20 +326,10 @@ def dicyclic_group(n: int):
             "scheme coincides with the dihedral one"
         )
     two_n = 2 * n
-    size = 4 * n
-    mult = np.zeros((size, size), dtype=np.int64)
-    for a in range(size):
-        ya, ka = divmod(a, two_n)
-        for b in range(size):
-            yb, kb = divmod(b, two_n)
-            if not ya and not yb:
-                mult[a, b] = (ka + kb) % two_n
-            elif not ya:
-                mult[a, b] = two_n + (kb - ka) % two_n
-            elif not yb:
-                mult[a, b] = two_n + (ka + kb) % two_n
-            else:
-                mult[a, b] = (n + kb - ka) % two_n
+    y, k = np.divmod(np.arange(4 * n), two_n)
+    ya, ka, yb, kb = y[:, None], k[:, None], y[None, :], k[None, :]
+    # the four cases in one: x^(kb + (-1)^yb ka + n ya yb), y-part ya xor yb
+    mult = two_n * (ya ^ yb) + (kb + (1 - 2 * yb) * ka + n * ya * yb) % two_n
     group = make_group_table(mult)
     classes = conjugacy_classes(group)
     expected = [(0,)]
@@ -367,27 +340,19 @@ def dicyclic_group(n: int):
     if classes.classes != tuple(expected):
         raise InternalAssertion("unexpected dicyclic class order")
 
-    m = 4 * n  # conductor; i = zeta^n, kappa(r) = zeta^(2r) + zeta^(-2r)
-    one = Cyclotomic.from_rational(1, 1)
-    i_unit = zeta(m, n)
-
-    def kappa(r):
-        return zeta(m, 2 * r) + zeta(m, -2 * r)
-
-    dp1 = n + 3
-    rows = []
-    rows.append([one] * dp1)
-    rows.append([one] * (n + 1) + [-one, -one])
-    signs = [one if k % 2 == 0 else -one for k in range(n + 1)]
-    rows.append(signs + [i_unit, -i_unit])
-    rows.append(signs + [-i_unit, i_unit])
+    # term lists over Q(zeta_4n): i = zeta^n, kappa(r) = zeta^(2r) + zeta^(-2r)
+    one, minus, i_unit, minus_i = [(0, 1)], [(0, -1)], [(n, 1)], [(n, -1)]
+    signs = [one if k % 2 == 0 else minus for k in range(n + 1)]
+    rows = [
+        [one] * (n + 3),
+        [one] * (n + 1) + [minus, minus],
+        signs + [i_unit, minus_i],
+        signs + [minus_i, i_unit],
+    ]
     for r in range(1, n):
-        rows.append(
-            [2 * one]
-            + [kappa(r * k) for k in range(1, n + 1)]
-            + [0 * one, 0 * one]
-        )
-    return group, classes, make_character_table(CycMatrix(rows, m))
+        kappa = [[(2 * r * k, 1), (-2 * r * k, 1)] for k in range(1, n + 1)]
+        rows.append([[(0, 2)]] + kappa + [[], []])
+    return group, classes, make_character_table(CycMatrix.from_terms(4 * n, rows))
 
 
 _FAMILIES = {
@@ -449,37 +414,56 @@ def rational_class_fusion(
 
 @dataclass(frozen=True)
 class Representation:
-    """A matrix representation given by its image at every element."""
+    """A matrix representation of degree f as one |G| x f^2 block U whose
+    row g is vec(rho(g)), the entries of rho(g) in row-major order.  U is
+    also the eigenvector block that ``representation_eigenvectors`` returns."""
 
     degree: int
-    images: tuple[CycMatrix, ...]
+    U: CycMatrix
 
 
 def verify_representation(
     group: GroupTable, rho: Representation, character_row=None
-) -> None:
-    f = rho.degree
-    if len(rho.images) != group.order:
-        raise ValidationError("one image per group element required")
-    if rho.images[0] != CycMatrix.identity(f):
+) -> CycMatrix:
+    """Check rho(0) = I, rho(a) rho(b) = rho(ab) for all a, b, and the traces
+    against ``character_row`` (one value per element) when given; returns the
+    traces as a |G| x 1 column.
+
+    The homomorphism check is one product: L = U as (|G| f) x f has row
+    (a, r) = row r of rho(a), its rearrangement R (f x |G| f) has column
+    (b, c) = column c of rho(b), so entry ((a, r), (b, c)) of L R is
+    (rho(a) rho(b))[r, c]; it is compared with the same rearrangement of the
+    rows mult[a, b] of U.  A failure names the first (a, b) in lexicographic
+    order.
+    """
+    f, order, u = rho.degree, group.order, rho.U
+    if (u.rows, u.cols) != (order, f * f):
+        raise ValidationError("U needs one row of f^2 entries per group element")
+    if u.select(rows=[0]) != CycMatrix.identity(f).reshape(1, f * f):
         raise ValidationError("identity must map to the identity matrix")
-    for a in range(group.order):
-        for b in range(group.order):
-            if rho.images[a] * rho.images[b] != rho.images[group.op(a, b)]:
-                raise ValidationError(f"rho({a}) rho({b}) != rho({a}*{b})")
+    g, s = np.arange(order), np.arange(f)
+    left = u.reshape(order * f, f)
+    right = left.select(rows=(f * g[None, :] + s[:, None]).ravel()).reshape(f, order * f)
+    a, r, b = np.ix_(g, s, g)
+    expected = (
+        u.select(rows=group.mult.ravel())
+        .reshape(order * order * f, f)
+        .select(rows=((order * a + b) * f + r).ravel())
+        .reshape(order * f, order * f)
+    )
+    bad = ~(left * right - expected).zero_mask()
+    if bad.any():
+        a, b = map(int, np.argwhere(bad.reshape(order, f, order, f).any(axis=(1, 3)))[0])
+        raise ValidationError(f"rho({a}) rho({b}) != rho({a}*{b})")
+    traces = u.select(cols=s * (f + 1)) * CycMatrix([[1]] * f)
     if character_row is not None:
-        for g in range(group.order):
-            tr = _trace(rho.images[g])
-            expected = character_row[g]
-            if tr != expected:
-                raise ValidationError(f"trace at element {g} is {tr}, not {expected}")
-
-
-def _trace(m: CycMatrix) -> Cyclotomic:
-    acc = m[0, 0]
-    for t in range(1, m.rows):
-        acc = acc + m[t, t]
-    return acc
+        wrong = ~(traces - CycMatrix([[v] for v in character_row])).zero_mask()
+        if wrong.any():
+            g = int(np.argmax(wrong))
+            raise ValidationError(
+                f"trace at element {g} is {traces[g, 0]}, not {character_row[g]}"
+            )
+    return traces
 
 
 def representation_eigenvectors(
@@ -493,67 +477,54 @@ def representation_eigenvectors(
     Verifies A_i U = theta_i U exactly for every class i, with
     theta_i = |C_i| chi(g_i) / f.  Since row g of A_i U is
     vec(rho(g) sum_{a in C_i} rho(a)), the identity for all g amounts to
-    the class sum being theta_i I (Schur's lemma made explicit).
+    the class sum being theta_i I (Schur's lemma made explicit); all class
+    sums are one product of U with the 0/1 class-indicator matrix.
     """
-    verify_representation(group, rho)
-    f = rho.degree
-    for i, cell in enumerate(classes.classes):
-        total = rho.images[cell[0]]
-        for a in cell[1:]:
-            total = total + rho.images[a]
-        chi = _trace(rho.images[cell[0]])
-        theta = chi * len(cell) / f
-        if total != CycMatrix.identity(f).scale(theta):
-            raise NotEigen(i, f"class sum is not {theta} I")
-    rows = [
-        [rho.images[g][a, b] for a in range(f) for b in range(f)]
-        for g in range(group.order)
-    ]
-    return CycMatrix(rows)
+    traces = verify_representation(group, rho)
+    f, u = rho.degree, rho.U
+    indicator = np.zeros((len(classes.classes), group.order), dtype=np.int64)
+    indicator[classes.class_of, np.arange(group.order)] = 1
+    chi = traces.select(rows=[cell[0] for cell in classes.classes])
+    theta = CycMatrix.diagonal([Fraction(len(cell), f) for cell in classes.classes]) * chi
+    expected = theta * CycMatrix.identity(f).reshape(1, f * f)
+    wrong = ~(u.left_rational(indicator) - expected).zero_mask()
+    if wrong.any():
+        i = int(np.argmax(wrong.any(axis=1)))
+        raise NotEigen(i, f"class sum is not {theta[i, 0]} I")
+    return u
 
 
 def cyclic_representations(n: int) -> list[Representation]:
     return [
-        Representation(1, tuple(CycMatrix([[zeta(n, j * k)]]) for k in range(n)))
+        Representation(1, CycMatrix.from_terms(n, [[[(j * k, 1)]] for k in range(n)]))
         for j in range(n)
     ]
 
 
 def dicyclic_representations(n: int) -> list[Representation]:
-    """One irreducible representation per character row of dicyclic(n)."""
+    """One irreducible representation per character row of dicyclic(n).
+
+    The linear ones send x^k and y x^k to (-1)^(sx k + sy y) zeta_4n^(e y)
+    (y = 0, 1) for (sx, sy, e) = (0, 0, 0), (0, 1, 0), (1, 0, n), (1, 1, n);
+    the r-th two-dimensional one sends x to diag(zeta_2n^r, zeta_2n^(-r))
+    and y to [[0, 1], [(-1)^r, 0]].
+    """
     if n < 3 or n % 2 == 0:
         raise UnsupportedFamily("dicyclic representations need odd n >= 3")
     m = 4 * n
     two_n = 2 * n
-    i_unit = zeta(m, n)
+    elements = [divmod(g, two_n) for g in range(m)]
     out = []
-    for x_val, y_val in (
-        (1, Cyclotomic.from_rational(1, 1)),
-        (1, Cyclotomic.from_rational(-1, 1)),
-        (-1, i_unit),
-        (-1, -i_unit),
-    ):
-        images = []
-        for g in range(m):
-            yg, kg = divmod(g, two_n)
-            val = Cyclotomic.from_rational(x_val**kg, 1)
-            if yg:
-                val = val * y_val
-            images.append(CycMatrix([[val]]))
-        out.append(Representation(1, tuple(images)))
-    zero = Cyclotomic.from_rational(0, 1)
+    for sx, sy, e in ((0, 0, 0), (0, 1, 0), (1, 0, n), (1, 1, n)):
+        cells = [[[(e * yg, (-1) ** (sx * kg + sy * yg))]] for yg, kg in elements]
+        out.append(Representation(1, CycMatrix.from_terms(m if e else 1, cells)))
     for r in range(1, n):
-        rho_x = [[zeta(two_n, r), zero], [zero, zeta(two_n, -r)]]
-        rho_y = [[zero, Cyclotomic.from_rational(1, 1)],
-                 [Cyclotomic.from_rational((-1) ** r, 1), zero]]
-        images = []
-        for g in range(m):
-            yg, kg = divmod(g, two_n)
-            xk = CycMatrix(
-                [[zeta(two_n, r * kg), zero], [zero, zeta(two_n, -r * kg)]]
-            )
-            images.append(CycMatrix(rho_y) * xk if yg else xk)
-        out.append(Representation(2, tuple(images)))
+        cells = [
+            [[], [(-r * kg, 1)], [(r * kg, (-1) ** r)], []] if yg
+            else [[(r * kg, 1)], [], [], [(-r * kg, 1)]]
+            for yg, kg in elements
+        ]
+        out.append(Representation(2, CycMatrix.from_terms(two_n, cells)))
     return out
 
 
@@ -563,15 +534,7 @@ def builtin_representations(family: str, *params: int) -> list[Representation]:
     if family == "dicyclic":
         return dicyclic_representations(*params)
     if family == "abelian":
-        group, classes, table = abelian_group(*params)
-        return [
-            Representation(
-                1,
-                tuple(
-                    CycMatrix([[table.rows[j][classes.class_of[g]]]])
-                    for g in range(group.order)
-                ),
-            )
-            for j in range(table.count)
-        ]
+        _, classes, table = abelian_group(*params)
+        chars = table.matrix.select(cols=classes.class_of)
+        return [Representation(1, chars.select(rows=[j]).transpose()) for j in range(table.count)]
     raise UnsupportedFamily(f"unknown family {family!r}")

@@ -2,12 +2,13 @@
 attachment of exact eigenstructure.
 
 A scheme is presented as an |X| x |X| grid of class indices partitioning
-X x X.  ``verify_scheme`` checks the four defining axioms by direct counting
-and records the intersection tensor.  Eigenstructure is always supplied (a
-second eigenmatrix Q) and verified, never solved for: ``attach_eigendata``
-derives P from the second orthogonality relation, confirms PQ = |X| I (so
-P = |X| Q^(-1)) and every other structural identity exactly, so results stay
-in exact arithmetic end to end.
+X x X.  ``verify_scheme`` checks the four defining axioms, with the products
+A_i A_j as one stack per i, and records the intersection tensor.
+Eigenstructure is always supplied (a second eigenmatrix Q) and verified,
+never solved for: ``attach_eigendata`` derives P from the second
+orthogonality relation, confirms PQ = |X| I (so P = |X| Q^(-1)) and every
+other structural identity exactly, so results stay in exact arithmetic end
+to end.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class SchemeData:
 
 
 def verify_scheme(relation) -> SchemeData:
-    """Check the scheme axioms on a relation grid by direct counting.
+    """Check the scheme axioms on a relation grid.
 
     Raises :class:`NotAScheme` naming the first violated axiom together with
     a witness; on success returns the populated :class:`SchemeData`.
@@ -73,7 +74,7 @@ def verify_scheme(relation) -> SchemeData:
     if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
         raise NotAScheme("shape", rel.shape, "relation grid must be square")
     size = rel.shape[0]
-    present = np.unique(rel)
+    present, first = np.unique(rel, return_index=True)
     d = int(rel.max())
     if rel.min() < 0 or len(present) != d + 1:
         missing = sorted(set(range(d + 1)) - set(present.tolist()))
@@ -103,38 +104,33 @@ def verify_scheme(relation) -> SchemeData:
         transpose_map.append(int(vals[0]))
     transpose_map = tuple(transpose_map)
 
-    # (iii) constant intersection numbers, and (iv) their symmetry
-    adj = [(rel == i).astype(np.int64) for i in range(d + 1)]
+    # (iii) constant intersection numbers, and (iv) their symmetry: for each
+    # i, the products A_i A_j (j >= i) as one stack, p_ij^k read at the first
+    # cell of class k in row-major order and gathered back over the grid
+    adj = (rel == np.arange(d + 1)[:, None, None]).astype(np.int64)
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    masks = [rel == k for k in range(d + 1)]
     for i in range(d + 1):
-        for j in range(i, d + 1):
-            prod = adj[i] @ adj[j]
-            for k in range(d + 1):
-                vals = prod[masks[k]]
-                first = int(vals[0])
-                if (vals != first).any():
-                    cells = np.argwhere(masks[k])
-                    bad = cells[int(np.argmax(vals != first))]
-                    raise NotAScheme(
-                        "iii",
-                        ((i, j, k), tuple(map(int, cells[0])), tuple(map(int, bad))),
-                        f"|R_{i}(a) n R_{j}'(b)| is not constant on class {k}",
-                    )
-                p[i, j, k] = first
-            if j > i:
-                prod_ji = adj[j] @ adj[i]
-                if not np.array_equal(prod_ji, prod):
-                    cell = np.argwhere(prod_ji != prod)[0]
-                    x, y = map(int, cell)
-                    k = int(rel[x, y])
-                    raise NotAScheme(
-                        "iv",
-                        (i, j, k),
-                        f"p[{i}][{j}]^{k} != p[{j}][{i}]^{k}",
-                    )
-                for k in range(d + 1):
-                    p[j, i, k] = p[i, j, k]
+        prod = adj[i] @ adj[i:]
+        row = prod.reshape(len(prod), -1)[:, first]
+        varying = prod != row[:, rel]
+        noncommuting = adj[i:] @ adj[i] != prod
+        failing = (varying | noncommuting).any(axis=(1, 2))
+        if failing.any():
+            t = int(np.argmax(failing))
+            j = i + t
+            if varying[t].any():
+                k = int(rel[varying[t]].min())
+                bad = np.argwhere(varying[t] & (rel == k))[0]
+                raise NotAScheme(
+                    "iii",
+                    ((i, j, k), divmod(int(first[k]), size), tuple(map(int, bad))),
+                    f"|R_{i}(a) n R_{j}'(b)| is not constant on class {k}",
+                )
+            x, y = map(int, np.argwhere(noncommuting[t])[0])
+            k = int(rel[x, y])
+            raise NotAScheme("iv", (i, j, k), f"p[{i}][{j}]^{k} != p[{j}][{i}]^{k}")
+        p[i, i:] = row
+        p[i:, i] = row
 
     valencies = tuple(int(p[i, transpose_map[i], 0]) for i in range(d + 1))
     if sum(valencies) != size:

@@ -17,38 +17,57 @@ def test_no_bare_asserts_in_library():
     assert not found, found
 
 
-def _zero_seeded_accumulators(tree):
-    """Names bound to Cyclotomic.from_rational(0, ...) and later grown by
-    `name = name + ...` or `name += ...`, with their line numbers."""
-    seeded = []
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                and ast.unparse(node.value.func) == "Cyclotomic.from_rational"
-                and node.value.args
-                and isinstance(node.value.args[0], ast.Constant)
-                and node.value.args[0].value == 0):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    seeded.append((target.id, node.lineno))
+def _is_zero_seed(value):
+    return (isinstance(value, ast.Call)
+            and ast.unparse(value.func) == "Cyclotomic.from_rational"
+            and value.args
+            and isinstance(value.args[0], ast.Constant)
+            and value.args[0].value == 0)
+
+
+def _grown(node):
+    """Names grown by `name = name + ...` or `name += ...` anywhere in node."""
     grown = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+            grown.add(sub.target.id)
+        if (isinstance(sub, ast.Assign) and isinstance(sub.value, ast.BinOp)
+                and isinstance(sub.value.left, ast.Name)
+                and any(isinstance(t, ast.Name) and t.id == sub.value.left.id
+                        for t in sub.targets)):
+            grown.add(sub.value.left.id)
+    return grown
+
+
+def _scalar_accumulators(tree):
+    """Line numbers of names seeded with Cyclotomic.from_rational(0, ...) and
+    grown anywhere, or seeded with an entry or image read by subscript
+    (`acc = m[0, 0]`, `total = rho.images[cell[0]]`) and grown in a loop."""
+    grown = _grown(tree)
+    grown_in_loops = set().union(*(_grown(node) for node in ast.walk(tree)
+                                   if isinstance(node, (ast.For, ast.While))))
+    found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
-            grown.add(node.target.id)
-        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
-                and isinstance(node.value.left, ast.Name)
-                and any(isinstance(t, ast.Name) and t.id == node.value.left.id
-                        for t in node.targets)):
-            grown.add(node.value.left.id)
-    return [line for name, line in seeded if name in grown]
+        if isinstance(node, ast.Assign):
+            if _is_zero_seed(node.value):
+                names = grown
+            elif isinstance(node.value, ast.Subscript):
+                names = grown_in_loops
+            else:
+                continue
+            found += [node.lineno for t in node.targets
+                      if isinstance(t, ast.Name) and t.id in names]
+    return found
 
 
 def test_no_scalar_accumulation_loops_in_library():
     # matrix-shaped identities run on the integer kernel in cyclotomic.py,
-    # not on sums of Cyclotomic values built up from zero
+    # not on sums of Cyclotomic values built up from zero or from a first
+    # entry or image
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line}" for line in _zero_seeded_accumulators(tree)]
+        found += [f"{path.name}:{line}" for line in _scalar_accumulators(tree)]
     assert not found, found
 
 
@@ -60,7 +79,33 @@ def test_accumulator_guard_catches_the_old_loop():
         "        acc = acc + x\n"
         "    return acc\n"
     )
-    assert _zero_seeded_accumulators(ast.parse(old)) == [2]
+    assert _scalar_accumulators(ast.parse(old)) == [2]
+
+
+def test_accumulator_guard_catches_the_former_trace_and_class_sums():
+    # groups._trace and the class-sum loop of representation_eigenvectors,
+    # as they were before the representation became one block
+    old = (
+        "def _trace(m: CycMatrix) -> Cyclotomic:\n"
+        "    acc = m[0, 0]\n"
+        "    for t in range(1, m.rows):\n"
+        "        acc = acc + m[t, t]\n"
+        "    return acc\n"
+        "def representation_eigenvectors(group, rho, scheme, classes):\n"
+        "    verify_representation(group, rho)\n"
+        "    f = rho.degree\n"
+        "    for i, cell in enumerate(classes.classes):\n"
+        "        total = rho.images[cell[0]]\n"
+        "        for a in cell[1:]:\n"
+        "            total = total + rho.images[a]\n"
+        "        chi = _trace(rho.images[cell[0]])\n"
+        "        theta = chi * len(cell) / f\n"
+        "        if total != CycMatrix.identity(f).scale(theta):\n"
+        "            raise NotEigen(i, f\"class sum is not {theta} I\")\n"
+    )
+    assert sorted(_scalar_accumulators(ast.parse(old))) == [2, 10]
+    # a first read that is not grown in a loop is not an accumulator
+    assert _scalar_accumulators(ast.parse("x = m[0, 0]\nx = x + 1\n")) == []
 
 
 def test_only_cyclotomic_reads_coefficients():
