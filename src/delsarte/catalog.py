@@ -226,11 +226,10 @@ def alternating_group_4() -> tuple[GroupTable, ConjClassData, CharacterTable]:
     if classes.sizes != (1, 3, 4, 4):
         raise InternalAssertion("unexpected A4 class sizes")
     w = zeta(3)
-    one = Cyclotomic.from_rational(1, 1)
     rows = [
         [1, 1, 1, 1],
-        [one, one, w, w * w],
-        [one, one, w * w, w],
+        [1, 1, w, w * w],
+        [1, 1, w * w, w],
         [3, -1, 0, 0],
     ]
     return group, classes, make_character_table(CycMatrix(rows, 3))

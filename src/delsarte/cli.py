@@ -420,14 +420,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DelsarteError as exc:
+    except (DelsarteError, OSError, UnicodeDecodeError) as exc:
+        # a domain error, or a file that cannot be read, written or decoded
         if getattr(args, "json", False):
             print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -535,10 +535,13 @@ def bounded_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def rational_lift(rows) -> tuple[np.ndarray, int]:
     """Integer numerators and the least positive common denominator of a
-    rational matrix (nested rows of ints/Fractions, or an integer array)."""
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
-        return rows, 1
-    rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
+    rational matrix: nested rows of ints and Fractions, or an array of them
+    (a signed integer or boolean array is its own lift)."""
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind in "bi":
+            return rows.astype(np.int64, copy=False), 1
+        rows = rows.tolist()
+    rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
     den = math.lcm(*{v.denominator for row in rows for v in row})
     return _int_array([[v.numerator * (den // v.denominator) for v in row] for row in rows]), den
 
@@ -662,19 +665,23 @@ class CycMatrix:
     __slots__ = ("rows", "cols", "conductor", "_num", "_den", "_cells")
 
     def __init__(self, entries, conductor=None):
-        """The matrix of the given rows of Cyclotomic, int or Fraction
-        entries, over the lcm of ``conductor`` and the entries' conductors;
-        their numerators are stacked over one common denominator."""
-        grid = [list(row) for row in entries]
-        rows, cols = _shape(grid)
-        flat = [v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v)
-                for row in grid for v in row]
-        n = math.lcm(conductor or 1, *(v.conductor for v in flat))
-        _check_conductor(n)
-        flat = [v if v.is_rational() else v.embed(n) for v in flat]  # rationals are padded
-        den, phi = math.lcm(*(v._den for v in flat)), euler_phi(n)
-        num = [[c * (den // v._den) for c in v._num] + [0] * (phi - len(v._num)) for v in flat]
-        self._set(n, _int_array(num).reshape(rows, cols, phi), den)
+        """The matrix of a rational array, or of rows of int, Fraction and
+        Cyclotomic entries, over the lcm of ``conductor`` and the entries'
+        conductors.  An array is lifted by one ``rational_lift``, rows by one
+        ``from_terms``: a rational entry is one term, and only the Cyclotomic
+        entries are read cell by cell, by their terms."""
+        if isinstance(entries, np.ndarray):
+            ints, den = rational_lift(entries)
+            form = CycMatrix._from_array(1, ints[..., None], den).embed(conductor or 1)
+        else:
+            grid = [list(row) for row in entries]
+            n = math.lcm(conductor or 1, *(v.conductor for row in grid for v in row
+                                          if isinstance(v, Cyclotomic)))
+            form = CycMatrix.from_terms(n, [
+                [[(e * (n // v.conductor), c) for e, c in v.terms()]
+                 if isinstance(v, Cyclotomic) else [(0, v)] for v in row]
+                for row in grid])
+        self._set(form.conductor, form._num, form._den)
 
     @classmethod
     def from_terms(cls, n: int, grid) -> "CycMatrix":
@@ -721,33 +728,32 @@ class CycMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "CycMatrix":
-        return cls._from_array(1, np.eye(n, dtype=np.int64)[:, :, None])
+        return cls(np.eye(n, dtype=np.int64))
 
     @classmethod
     def diagonal(cls, values) -> "CycMatrix":
         """The square matrix with the given rational diagonal."""
-        ints, den = rational_lift([list(values)])
-        return cls._from_array(1, (np.eye(ints.shape[1], dtype=ints.dtype) * ints)[..., None], den)
+        return cls(np.diag(np.array(list(values), dtype=object)))
 
     # -- entries, built together on the first read -----------------------------
 
-    def __getitem__(self, key):
-        i, j = key
-        if self._cells is None:
-            n, den = self.conductor, self._den
-            self._cells = [[Cyclotomic._cell(n, c, den) for c in row]
-                           for row in self._num.tolist()]
-        return self._cells[i][j]
-
     @property
     def entries(self):
-        return tuple(self.row(i) for i in range(self.rows))
+        if self._cells is None:
+            n, den = self.conductor, self._den
+            self._cells = tuple(tuple(Cyclotomic._cell(n, c, den) for c in row)
+                                for row in self._num.tolist())
+        return self._cells
+
+    def __getitem__(self, key):
+        i, j = key
+        return self.entries[i][j]
 
     def row(self, i):
-        return tuple(self[i, j] for j in range(self.cols))
+        return self.entries[i]
 
     def col(self, j):
-        return tuple(self[i, j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def row_key(self, i):
         """Hashable exact key for row equality tests (shared conductor)."""

@@ -19,7 +19,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, SubfieldSpec, bounded_matmul, rational_lift
+from .cyclotomic import Cyclotomic, SubfieldSpec, _dtype, rational_lift
 from .errors import (
     IncompatibleT,
     InternalAssertion,
@@ -74,9 +74,11 @@ class WeightedSubset:
 
 
 def _as_subset(scheme: SchemeData, w) -> WeightedSubset:
-    if isinstance(w, WeightedSubset):
-        return w
-    return WeightedSubset.from_indices(scheme.size, w)
+    if not isinstance(w, WeightedSubset):
+        return WeightedSubset.from_indices(scheme.size, w)
+    if len(w.weights) != scheme.size:
+        raise ValidationError(f"{len(w.weights)} weights for {scheme.size} vertices")
+    return w
 
 
 @dataclass(frozen=True)
@@ -100,20 +102,26 @@ def _pair_counts(scheme: SchemeData, idx: np.ndarray) -> np.ndarray:
     return counts.reshape(m, scheme.classes)
 
 
-def inner_distribution(scheme: SchemeData, w) -> tuple[Fraction, ...]:
-    """a_i = x^T A_i x / x^T x, exactly; pair counting for 01 subsets."""
+def _class_sums(scheme: SchemeData, w):
+    """The support C of w, the integer lift u of its weights on C, and the
+    class sums c[y][i] = sum of u_z over the z in C with (y, z) in R_i, for
+    every vertex y.  u and c take one dtype, from the bound max u^2 |C|^2
+    on every partial sum of u^T c[C] (the weights are nonnegative)."""
     w = _as_subset(scheme, w)
-    support = w.support
-    if w.is_characteristic():
-        counts = _pair_counts(scheme, np.array([support], dtype=np.int64))[0]
-        return tuple(Fraction(int(c), len(support)) for c in counts)
-    num = [Fraction(0)] * scheme.classes
-    for x in support:
-        wx = w.weights[x]
-        for y in support:
-            num[scheme.relation[x, y]] += wx * w.weights[y]
-    denom = sum(w.weights[x] ** 2 for x in support)
-    return tuple(v / denom for v in num)
+    support = np.array(w.support, dtype=np.intp)
+    lifted, _ = rational_lift([[w.weights[x] for x in support.tolist()]])
+    u = lifted[0].astype(_dtype(int(lifted.max()) ** 2 * len(support) ** 2), copy=False)
+    in_class = scheme.relation[:, None, support] == np.arange(scheme.classes)[:, None]
+    return support, u, in_class @ u
+
+
+def inner_distribution(scheme: SchemeData, w) -> tuple[Fraction, ...]:
+    """a_i = x^T A_i x / x^T x, exactly: with u the integer lift of the
+    weights on the support C, a_i = u^T A_i u / u^T u = u^T c[C][:, i] / u^T u
+    for the class sums c."""
+    support, u, c = _class_sums(scheme, w)
+    den = int(u @ u)
+    return tuple(Fraction(v, den) for v in (u @ c[support]).tolist())
 
 
 def dual_distribution(eigen: EigenData, a) -> tuple[Cyclotomic, ...]:
@@ -197,11 +205,9 @@ def is_T_design_via_merges(orbit_data: GaloisOrbitData, w, T) -> bool:
     w = _as_subset(scheme, w)
     if not merged:
         return True
-    # (F_l x)_y = (1/|X|) sum_i c[y][i] Qbar[i][l], with c[y][i] the weight
-    # of x on the vertices z with (y, z) in R_i
-    weights, _ = rational_lift([w.weights])
-    in_class = scheme.relation[:, None, :] == np.arange(scheme.classes)[:, None]
-    c = bounded_matmul(in_class, weights[0])
+    # (F_l x)_y = (1/|X|) sum_i c[y][i] Qbar[i][l], up to the positive
+    # common denominator of the weights, for the class sums c
+    _, _, c = _class_sums(scheme, w)
     return bool(orbit_data.Qbar.left_rational(c, merged).zero_mask().all())
 
 

@@ -43,10 +43,9 @@ def _declared_conductor(value) -> int:
     phi(n) >= sqrt(n / 2), so n > 2 FILE_PHI_LIMIT^2 is refused without
     computing phi(n) at all.
     """
-    try:
-        n = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(None, f"conductor {value!r} is not an integer") from exc
+    if type(value) is not int:  # not a bool or a float either
+        raise ParseError(None, f"conductor {value!r} is not an integer")
+    n = value
     if n < 1 or n > 2 * FILE_PHI_LIMIT**2 or euler_phi(n) > FILE_PHI_LIMIT:
         raise ParseError(
             None,
@@ -87,11 +86,10 @@ def _literal_terms(lit) -> list:
     """The (exponent, rational) terms of a "p/q" or term-list literal."""
     if isinstance(lit, (int, str)):
         return [(0, rational_from_str(lit))]
-    if isinstance(lit, list):
-        try:
-            return [(int(e), rational_from_str(c)) for e, c in lit]
-        except (TypeError, ValueError) as exc:
-            raise ParseError(None, f"bad cyclotomic literal {lit!r}") from exc
+    if isinstance(lit, list) and all(
+        isinstance(t, list) and len(t) == 2 and type(t[0]) is int for t in lit
+    ):
+        return [(e, rational_from_str(c)) for e, c in lit]
     raise ParseError(None, f"bad cyclotomic literal {lit!r}")
 
 
@@ -101,6 +99,9 @@ def cyc_from_literal(lit, conductor: int) -> Cyclotomic:
 
 def _literal_matrix(rows, conductor: int) -> CycMatrix:
     """A matrix of literals, built in one call."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and len({len(row) for row in rows}) <= 1):
+        raise ParseError(None, "a matrix must be a list of rows of one length")
     return CycMatrix.from_terms(conductor, [[_literal_terms(v) for v in row] for row in rows])
 
 
@@ -221,7 +222,9 @@ def parse_character_file(text: str) -> CharacterTable:
     _expect_keys(obj, {"conductor", "rows", "degrees"}, "character table")
     n = _declared_conductor(obj["conductor"])
     table = make_character_table(_literal_matrix(obj["rows"], n))
-    if list(table.degrees) != list(obj["degrees"]):
+    declared = obj["degrees"]
+    if type(declared) is not list or [(type(f), f) for f in declared] != [
+            (int, f) for f in table.degrees]:
         raise ParseError(None, "declared degrees disagree with the table")
     return table
 
@@ -242,15 +245,19 @@ def dump_characters(table: CharacterTable) -> str:
 
 def parse_design_file(text: str, size: int) -> WeightedSubset:
     obj = parse_json(text)
-    if not isinstance(obj, dict) or not (set(obj) <= {"subset", "weights"}):
+    if not isinstance(obj, dict) or not obj or not set(obj) <= {"subset", "weights"}:
         raise ParseError(None, 'design object needs "subset" or "weights"')
     if "subset" in obj and "weights" in obj:
         raise ParseError(None, 'give either "subset" or "weights", not both')
     if "subset" in obj:
-        indices = [int(i) for i in obj["subset"]]
+        indices = obj["subset"]
+        if type(indices) is not list or any(type(i) is not int for i in indices):
+            raise ParseError(None, '"subset" must be a list of vertex indices')
         if any(i < 0 or i >= size for i in indices):
             raise ParseError(None, f"subset indices must lie in 0..{size - 1}")
         return WeightedSubset.from_indices(size, indices)
+    if type(obj["weights"]) is not list:
+        raise ParseError(None, '"weights" must be a list of rationals')
     weights = [rational_from_str(w) for w in obj["weights"]]
     if len(weights) != size:
         raise ParseError(None, f"expected {size} weights")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +39,14 @@ from .fusion import (
     galois_fusion,
     partition_join,
 )
-from .scheme import EigenData, SchemeData, attach_eigendata, verify_scheme
+from .scheme import (
+    EigenData,
+    SchemeData,
+    _integer_entries,
+    _integer_grid,
+    attach_eigendata,
+    verify_scheme,
+)
 
 #: beyond this order, associativity is checked on random triples only
 FULL_ASSOCIATIVITY_CAP = 128
@@ -78,7 +84,9 @@ class GroupTable:
 
 def make_group_table(mult, rng_seed: int = 0) -> GroupTable:
     """Validate a multiplication table: identity at 0, inverses, associativity."""
-    table = np.asarray(mult, dtype=np.int64)
+    table = _integer_grid(mult)
+    if table is None:
+        raise ValidationError("multiplication table must be rows of integers of one length")
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise ValidationError("multiplication table must be square")
     order = table.shape[0]
@@ -170,41 +178,37 @@ def group_intersection_number(
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Irreducible character values by (character row, class column)."""
+    """Irreducible character values as one exact matrix: rows are the
+    characters, columns the classes."""
 
-    conductor: int
-    rows: tuple[tuple[Cyclotomic, ...], ...]
+    matrix: CycMatrix
     degrees: tuple[int, ...]
 
     @property
+    def conductor(self) -> int:
+        return self.matrix.conductor
+
+    @property
+    def rows(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        return self.matrix.entries
+
+    @property
     def count(self) -> int:
-        return len(self.rows)
-
-    def value(self, j: int, i: int) -> Cyclotomic:
-        return self.rows[j][i]
-
-    @cached_property
-    def matrix(self) -> CycMatrix:
-        """The table as one exact matrix (rows are characters)."""
-        return CycMatrix(self.rows, self.conductor)
+        return self.matrix.rows
 
 
 def make_character_table(grid: CycMatrix) -> CharacterTable:
-    """A character table whose rows are the characters, as one matrix."""
-    degrees = []
-    for j in range(grid.rows):
-        f = grid[j, 0]
-        if not (f.is_rational() and f.as_rational().denominator == 1
-                and f.as_rational() > 0):
-            raise ValidationError(f"degree of character {j} is {f}, not a positive integer")
-        degrees.append(int(f.as_rational()))
-    table = CharacterTable(
-        conductor=grid.conductor,
-        rows=grid.entries,
-        degrees=tuple(degrees),
-    )
-    table.__dict__["matrix"] = grid  # the cached matrix is the one just built
-    return table
+    """A character table whose rows are the characters, as one matrix; the
+    degrees, its first column, must be positive integers."""
+    if not grid.cols:
+        raise ValidationError("a character table needs at least one class")
+    first_col = grid.select(cols=[0])
+    degrees, bad = _integer_entries(first_col, 1)
+    if bad is not None:
+        raise ValidationError(
+            f"degree of character {bad} is {first_col[bad, 0]}, not a positive integer"
+        )
+    return CharacterTable(matrix=grid, degrees=tuple(degrees))
 
 
 def verify_character_table(
@@ -217,7 +221,7 @@ def verify_character_table(
     each one kernel product.
     """
     dp1 = len(classes.classes)
-    if table.count != dp1 or any(len(r) != dp1 for r in table.rows):
+    if (table.matrix.rows, table.matrix.cols) != (dp1, dp1):
         raise BadEigenbasis("character_table_shape")
     x = table.matrix
     if x.select(rows=[0]) != CycMatrix([[1] * dp1]):
@@ -274,15 +278,13 @@ def character_product_multiplicities(
     """
     x = table.matrix
     prod = x.select(rows=[i]).schur(x.select(rows=[j])) * CycMatrix.diagonal(classes.sizes)
-    out = []
-    for k, val in enumerate((prod * x.adjoint()).scale(Fraction(1, order)).row(0)):
-        if not (val.is_rational() and val.as_rational().denominator == 1
-                and val.as_rational() >= 0):
-            raise InternalAssertion(
-                f"tensor multiplicity r[{i}][{j}]^{k} = {val} is not a "
-                "nonnegative integer"
-            )
-        out.append(int(val.as_rational()))
+    r = (prod * x.adjoint()).scale(Fraction(1, order))
+    out, bad = _integer_entries(r, 0)
+    if bad is not None:
+        raise InternalAssertion(
+            f"tensor multiplicity r[{i}][{j}]^{bad} = {r[0, bad]} is not a "
+            "nonnegative integer"
+        )
     return tuple(out)
 
 
@@ -364,11 +366,11 @@ _FAMILIES = {
 
 def builtin_group(family: str, *params: int):
     """Dispatch to a built-in family: cyclic(n), abelian(n1, ...), dicyclic(n)."""
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise UnsupportedFamily(f"unknown family {family!r}") from None
-    return builder(*params)
+    if family not in _FAMILIES:
+        raise UnsupportedFamily(f"unknown family {family!r}")
+    if family != "abelian" and len(params) != 1:
+        raise UnsupportedFamily(f"{family}(n) takes one parameter, not {len(params)}")
+    return _FAMILIES[family](*params)
 
 
 # ---------------------------------------------------------------------------

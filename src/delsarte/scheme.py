@@ -64,20 +64,37 @@ class SchemeData:
         return hash((self.size, self.relation.tobytes()))
 
 
+def _integer_grid(grid) -> np.ndarray | None:
+    """The grid as an int64 array, exactly: an integer array, or rows of one
+    length of integers (not bools, not floats); None for anything else."""
+    try:
+        # ragged rows raise; floats, strings and ints beyond int64 are not kind "i"
+        values = np.asarray(grid)
+        if not isinstance(grid, np.ndarray) and any(
+                v is True or v is False for row in grid for v in row):
+            return None
+    except (TypeError, ValueError):
+        return None
+    return values.astype(np.int64) if values.dtype.kind == "i" else None
+
+
 def verify_scheme(relation) -> SchemeData:
     """Check the scheme axioms on a relation grid.
 
     Raises :class:`NotAScheme` naming the first violated axiom together with
     a witness; on success returns the populated :class:`SchemeData`.
     """
-    rel = np.asarray(relation, dtype=np.int64)
+    rel = _integer_grid(relation)
+    if rel is None:
+        raise NotAScheme("shape", None, "relation grid must be rows of integers of one length")
     if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
         raise NotAScheme("shape", rel.shape, "relation grid must be square")
     size = rel.shape[0]
     present, first = np.unique(rel, return_index=True)
     d = int(rel.max())
     if rel.min() < 0 or len(present) != d + 1:
-        missing = sorted(set(range(d + 1)) - set(present.tolist()))
+        # at most |X|^2 classes are present: the list stops there, however large d is
+        missing = np.setdiff1d(np.arange(min(d, rel.size) + 1), present).tolist()
         raise NotAScheme("classes", missing, f"class indices missing: {missing}")
 
     # (i) class 0 is the identity relation
@@ -190,13 +207,16 @@ def validate_indices(indices, top: int, name: str = "T") -> tuple[int, ...]:
     return out
 
 
-def _int_positive(value: Cyclotomic):
-    if not value.is_rational():
-        return None
-    q = value.as_rational()
-    if q.denominator != 1 or q <= 0:
-        return None
-    return int(q)
+def _integer_entries(m: CycMatrix, least: int) -> tuple[list[int], int | None]:
+    """The entries of a one-row or one-column matrix as integers, read off
+    its rational part, and the index of the first entry that is not an
+    integer >= least (None when every entry is one)."""
+    ints, den, irrational = m.rational_part()
+    ints = ints.ravel()
+    bad = np.flatnonzero((ints % den != 0) | (ints < least * den)).tolist()
+    if irrational is not None:
+        bad.append(sum(irrational))  # (0, j) in a row, (i, 0) in a column
+    return (ints // den).tolist(), min(bad, default=None)
 
 
 def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
@@ -221,12 +241,10 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     if Q.select(cols=[0]) != CycMatrix([[1]] * dp1):
         raise BadEigenbasis("E0", "column 0 of Q must be all ones")
 
-    mult = []
-    for j, value in enumerate(Q.row(0)):
-        m = _int_positive(value)
-        if m is None:
-            raise BadEigenbasis("multiplicity", f"Q[0][{j}] = {value}")
-        mult.append(m)
+    first_row = Q.select(rows=[0])
+    mult, bad = _integer_entries(first_row, 1)
+    if bad is not None:
+        raise BadEigenbasis("multiplicity", f"Q[0][{bad}] = {first_row[0, bad]}")
     if sum(mult) != size:
         raise BadEigenbasis("multiplicity", "multiplicities do not sum to |X|")
 

@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delsarte.catalog import data_dir, load_entry
@@ -261,3 +264,70 @@ def test_malformed_index_list_is_a_parse_error(capsys, argv):
     assert code == 1
     assert payload["error"] == "ParseError"
     assert "bad index list" in payload["message"]
+
+
+def run_clean(argv):
+    """main(argv) exits 0 or 1; on 1 it reports one error line, on stderr or
+    as the JSON payload under --json.  Returns the exit code and that line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 0:
+        return code, None
+    if "--json" in argv:
+        assert err.getvalue() == ""
+        return code, json.loads(out.getvalue().splitlines()[-1])["error"]
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return code, lines[0]
+
+
+# (argv with a FILE placeholder) per command that reads files
+FILE_COMMANDS = [
+    ["scheme", "verify", "--scheme", "FILE"],
+    ["scheme", "eigen", "--scheme", "SCHEME", "--eigen", "FILE"],
+    ["design", "report", "--scheme", "SCHEME", "--eigen", "EIGEN", "--design", "FILE"],
+    ["group", "rational-fusion", "--group", "FILE", "--chars", "FILE"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(FILE_COMMANDS),
+    content=st.one_of(st.binary(max_size=24), st.sampled_from([b"\xff{}", b"{}", b"[]"]),
+                      st.sampled_from(["dir", "missing"])),
+    as_json=st.booleans(),
+)
+def test_unreadable_files_fail_cleanly(command, content, as_json):
+    # undecodable bytes, directories and missing paths are exit 1 with one
+    # error line (the JSON error payload under --json), never a traceback
+    scheme, eigen = entry_paths("x8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("absent.json" if content == "missing" else "file.json")
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        target = tmp if content == "dir" else str(path)
+        argv = [{"FILE": target, "SCHEME": scheme, "EIGEN": eigen}.get(a, a) for a in command]
+        code, error = run_clean(argv + ["--json"] * as_json)
+    assert code == 1
+    if content == "dir" and as_json:
+        assert error == "IsADirectoryError"
+    if content == "missing" and as_json:
+        assert error == "FileNotFoundError"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["cyclic", "abelian", "dicyclic"]),
+    params=st.lists(st.integers(min_value=-2, max_value=5), max_size=3),
+    as_json=st.booleans(),
+)
+def test_group_build_parameters_fail_cleanly(family, params, as_json):
+    # any count and sign of parameters: a group, or UnsupportedFamily
+    assume(math.prod(abs(p) or 1 for p in params) <= 25)
+    argv = ["group", "build", "--family", family, f"--params={','.join(map(str, params))}"]
+    code, error = run_clean(argv + ["--json"] * as_json)
+    if family != "abelian" and len(params) != 1:
+        assert code == 1
+        assert error == "UnsupportedFamily" if as_json else "one parameter" in error

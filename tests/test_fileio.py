@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delsarte import fileio
 from delsarte.catalog import (
@@ -13,7 +16,7 @@ from delsarte.catalog import (
     load_entry,
 )
 from delsarte.cyclotomic import Cyclotomic
-from delsarte.errors import ParseError
+from delsarte.errors import DelsarteError, NotAScheme, ParseError, ValidationError
 
 
 def test_rational_strings():
@@ -120,3 +123,111 @@ def test_catalog_byte_identical_round_trip():
         path = data_dir() / entry.scheme_file
         text = path.read_text()
         assert fileio.dump_scheme(fileio.parse_scheme_file(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# malformed files: exact integer grids, and only domain errors escape
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [
+    [[0, 1.5], [1, 0]],
+    [[0, 1.0], [1, 0]],
+    [[0, True], [True, 0]],
+    [[0, 1], [1]],
+    [[0, "1"], [1, 0]],
+    [[0, 2**64], [1, 0]],
+    "x",
+    3,
+    None,
+])
+def test_grids_must_be_integers(grid):
+    with pytest.raises(NotAScheme):
+        fileio.parse_scheme_file(json.dumps({"size": 2, "classes": 2, "relation": grid}))
+    with pytest.raises(ValidationError):
+        fileio.parse_group_file(json.dumps({"order": 2, "mult": grid}))
+
+
+def test_a_fractional_trivial_group_is_rejected():
+    with pytest.raises(ValidationError):
+        fileio.parse_group_file('{"order": 1, "mult": [[0.5]]}')
+
+
+@pytest.mark.parametrize("design", [
+    {"subset": 3},
+    {"subset": "12"},
+    {"subset": [0, 1.5]},
+    {"subset": [0, True]},
+    {"subset": [[0]]},
+    {"weights": 3},
+    {"weights": "11111111"},
+    {"weights": {"0": 1}},
+])
+def test_design_files_need_lists_of_integers_or_rationals(design):
+    with pytest.raises(ParseError):
+        fileio.parse_design_file(json.dumps(design), 8)
+
+
+@pytest.mark.parametrize("text", [
+    '{"conductor": 4, "Q": [["1", "1"], ["1"]]}',
+    '{"conductor": 4, "Q": 3}',
+    '{"conductor": 4, "Q": [3]}',
+    '{"conductor": 4, "Q": "11"}',
+    '{"conductor": 4, "Q": [[[[1.5, "1"]]]]}',
+    '{"conductor": 4, "Q": [[[[Infinity, "1"]]]]}',
+    '{"conductor": 4.0, "Q": [["1"]]}',
+    '{"conductor": Infinity, "Q": [["1"]]}',
+])
+def test_malformed_eigen_files_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        fileio.parse_eigen_file(text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"conductor": 1, "rows": [], "degrees": []}',
+    '{"conductor": 1, "rows": [["1"]], "degrees": 5}',
+    '{"conductor": 1, "rows": [["1"]], "degrees": [1.0]}',
+    '{"conductor": 1, "rows": [["1/2"]], "degrees": [1]}',
+])
+def test_malformed_character_files_are_domain_errors(text):
+    with pytest.raises(DelsarteError):
+        fileio.parse_character_file(text)
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=6) | st.sampled_from(["1/2", "-3", "0", "1/0"]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=16,
+)
+SMALL_GRIDS = st.lists(st.lists(st.integers(-1, 4) | JSON_LEAVES, max_size=4), max_size=4)
+FIELD_VALUES = JSON_VALUES | SMALL_GRIDS | st.integers(-2, 12)
+
+PARSERS = {
+    "scheme": (fileio.parse_scheme_file, ("size", "classes", "relation")),
+    "eigen": (fileio.parse_eigen_file, ("conductor", "Q")),
+    "group": (fileio.parse_group_file, ("order", "mult")),
+    "characters": (fileio.parse_character_file, ("conductor", "rows", "degrees")),
+    "design": (lambda text: fileio.parse_design_file(text, 4), ("subset",)),
+    "weights": (lambda text: fileio.parse_design_file(text, 4), ("weights",)),
+    "cyclotomic": (lambda text: fileio.cyclotomic_from_json(json.loads(text)),
+                   ("conductor", "terms")),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(PARSERS)),
+    value=JSON_VALUES,
+    fields=st.lists(FIELD_VALUES, min_size=3, max_size=3),
+    keyed=st.booleans(),
+)
+def test_parsers_raise_only_domain_errors(kind, value, fields, keyed):
+    # arbitrary JSON, or an object with the format's keys over arbitrary
+    # values: every file is parsed or rejected with a DelsarteError
+    parse, keys = PARSERS[kind]
+    obj = dict(zip(keys, fields)) if keyed else value
+    try:
+        parse(json.dumps(obj))
+    except DelsarteError:
+        pass

@@ -25,12 +25,26 @@ def _is_zero_seed(value):
             and value.args[0].value == 0)
 
 
-def _grown(node):
-    """Names grown by `name = name + ...` or `name += ...` anywhere in node."""
+def _is_fraction_seed(value):
+    """Fraction(0), alone or as the list [Fraction(0)] * k."""
+    if (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult)
+            and isinstance(value.left, ast.List) and len(value.left.elts) == 1):
+        value = value.left.elts[0]
+    return (isinstance(value, ast.Call) and ast.unparse(value.func) == "Fraction"
+            and [ast.unparse(arg) for arg in value.args] == ["0"])
+
+
+def _grown(node, items=False):
+    """Names grown by `name = name + ...` or `name += ...` anywhere in node;
+    with ``items``, also the lists grown by `name[...] += ...`."""
     grown = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
-            grown.add(sub.target.id)
+        if isinstance(sub, ast.AugAssign):
+            target = sub.target
+            if items and isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Name):
+                grown.add(target.id)
         if (isinstance(sub, ast.Assign) and isinstance(sub.value, ast.BinOp)
                 and isinstance(sub.value.left, ast.Name)
                 and any(isinstance(t, ast.Name) and t.id == sub.value.left.id
@@ -42,10 +56,12 @@ def _grown(node):
 def _scalar_accumulators(tree):
     """Line numbers of names seeded with Cyclotomic.from_rational(0, ...) and
     grown anywhere, or seeded with an entry or image read by subscript
-    (`acc = m[0, 0]`, `total = rho.images[cell[0]]`) and grown in a loop."""
+    (`acc = m[0, 0]`, `total = rho.images[cell[0]]`) or with Fraction(0)
+    (`[Fraction(0)] * k`) and grown in a loop."""
     grown = _grown(tree)
-    grown_in_loops = set().union(*(_grown(node) for node in ast.walk(tree)
-                                   if isinstance(node, (ast.For, ast.While))))
+    loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+    grown_in_loops = set().union(*(_grown(node) for node in loops))
+    items_grown_in_loops = set().union(*(_grown(node, items=True) for node in loops))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
@@ -53,6 +69,8 @@ def _scalar_accumulators(tree):
                 names = grown
             elif isinstance(node.value, ast.Subscript):
                 names = grown_in_loops
+            elif _is_fraction_seed(node.value):
+                names = items_grown_in_loops
             else:
                 continue
             found += [node.lineno for t in node.targets
@@ -106,6 +124,32 @@ def test_accumulator_guard_catches_the_former_trace_and_class_sums():
     assert sorted(_scalar_accumulators(ast.parse(old))) == [2, 10]
     # a first read that is not grown in a loop is not an accumulator
     assert _scalar_accumulators(ast.parse("x = m[0, 0]\nx = x + 1\n")) == []
+
+
+def test_accumulator_guard_catches_the_former_weighted_loop():
+    # designs.inner_distribution on weighted subsets, as it was before the
+    # contraction on the integer lift
+    old = (
+        "def inner_distribution(scheme, w):\n"
+        "    w = _as_subset(scheme, w)\n"
+        "    support = w.support\n"
+        "    num = [Fraction(0)] * scheme.classes\n"
+        "    for x in support:\n"
+        "        wx = w.weights[x]\n"
+        "        for y in support:\n"
+        "            num[scheme.relation[x, y]] += wx * w.weights[y]\n"
+        "    denom = sum(w.weights[x] ** 2 for x in support)\n"
+        "    return tuple(v / denom for v in num)\n"
+        "def total(xs):\n"
+        "    acc = Fraction(0)\n"
+        "    for x in xs:\n"
+        "        acc = acc + x\n"
+        "    return acc\n"
+    )
+    assert _scalar_accumulators(ast.parse(old)) == [4, 12]
+    # a Fraction list that is only assigned into is not an accumulator
+    fill = "w = [Fraction(0)] * size\nfor i in indices:\n    w[i] = Fraction(1)\n"
+    assert _scalar_accumulators(ast.parse(fill)) == []
 
 
 def test_only_cyclotomic_reads_coefficients():
