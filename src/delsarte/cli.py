@@ -11,6 +11,7 @@ out of range, a malformed index list, ...), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -31,10 +32,12 @@ from .scheme import attach_eigendata, validate_indices
 
 
 def _emit(args, payload: dict, text_lines):
+    """Print the payload as JSON under --json, else the lines that
+    ``text_lines()`` returns: text tables are built only to be printed."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -47,8 +50,7 @@ def _table(rows) -> list[str]:
 
 
 def _matrix_lines(name, m) -> list[str]:
-    rows = [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-    return [f"{name} ="] + ["  " + line for line in _table(rows)]
+    return [f"{name} ="] + ["  " + line for line in _table(m.entries)]
 
 
 def _load_scheme_eigen(args):
@@ -89,7 +91,7 @@ def cmd_scheme_verify(args):
         "transpose_map": list(scheme.transpose_map),
         "symmetric": scheme.is_symmetric(),
     }
-    _emit(args, payload, [
+    _emit(args, payload, lambda: [
         f"valid scheme on {scheme.size} vertices with {scheme.classes} classes",
         f"valencies:     {list(scheme.valencies)}",
         f"transpose map: {list(scheme.transpose_map)}",
@@ -111,14 +113,13 @@ def cmd_scheme_eigen(args):
         "P": fileio.literal_rows(eigen.P.entries),
         "Q": fileio.literal_rows(eigen.Q.entries),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"eigendata verified; splitting conductor {eigen.conductor}, "
         f"Krein conductor {kd.krein_conductor}",
         f"multiplicities: {list(eigen.multiplicities)}",
-    ]
-    lines += _matrix_lines("P", eigen.P)
-    lines += _matrix_lines("Q", eigen.Q)
-    _emit(args, payload, lines)
+        *_matrix_lines("P", eigen.P),
+        *_matrix_lines("Q", eigen.Q),
+    ])
     return 0
 
 
@@ -134,20 +135,24 @@ def cmd_fusion(args):
     payload = fileio.fusion_report_to_json(
         verdict.passes, data.orbits, data.iota, verdict.row_classes, q_f
     )
-    lines = [
-        f"orbits: {[list(o) for o in data.orbits]}",
-        f"iota:   {list(data.iota)}",
-    ]
-    lines += _matrix_lines("Qbar", data.Qbar)
-    if verdict.passes:
-        lines.append(f"fusion exists; fused classes {[list(c) for c in verdict.row_classes]}")
-        lines += _matrix_lines("Q_F", q_f)
-    else:
-        lines.append(
-            f"no fusion over this subfield: {verdict.distinct_rows} distinct "
-            f"rows for {data.orbit_count} orbits"
-        )
-    _emit(args, payload, lines)
+
+    def text():
+        lines = [
+            f"orbits: {[list(o) for o in data.orbits]}",
+            f"iota:   {list(data.iota)}",
+        ]
+        lines += _matrix_lines("Qbar", data.Qbar)
+        if verdict.passes:
+            lines.append(f"fusion exists; fused classes {[list(c) for c in verdict.row_classes]}")
+            lines += _matrix_lines("Q_F", q_f)
+        else:
+            lines.append(
+                f"no fusion over this subfield: {verdict.distinct_rows} distinct "
+                f"rows for {data.orbit_count} orbits"
+            )
+        return lines
+
+    _emit(args, payload, text)
     return 0 if verdict.passes else 1
 
 
@@ -159,7 +164,7 @@ def cmd_design_report(args):
         subset = _parse_indices(args.subset)
     report = design_report(scheme, eigen, subset)
     payload = fileio.design_report_to_json(report, eigen.conductor)
-    _emit(args, payload, [
+    _emit(args, payload, lambda: [
         f"a = {[fileio.rational_to_str(v) for v in report.a]}",
         f"b = {[str(v) for v in report.b]}",
         f"T(C) = {list(report.T)}",
@@ -175,10 +180,10 @@ def cmd_design_enum(args):
     )
     payload = {"T": sorted(set(t_set)), "count": len(found),
                "designs": [list(c) for c in found]}
-    lines = [f"{len(found)} designs with T >= {sorted(set(t_set))}, "
-             f"sizes {args.min}..{args.max}"]
-    lines += [" ".join(str(v) for v in c) for c in found]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [
+        f"{len(found)} designs with T >= {sorted(set(t_set))}, sizes {args.min}..{args.max}",
+        *(" ".join(str(v) for v in c) for c in found),
+    ])
     return 0
 
 
@@ -198,7 +203,7 @@ def cmd_group_build(args):
         }
         for path, text in files.items():
             Path(path).write_text(text)
-        _emit(args, {"written": sorted(files)}, [f"wrote {p}" for p in sorted(files)])
+        _emit(args, {"written": sorted(files)}, lambda: [f"wrote {p}" for p in sorted(files)])
         return 0
     payload = {
         "order": group.order,
@@ -206,12 +211,11 @@ def cmd_group_build(args):
         "conductor": table.conductor,
         "degrees": list(table.degrees),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"{args.family}({', '.join(map(str, params))}): order {group.order}",
         f"class sizes: {list(classes.sizes)}",
         f"character degrees: {list(table.degrees)}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0
 
 
@@ -227,10 +231,11 @@ def cmd_group_rational_fusion(args):
         "P_F": fileio.literal_rows(fused.P_F.entries),
         "Q_F": fileio.literal_rows(fused.Q_F.entries),
     }
-    lines = [f"rational classes: {[list(c) for c in partition]}"]
-    lines += _matrix_lines("P_F", fused.P_F)
-    lines += _matrix_lines("Q_F", fused.Q_F)
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [
+        f"rational classes: {[list(c) for c in partition]}",
+        *_matrix_lines("P_F", fused.P_F),
+        *_matrix_lines("Q_F", fused.Q_F),
+    ])
     return 0
 
 
@@ -251,7 +256,7 @@ def cmd_dicyclic_table(args):
         ],
     }
     header = ["subgroup", "order", "a", "b", "T"]
-    body = [
+    _emit(args, payload, lambda: _table([header] + [
         [
             f"{r.kind}(k={r.k})",
             r.order,
@@ -260,8 +265,7 @@ def cmd_dicyclic_table(args):
             "{" + " ".join(map(str, r.T)) + "}",
         ]
         for r in rows
-    ]
-    _emit(args, payload, _table([header] + body))
+    ]))
     return 0
 
 
@@ -286,8 +290,7 @@ def cmd_lp_design(args):
         result = delsarte_design_lp(eigen, t_set)
         note = ""
     payload = fileio.lp_result_to_json(result)
-    lines = [f"design LP bound {note}".rstrip() + f": {payload}"]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [f"design LP bound {note}".rstrip() + f": {payload}"])
     return 0 if result.status == "optimal" else 1
 
 
@@ -301,7 +304,7 @@ def cmd_lp_code(args):
         result = delsarte_code_lp(eigen, s_set)
         note = ""
     payload = fileio.lp_result_to_json(result)
-    _emit(args, payload, [f"code LP bound {note}".rstrip() + f": {payload}"])
+    _emit(args, payload, lambda: [f"code LP bound {note}".rstrip() + f": {payload}"])
     return 0 if result.status == "optimal" else 1
 
 
@@ -321,9 +324,10 @@ def cmd_catalog_list(args):
             for e in entries
         ]
     }
-    rows = [["name", "scheme file", "note"]]
-    rows += [[e.name, str(base / e.scheme_file), e.note] for e in entries]
-    _emit(args, payload, _table(rows))
+    _emit(args, payload, lambda: _table(
+        [["name", "scheme file", "note"]]
+        + [[e.name, str(base / e.scheme_file), e.note] for e in entries]
+    ))
     return 0
 
 
@@ -331,7 +335,11 @@ def cmd_catalog_list(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.  Parsing
+    leaves it unchanged (usage errors too): the namespace it returns carries
+    all per-call state."""
     parser = argparse.ArgumentParser(
         prog="delsarte",
         description="exact association scheme computations: eigenstructure, "

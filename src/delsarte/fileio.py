@@ -22,6 +22,7 @@ any value or table is built for it.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .cyclotomic import CycMatrix, Cyclotomic, euler_phi
@@ -63,11 +64,22 @@ def rational_to_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+#: The one rational literal the formats accept, in ASCII digits only.
+_RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_str(text) -> Fraction:
+    """Parse "p" or "p/q" (``-?[0-9]+(/[0-9]+)?``) with q != 0; anything else,
+    and integers beyond Python's limit on decimal digits, is a ParseError."""
     try:
-        return Fraction(str(text))
+        literal = str(text)
+        match = _RATIONAL_LITERAL.fullmatch(literal)
+        if match is None:
+            raise ValueError(f"{literal[:40]!r} is not p or p/q in ASCII digits")
+        num, den = match.groups()
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(None, f"bad rational literal {text!r}: {exc}") from exc
+        raise ParseError(None, f"bad rational literal: {exc}") from exc
 
 
 def cyc_to_literal(value: Cyclotomic):
@@ -152,6 +164,10 @@ def parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer beyond Python's limit on decimal digits, or nesting
+        # deeper than the decoder's recursion limit
+        raise ParseError(None, str(exc)) from exc
 
 
 def _expect_keys(obj, keys, what):

@@ -35,7 +35,6 @@ from .fusion import (
     FusionScheme,
     _cell_labels,
     _label_cells,
-    fuse_by_relation_partition,
     galois_fusion,
     partition_join,
 )
@@ -394,20 +393,17 @@ def rational_class_fusion(
     scheme: SchemeData,
     eigen: EigenData,
 ) -> tuple[tuple[tuple[int, ...], ...], FusionScheme]:
-    """Fuse along rational conjugacy classes; must equal the Galois fusion
-    over Q (asserted)."""
+    """Fuse along rational conjugacy classes: the Galois fusion over Q,
+    built once, whose relation partition must be the rational classes
+    (asserted; equal partitions give the same fused relation)."""
     partition = rational_classes(group, classes)
-    fused = fuse_by_relation_partition(scheme, eigen, partition)
-    galois = galois_fusion(
-        scheme, eigen, SubfieldSpec.rationals(eigen.conductor)
-    )
-    if galois.partition != fused.partition or not np.array_equal(
-        galois.fused.relation, fused.fused.relation
-    ):
+    galois = galois_fusion(scheme, eigen, SubfieldSpec.rationals(eigen.conductor))
+    if galois.partition != partition:
         raise InternalAssertion(
-            "rational-class fusion disagrees with the Galois fusion over Q"
+            "rational classes disagree with the Galois fusion over Q: "
+            f"{partition} vs {galois.partition}"
         )
-    return partition, fused
+    return partition, galois
 
 
 # ---------------------------------------------------------------------------

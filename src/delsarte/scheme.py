@@ -107,6 +107,18 @@ def verify_scheme(relation) -> SchemeData:
         x, y = map(int, off_zero[0])
         raise NotAScheme("i", (x, y), f"relation[{x}][{y}] = 0 off the diagonal")
 
+    # every scheme has d + 1 <= |X|: valencies are >= 1 and sum to |X|.  More
+    # classes than points leave some class out of row 0, so its valency is not
+    # constant; refused here, before the per-class work below is sized by d
+    if d + 1 > size:
+        in_row = np.zeros(d + 1, dtype=bool)
+        in_row[rel[0]] = True
+        k = int(np.argmin(in_row))
+        raise NotAScheme(
+            "iii", (k, 0),
+            f"{d + 1} classes on {size} points: class {k} does not occur in row 0",
+        )
+
     # (ii) the transpose of every class is a class
     transpose_map = []
     rel_t = rel.T

@@ -1,7 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -292,10 +296,15 @@ FILE_COMMANDS = [
 ]
 
 
+# an integer json.loads refuses with a plain ValueError, not a JSONDecodeError
+OVERSIZED = b'{"size": ' + b"9" * 5001 + b', "classes": 1, "relation": [[0]]}'
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     command=st.sampled_from(FILE_COMMANDS),
-    content=st.one_of(st.binary(max_size=24), st.sampled_from([b"\xff{}", b"{}", b"[]"]),
+    content=st.one_of(st.binary(max_size=24),
+                      st.sampled_from([b"\xff{}", b"{}", b"[]", OVERSIZED]),
                       st.sampled_from(["dir", "missing"])),
     as_json=st.booleans(),
 )
@@ -331,3 +340,165 @@ def test_group_build_parameters_fail_cleanly(family, params, as_json):
     if family != "abelian" and len(params) != 1:
         assert code == 1
         assert error == "UnsupportedFamily" if as_json else "one parameter" in error
+
+
+def _pair_class_grid(n):
+    # every ordered pair x != y in a class of its own: n^2 - n + 1 classes
+    return [[0 if x == y else 1 + x * (n - 1) + y - (y > x) for y in range(n)]
+            for x in range(n)]
+
+
+@pytest.mark.parametrize("kind, content", [
+    ("scheme", OVERSIZED.decode()),
+    ("scheme", json.dumps({"size": 40, "classes": 1561, "relation": _pair_class_grid(40)})),
+    ("design", json.dumps({"weights": ["1e1000000"] + ["1"] * 7})),
+    ("design", json.dumps({"weights": ["1/" + "9" * 5001] + ["1"] * 7})),
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_oversized_inputs_are_domain_errors(tmp_path, kind, content, as_json):
+    # 5001-digit integers, exponent literals and more classes than points:
+    # exit 1 with one error line, or the JSON error payload
+    scheme, eigen = entry_paths("x8")
+    path = tmp_path / "file.json"
+    path.write_text(content)
+    if kind == "scheme":
+        argv = ["scheme", "verify", "--scheme", str(path)]
+    else:
+        argv = ["design", "report", "--scheme", scheme, "--eigen", eigen, "--design", str(path)]
+    code, error = run_clean(argv + ["--json"] * as_json)
+    assert code == 1
+    if as_json:
+        assert error in ("ParseError", "NotAScheme")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh(argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "delsarte.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_one_process_answers_like_fresh_ones(as_json):
+    # a success, a usage error, a domain error and the success again in one
+    # process: each prints what it prints in an interpreter of its own
+    scheme, eigen = entry_paths("x8")
+    success = ["fusion", "--scheme", scheme, "--eigen", eigen, "--field", "Q"]
+    usage = ["fusion", "--scheme", scheme]  # no --eigen
+    domain = ["design", "report", "--scheme", scheme, "--eigen", eigen, "--subset", "a,b"]
+    session = [success, usage, domain, success]
+    flag = ["--json"] * as_json
+    got = [_in_process(argv + flag) for argv in session]
+    fresh = {tuple(argv): _fresh(argv + flag) for argv in (success, usage, domain)}
+    assert [g[0] for g in got] == [0, 2, 1, 0]
+    assert got == [fresh[tuple(argv)] for argv in session]
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    scheme, eigen = entry_paths("x8")
+    _in_process(["catalog", "list", "--json"])  # the first call may build it
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    codes = [_in_process(argv)[0] for argv in 5 * [
+        ["scheme", "verify", "--scheme", scheme, "--json"],
+        ["scheme", "verify"],
+        ["dicyclic", "table", "--n", "4"],
+        ["catalog", "list"],
+    ]]
+    assert codes == 5 * [0, 2, 1, 0]
+    assert built == []
+
+
+# the text tables, built only when they are printed: scheme eigen, fusion
+# (pass and fail) and group rational-fusion
+A4_EIGEN = """\
+eigendata verified; splitting conductor 3, Krein conductor 1
+multiplicities: [1, 1, 1, 9]
+P =
+  1   3          4          4
+  1   3       4*z3  -4 - 4*z3
+  1   3  -4 - 4*z3       4*z3
+  1  -1          0          0
+Q =
+  1        1        1   9
+  1        1        1  -3
+  1  -1 - z3       z3   0
+  1       z3  -1 - z3   0
+"""
+
+A4_FUSION = """\
+orbits: [[0], [1, 2], [3]]
+iota:   [0, 1, 1, 2]
+Qbar =
+  1   2   9
+  1   2  -3
+  1  -1   0
+  1  -1   0
+fusion exists; fused classes [[0], [1], [2, 3]]
+Q_F =
+  1   2   9
+  1   2  -3
+  1  -1   0
+"""
+
+COXETER_NO_FUSION = """\
+orbits: [[0], [1], [2, 4], [3]]
+iota:   [0, 1, 2, 3, 2]
+Qbar =
+  1     8  12     7
+  1  16/3  -4  -7/3
+  1   4/3   0  -7/3
+  1  -4/3  -2   7/3
+  1  -8/3   4  -7/3
+no fusion over this subfield: 5 distinct rows for 4 orbits
+"""
+
+A4_RATIONAL_FUSION = """\
+rational classes: [[0], [1], [2, 3]]
+P_F =
+  1   3   8
+  1   3  -4
+  1  -1   0
+Q_F =
+  1   2   9
+  1   2  -3
+  1  -1   0
+"""
+
+
+def test_text_tables_are_pinned(capsys):
+    a4, a4_eigen = entry_paths("a4")
+    coxeter, coxeter_eigen = entry_paths("coxeter")
+    base = data_dir()
+    cases = [
+        (["scheme", "eigen", "--scheme", a4, "--eigen", a4_eigen], 0, A4_EIGEN),
+        (["fusion", "--scheme", a4, "--eigen", a4_eigen, "--field", "Q"], 0, A4_FUSION),
+        (["fusion", "--scheme", coxeter, "--eigen", coxeter_eigen], 1, COXETER_NO_FUSION),
+        (["group", "rational-fusion", "--group", str(base / "a4.group.json"),
+          "--chars", str(base / "a4.chars.json")], 0, A4_RATIONAL_FUSION),
+    ]
+    for argv, want_code, want in cases:
+        assert run(capsys, argv) == (want_code, want, "")

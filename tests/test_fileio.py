@@ -27,6 +27,47 @@ def test_rational_strings():
         fileio.rational_from_str("seven")
 
 
+@pytest.mark.parametrize("text", [
+    "1/0", "-3/0",  # zero denominator
+    "9" * 5001, "1/" + "9" * 5001,  # beyond Python's limit on decimal digits
+    "1e1000000", "1E2", "1.5",  # exponents and decimals
+    "1_000", "+1", " 1", "1 ", "1\n", "1 / 2", "--1", "1/-2", "/2", "1/", "",
+    "\u0661", "\uff11", "1/\u0662",  # digits outside ASCII
+])
+def test_rational_literals_outside_the_grammar_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        fileio.rational_from_str(text)
+
+
+def test_rational_literals_of_the_grammar():
+    assert fileio.rational_from_str("0") == 0
+    assert fileio.rational_from_str("-0/5") == 0
+    assert fileio.rational_from_str("6/4") == Fraction(3, 2)
+    assert fileio.rational_from_str("-007/21") == Fraction(-1, 3)
+    assert fileio.rational_from_str("9" * 4300) == int("9" * 4300)
+
+
+def test_an_exponent_literal_is_refused_at_once():
+    # Fraction would build a 3.3-million-bit numerator from this one
+    weights = json.dumps({"weights": ["1e1000000"] + ["0"] * 7})
+    with pytest.raises(ParseError):
+        fileio.parse_design_file(weights, 8)
+
+
+@pytest.mark.parametrize("text", [
+    '{"size": ' + "9" * 5001 + ', "classes": 1, "relation": [[0]]}',
+    '{"conductor": 4, "Q": [[' + "9" * 5001 + ']]}',
+    "[" * 100_000,
+])
+def test_every_json_rejection_is_a_parse_error(text):
+    # an integer beyond the digit limit is a plain ValueError in json.loads,
+    # and deep nesting a RecursionError
+    with pytest.raises(ParseError):
+        fileio.parse_json(text)
+    with pytest.raises(ParseError):
+        fileio.parse_scheme_file(text)
+
+
 def test_cyclotomic_literals():
     sqrt2 = Cyclotomic.from_terms(8, {1: 1, 7: 1}.items())
     lit = fileio.cyc_to_literal(sqrt2)

@@ -6,7 +6,9 @@ import pytest
 
 from delsarte.catalog import CATALOG, build_a4, build_dicyclic, build_z12, cycle_scheme, load_entry
 from delsarte.cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec
-from delsarte.errors import BadEigenbasis, UnsupportedFamily, ValidationError
+from delsarte import fusion
+from delsarte import groups as groups_module
+from delsarte.errors import BadEigenbasis, InternalAssertion, UnsupportedFamily, ValidationError
 from delsarte.fusion import galois_fusion
 from delsarte.groups import (
     builtin_group,
@@ -276,6 +278,35 @@ def test_rational_fusion_equals_galois_fusion():
         )
         assert partition == gal.partition
         assert np.array_equal(fused.fused.relation, gal.fused.relation)
+
+
+@pytest.mark.parametrize("name", [e for e in sorted(CATALOG) if CATALOG[e].group_file])
+def test_rational_fusion_is_built_once(name, monkeypatch):
+    # one fused scheme per call: the Galois fusion over Q, not a second
+    # fusion along the rational classes beside it
+    loaded = load_entry(name)
+    calls = []
+    original = fusion.fuse_by_relation_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "fuse_by_relation_partition", counted)
+    partition, fused = rational_class_fusion(
+        loaded.group, loaded.classes, loaded.scheme, loaded.eigen
+    )
+    assert len(calls) == 1
+    assert fused.partition == partition
+    assert fused.subfield == SubfieldSpec.rationals(loaded.eigen.conductor)
+
+
+def test_rational_fusion_asserts_the_galois_partition(monkeypatch):
+    b = build_z12()
+    monkeypatch.setattr(groups_module, "rational_classes",
+                        lambda group, classes: ((0,), tuple(range(1, 12))))
+    with pytest.raises(InternalAssertion):
+        rational_class_fusion(b.group, b.classes, b.scheme, b.eigen)
 
 
 def test_z5_real_fusion_is_pentagon():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,33 @@ def test_broken_identity_rejected():
     with pytest.raises(NotAScheme) as err:
         verify_scheme([[1, 0], [0, 1]])
     assert err.value.axiom == "i"
+
+
+def _pair_classes(n):
+    """The n x n grid with every ordered pair x != y in a class of its own:
+    axioms (i) and (ii) hold, and there are n^2 - n + 1 classes."""
+    grid = np.zeros((n, n), dtype=np.int64)
+    grid[~np.eye(n, dtype=bool)] = np.arange(1, n * n - n + 1)
+    return grid
+
+
+@pytest.mark.parametrize("n", [4, 40])
+def test_more_classes_than_points_refused_before_any_product(n):
+    # d + 1 <= |X| for every scheme; at 40 x 40 the intersection tensor of
+    # 1561 classes alone would take 28 GiB
+    grid = _pair_classes(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotAScheme) as err:
+            verify_scheme(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    # class n is the first one missing from row 0 (which holds 0..n-1)
+    assert err.value.axiom == "iii"
+    assert err.value.witness == (n, 0)
+    assert f"class {n} does not occur in row 0" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
