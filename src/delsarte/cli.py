@@ -31,11 +31,11 @@ from .lp import delsarte_code_lp, delsarte_design_lp
 from .scheme import attach_eigendata, validate_indices
 
 
-def _emit(args, payload: dict, text_lines):
-    """Print the payload as JSON under --json, else the lines that
-    ``text_lines()`` returns: text tables are built only to be printed."""
+def _emit(args, payload, text_lines):
+    """Print the dict that ``payload()`` returns as JSON under --json, else
+    the lines that ``text_lines()`` returns: each is built only to be printed."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
         for line in text_lines():
             print(line)
@@ -84,14 +84,13 @@ def _subfield(spec_text: str, conductor: int) -> SubfieldSpec:
 
 def cmd_scheme_verify(args):
     scheme = fileio.parse_scheme_file(Path(args.scheme).read_text())
-    payload = {
+    _emit(args, lambda: {
         "size": scheme.size,
         "classes": scheme.classes,
         "valencies": list(scheme.valencies),
         "transpose_map": list(scheme.transpose_map),
         "symmetric": scheme.is_symmetric(),
-    }
-    _emit(args, payload, lambda: [
+    }, lambda: [
         f"valid scheme on {scheme.size} vertices with {scheme.classes} classes",
         f"valencies:     {list(scheme.valencies)}",
         f"transpose map: {list(scheme.transpose_map)}",
@@ -105,15 +104,14 @@ def cmd_scheme_eigen(args):
     from .scheme import krein_parameters
 
     kd = krein_parameters(eigen)
-    payload = {
+    _emit(args, lambda: {
         "conductor": eigen.conductor,
         "multiplicities": list(eigen.multiplicities),
         "valencies": list(scheme.valencies),
         "krein_conductor": kd.krein_conductor,
         "P": fileio.literal_rows(eigen.P.entries),
         "Q": fileio.literal_rows(eigen.Q.entries),
-    }
-    _emit(args, payload, lambda: [
+    }, lambda: [
         f"eigendata verified; splitting conductor {eigen.conductor}, "
         f"Krein conductor {kd.krein_conductor}",
         f"multiplicities: {list(eigen.multiplicities)}",
@@ -132,9 +130,11 @@ def cmd_fusion(args):
     if verdict.passes:
         fs = fuse_by_relation_partition(scheme, eigen, verdict.row_classes)
         q_f = fs.Q_F
-    payload = fileio.fusion_report_to_json(
-        verdict.passes, data.orbits, data.iota, verdict.row_classes, q_f
-    )
+
+    def payload():
+        return fileio.fusion_report_to_json(
+            verdict.passes, data.orbits, data.iota, verdict.row_classes, q_f
+        )
 
     def text():
         lines = [
@@ -163,8 +163,7 @@ def cmd_design_report(args):
     else:
         subset = _parse_indices(args.subset)
     report = design_report(scheme, eigen, subset)
-    payload = fileio.design_report_to_json(report, eigen.conductor)
-    _emit(args, payload, lambda: [
+    _emit(args, lambda: fileio.design_report_to_json(report, eigen.conductor), lambda: [
         f"a = {[fileio.rational_to_str(v) for v in report.a]}",
         f"b = {[str(v) for v in report.b]}",
         f"T(C) = {list(report.T)}",
@@ -178,9 +177,8 @@ def cmd_design_enum(args):
     found = enumerate_T_designs(
         scheme, eigen, t_set, args.min, args.max, method=args.method
     )
-    payload = {"T": sorted(set(t_set)), "count": len(found),
-               "designs": [list(c) for c in found]}
-    _emit(args, payload, lambda: [
+    _emit(args, lambda: {"T": sorted(set(t_set)), "count": len(found),
+                         "designs": [list(c) for c in found]}, lambda: [
         f"{len(found)} designs with T >= {sorted(set(t_set))}, sizes {args.min}..{args.max}",
         *(" ".join(str(v) for v in c) for c in found),
     ])
@@ -203,15 +201,14 @@ def cmd_group_build(args):
         }
         for path, text in files.items():
             Path(path).write_text(text)
-        _emit(args, {"written": sorted(files)}, lambda: [f"wrote {p}" for p in sorted(files)])
+        _emit(args, lambda: {"written": sorted(files)}, lambda: [f"wrote {p}" for p in sorted(files)])
         return 0
-    payload = {
+    _emit(args, lambda: {
         "order": group.order,
         "class_sizes": list(classes.sizes),
         "conductor": table.conductor,
         "degrees": list(table.degrees),
-    }
-    _emit(args, payload, lambda: [
+    }, lambda: [
         f"{args.family}({', '.join(map(str, params))}): order {group.order}",
         f"class sizes: {list(classes.sizes)}",
         f"character degrees: {list(table.degrees)}",
@@ -225,13 +222,12 @@ def cmd_group_rational_fusion(args):
     scheme, classes = conj_class_scheme(group)
     eigen = eigendata_from_characters(group, classes, table, scheme)
     partition, fused = rational_class_fusion(group, classes, scheme, eigen)
-    payload = {
+    _emit(args, lambda: {
         "rational_classes": [list(c) for c in partition],
         "fused_classes": fused.fused.classes,
         "P_F": fileio.literal_rows(fused.P_F.entries),
         "Q_F": fileio.literal_rows(fused.Q_F.entries),
-    }
-    _emit(args, payload, lambda: [
+    }, lambda: [
         f"rational classes: {[list(c) for c in partition]}",
         *_matrix_lines("P_F", fused.P_F),
         *_matrix_lines("Q_F", fused.Q_F),
@@ -241,7 +237,8 @@ def cmd_group_rational_fusion(args):
 
 def cmd_dicyclic_table(args):
     rows = dicyclic_subgroup_table(args.n)
-    payload = {
+    header = ["subgroup", "order", "a", "b", "T"]
+    _emit(args, lambda: {
         "n": args.n,
         "rows": [
             {
@@ -254,9 +251,7 @@ def cmd_dicyclic_table(args):
             }
             for r in rows
         ],
-    }
-    header = ["subgroup", "order", "a", "b", "T"]
-    _emit(args, payload, lambda: _table([header] + [
+    }, lambda: _table([header] + [
         [
             f"{r.kind}(k={r.k})",
             r.order,
@@ -290,7 +285,7 @@ def cmd_lp_design(args):
         result = delsarte_design_lp(eigen, t_set)
         note = ""
     payload = fileio.lp_result_to_json(result)
-    _emit(args, payload, lambda: [f"design LP bound {note}".rstrip() + f": {payload}"])
+    _emit(args, lambda: payload, lambda: [f"design LP bound {note}".rstrip() + f": {payload}"])
     return 0 if result.status == "optimal" else 1
 
 
@@ -304,14 +299,14 @@ def cmd_lp_code(args):
         result = delsarte_code_lp(eigen, s_set)
         note = ""
     payload = fileio.lp_result_to_json(result)
-    _emit(args, payload, lambda: [f"code LP bound {note}".rstrip() + f": {payload}"])
+    _emit(args, lambda: payload, lambda: [f"code LP bound {note}".rstrip() + f": {payload}"])
     return 0 if result.status == "optimal" else 1
 
 
 def cmd_catalog_list(args):
     base = Path(args.catalog) if args.catalog else catalog.data_dir()
     entries = catalog.list_entries()
-    payload = {
+    _emit(args, lambda: {
         "entries": [
             {
                 "name": e.name,
@@ -323,8 +318,7 @@ def cmd_catalog_list(args):
             }
             for e in entries
         ]
-    }
-    _emit(args, payload, lambda: _table(
+    }, lambda: _table(
         [["name", "scheme file", "note"]]
         + [[e.name, str(base / e.scheme_file), e.note] for e in entries]
     ))

@@ -12,7 +12,10 @@ conductors; mixed-conductor arithmetic embeds automatically.
 A product convolves the coefficient slices over the power basis and reduces
 once against rows phi..2phi-2 of the power table; a Galois automorphism, an
 embedding or a list of (exponent, coefficient) terms is one integer matrix
-read off the same table by ``_basis_map``, its only reader.  Before each
+read off the same table by ``_basis_map``, its only reader; the images of a
+matrix under a list of automorphisms are products with their stacked
+matrices, a bounded block of them at a time, compared line by line on
+numerators over the matrix's own denominator, which they share.  Before each
 operation a cheap bound on every partial sum is computed from the largest
 entries (for a product, max|A| max|B| times the inner dimension, phi and the
 reduction factor); int64 is used only when it is below 2^62, and Python
@@ -433,7 +436,16 @@ class SubfieldSpec:
 
     @classmethod
     def rationals(cls, conductor: int) -> "SubfieldSpec":
-        return cls(conductor, units_mod(conductor))
+        """Q, fixed by all of (Z/nZ)^x: generated greedily by the units not
+        yet in the closure of the ones before, each of which at least
+        doubles it, so there are at most log2 phi(n) + 1 generators."""
+        _check_conductor(conductor)
+        gens, group = [], set(_closure(conductor, ()))
+        for k in units_mod(conductor):
+            if k not in group:
+                gens.append(k)
+                group = set(_closure(conductor, gens))
+        return cls(conductor, gens)
 
     @classmethod
     def real(cls, conductor: int, extra=()) -> "SubfieldSpec":
@@ -588,6 +600,38 @@ def _embedding(n: int, m: int):
         raise ConductorMismatch(f"{n} does not divide {m}")
     _check_conductor(m)
     return _basis_map(m, [e * (m // n) for e in range(euler_phi(n))])
+
+
+#: numerators per block of stacked Galois images, 64 kB in int64 (a block
+#: holds at least one image): the stack adds no more to the traced peak of a
+#: Galois fusion or of Krein than one image at a time did
+GALOIS_BLOCK_NUMERATORS = 1 << 13
+
+
+@lru_cache(maxsize=64)
+def _galois_stack(n: int, units: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """The tables of sigma_k for the units k, stacked (len(units), phi, phi),
+    with the largest column sum of absolute values among them."""
+    phi = euler_phi(n)
+    tables, factor = [], 1
+    for k in units:
+        maps = _galois_matrix(n, k)
+        table, f = maps if maps is not None else (np.eye(phi, dtype=np.int64), 1)
+        tables.append(table)
+        factor = max(factor, f)
+    stack = np.stack(tables)
+    stack.setflags(write=False)
+    return stack, factor
+
+
+def _keys(lines: np.ndarray) -> list:
+    """Hashable keys of the rows of a 2-d integer array, equal exactly when
+    the rows are, whatever the dtype: the int64 bytes of a row that fits,
+    the tuple of its Python ints otherwise."""
+    if lines.dtype != object:
+        return [line.tobytes() for line in np.ascontiguousarray(lines, dtype=np.int64)]
+    return [fit.tobytes() if (fit := _fit(line)).dtype != object else tuple(line.tolist())
+            for line in lines]
 
 
 def _mapped(num: np.ndarray, table: np.ndarray, factor: int) -> np.ndarray:
@@ -755,11 +799,9 @@ class CycMatrix:
     def col(self, j):
         return tuple(row[j] for row in self.entries)
 
-    def row_key(self, i):
-        """Hashable exact key for row equality tests (shared conductor)."""
-        return self._key(self._num[i])
-
     def col_key(self, j):
+        """Hashable exact key of column j, in lowest terms of its own, so
+        equal columns of two matrices of one conductor have equal keys."""
         return self._key(self._num[:, j])
 
     def _key(self, part):
@@ -768,6 +810,63 @@ class CycMatrix:
             return 1, (0,) * part.size
         g = math.gcd(self._den, top)
         return self._den // g, tuple((part // g).ravel().tolist())
+
+    def line_keys(self, axis: int) -> list:
+        """Hashable exact keys of the rows (axis 0) or columns (axis 1): their
+        numerators over the common denominator.  Lines of one matrix, or of
+        matrices of one conductor and denominator (its Galois images, see
+        ``galois_line_keys``), are equal iff their keys are."""
+        return _keys(self._lines(self._num, axis))
+
+    @staticmethod
+    def _lines(num: np.ndarray, axis: int) -> np.ndarray:
+        """A numerator array (..., rows, cols, phi) as (..., lines, numerators)."""
+        if axis:
+            num = np.swapaxes(num, -3, -2)
+        return num.reshape(num.shape[:-2] + (-1,))
+
+    def _galois_lines(self, units, axis: int):
+        """The images sigma_k(self) for the units k, in order, as blocks of
+        arrays (len(block), lines, numerators) laid out as in ``line_keys``,
+        over self's denominator: sigma_k maps the integer span of the power
+        basis onto itself, so an image keeps the denominator of its lowest
+        terms.
+
+        A block is one product of the numerators with the stacked tables of
+        its units; its images, and its stack of phi x phi tables, hold at most
+        GALOIS_BLOCK_NUMERATORS integers unless one image or one table alone
+        is larger.  Its dtype follows the overflow rule of ``_mapped``.
+        """
+        n, phi = self.conductor, self._num.shape[2]
+        lines = self._lines(self._num, axis)
+        flat = lines.reshape(-1, phi)
+        units = [k % n for k in units]
+        per = max(1, GALOIS_BLOCK_NUMERATORS // max(flat.size, phi * phi))
+        for start in range(0, len(units), per):
+            block = tuple(units[start:start + per])
+            images = _fit(_mapped(flat, *_galois_stack(n, block)))
+            yield images.reshape((len(block),) + lines.shape)
+
+    def galois_line_keys(self, units, axis: int):
+        """For each unit k in order, the ``line_keys(axis)`` of sigma_k(self):
+        they compare exactly with self's own keys."""
+        for images in self._galois_lines(units, axis):
+            yield from map(_keys, images)
+
+    def galois_moved(self, units) -> np.ndarray:
+        """Boolean (len(units), rows, cols) array, True exactly where sigma_k
+        moves the entry, for each unit k in order."""
+        shape = (-1,) + self._num.shape
+        return np.concatenate([(images.reshape(shape) != self._num).any(axis=-1)
+                               for images in self._galois_lines(units, 0)])
+
+    def distinct_columns(self) -> tuple["CycMatrix", np.ndarray]:
+        """The distinct columns, in order of first occurrence, and for each
+        column of self the index of its copy among them."""
+        first: dict = {}
+        inverse = [first.setdefault(key, len(first)) for key in self.line_keys(1)]
+        inverse = np.array(inverse, dtype=np.intp)
+        return self.select(cols=np.unique(inverse, return_index=True)[1]), inverse
 
     def zero_mask(self) -> np.ndarray:
         """Boolean (rows, cols) array, True exactly where the entry is zero."""

@@ -154,7 +154,7 @@ def _label_cells(labels) -> tuple[tuple[int, ...], ...]:
 
 
 def _group_rows(matrix: CycMatrix) -> tuple[tuple[int, ...], ...]:
-    return _label_cells(matrix.row_key(i) for i in range(matrix.rows))
+    return _label_cells(matrix.line_keys(0))
 
 
 def sigma_permutations(
@@ -168,7 +168,9 @@ def sigma_permutations(
     spread over the relation classes.  Automorphisms with the same action on
     every entry of Q restrict identically to the splitting field and are
     identified; distinct restrictions must give distinct permutations
-    (faithfulness), which is asserted.
+    (faithfulness), which is asserted.  The images of Q under the whole
+    group come from one blocked product, and a column is matched by its
+    numerators, since Q and its images share one denominator.
     """
     n = eigen.conductor
     if subfield.conductor % n:
@@ -177,11 +179,10 @@ def sigma_permutations(
             f"contain the splitting conductor {n}"
         )
     dp1 = eigen.scheme.classes
-    col_keys = {eigen.Q.col_key(j): j for j in range(dp1)}
+    col_keys = {key: j for j, key in enumerate(eigen.Q.line_keys(1))}
     by_perm: dict[tuple[int, ...], tuple] = {}
-    for k in subfield.group:
-        image = eigen.Q.galois(k % n if n > 1 else 1)
-        signature = tuple(image.col_key(j) for j in range(dp1))
+    images = eigen.Q.galois_line_keys(subfield.group, 1)
+    for k, signature in zip(subfield.group, map(tuple, images)):
         cols = []
         for j in range(dp1):
             target = col_keys.get(signature[j])
@@ -218,10 +219,7 @@ def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:
         raise InternalAssertion("E_0 is rational and must sit in its own orbit")
     iota = _cell_labels(orbits, dp1)
     qbar = eigen.Q * CycMatrix(_partition_matrix(iota, len(orbits)))
-    merged = qbar.embed(subfield.conductor)
-    outside = np.zeros((dp1, len(orbits)), dtype=bool)
-    for g in subfield.generators:
-        outside |= ~(merged.galois(g) - merged).zero_mask()
+    outside = qbar.embed(subfield.conductor).galois_moved(subfield.generators).any(axis=0)
     if outside.any():
         l = int(np.argwhere(outside)[0][1])
         raise InternalAssertion(

@@ -3,7 +3,8 @@ attachment of exact eigenstructure.
 
 A scheme is presented as an |X| x |X| grid of class indices partitioning
 X x X.  ``verify_scheme`` checks the four defining axioms, with the products
-A_i A_j as one stack per i, and records the intersection tensor.
+A_i A_j as one float64 stack per i (exact: 0/1 products have integer partial
+sums of at most |X| < 2^53), and records the intersection tensor.
 Eigenstructure is always supplied (a second eigenmatrix Q) and verified,
 never solved for: ``attach_eigendata`` derives P from the second
 orthogonality relation, confirms PQ = |X| I (so P = |X| Q^(-1)) and every
@@ -62,6 +63,10 @@ class SchemeData:
 
     def __hash__(self):
         return hash((self.size, self.relation.tobytes()))
+
+
+#: a float64 holds every integer below this exactly
+FLOAT64_EXACT = 1 << 53
 
 
 def _integer_grid(grid) -> np.ndarray | None:
@@ -135,12 +140,16 @@ def verify_scheme(relation) -> SchemeData:
 
     # (iii) constant intersection numbers, and (iv) their symmetry: for each
     # i, the products A_i A_j (j >= i) as one stack, p_ij^k read at the first
-    # cell of class k in row-major order and gathered back over the grid
-    adj = (rel == np.arange(d + 1)[:, None, None]).astype(np.int64)
+    # cell of class k in row-major order and gathered back over the grid.
+    # Every partial sum of a product of 0/1 matrices is an integer of at most
+    # |X| < 2^53, which float64 holds exactly, so the stacks run in float64
+    if size >= FLOAT64_EXACT:
+        raise NotAScheme("shape", rel.shape, f"{size} points: products would not be exact")
+    adj = (rel == np.arange(d + 1)[:, None, None]).astype(np.float64)
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     for i in range(d + 1):
         prod = adj[i] @ adj[i:]
-        row = prod.reshape(len(prod), -1)[:, first]
+        row = prod.reshape(len(prod), -1)[:, first].astype(np.int64)
         varying = prod != row[:, rel]
         noncommuting = adj[i:] @ adj[i] != prod
         failing = (varying | noncommuting).any(axis=(1, 2))
@@ -289,12 +298,14 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
             f"P[{j}][{i}] on column {j}",
         )
 
-    # Dual map: E_{j*} = adjoint(E_j), i.e. Q[i][j*] = conj(Q[i'][j]).
-    col_keys = {Q.col_key(j): j for j in range(dp1)}
-    want = Q.select(rows=scheme.transpose_map).conjugate()
+    # Dual map: E_{j*} = adjoint(E_j), i.e. Q[i][j*] = conj(Q[i'][j]).  The
+    # rows permuted, Q keeps its denominator, so its image under -1 is
+    # matched on the numerators of Q's columns
+    col_keys = {key: j for j, key in enumerate(Q.line_keys(1))}
+    (want,) = Q.select(rows=scheme.transpose_map).galois_line_keys([-1], 1)
     dual = []
     for j in range(dp1):
-        j_star = col_keys.get(want.col_key(j))
+        j_star = col_keys.get(want[j])
         if j_star is None:
             raise BadEigenbasis("dual_map", f"adjoint of E_{j} not in the basis")
         dual.append(j_star)
@@ -327,10 +338,11 @@ def krein_parameters(eigen: EigenData) -> KreinData:
     Entrywise, E_i o E_j has A_m-coefficient Q[m][i] Q[m][j] / |X|^2, so
     q[i][j][k] = (1/|X|) sum_m P[k][m] Q[m][i] Q[m][j].  The whole tensor
     comes from two contractions on the integer form: the Schur products
-    W[m][(i, j)] = Q[m][i] Q[m][j], then P W / |X|.  Realness and the
-    Galois-fixing group are decided by comparing that array with its images
-    under the automorphisms; nonnegativity by the integer sign of rational
-    entries, and interval evaluation of the irrational ones only.
+    W[m][(i, j)] = Q[m][i] Q[m][j], then P W / |X|.  Realness, signs and the
+    Galois-fixing group are decided on the distinct columns of that array,
+    by one blocked stack of their images under all the automorphisms;
+    nonnegativity by the integer sign of rational entries, and interval
+    evaluation of the irrational ones only.
     """
     Q, P = eigen.Q, eigen.P
     dp1 = eigen.scheme.classes
@@ -341,9 +353,17 @@ def krein_parameters(eigen: EigenData) -> KreinData:
     def by_ijk(mask):
         return mask.reshape(dp1, dp1, dp1).transpose(1, 2, 0)
 
-    nonreal = ~(K - K.conjugate()).zero_mask()
-    real = K if not nonreal.any() else K.schur(CycMatrix((~nonreal).astype(np.int64)))
-    bad = by_ijk(nonreal | (real.signs() < 0))
+    # K[:, t] = distinct[:, inverse[t]]; moved[u] marks where sigma_k, k the
+    # u-th unit, moves an entry of distinct
+    n = eigen.conductor
+    units = units_mod(n)
+    distinct, inverse = K.distinct_columns()
+    moved = distinct.galois_moved(units)
+    nonreal = moved[units.index(-1 % n)]
+    real = distinct if not nonreal.any() else distinct.schur(
+        CycMatrix((~nonreal).astype(np.int64)))
+    nonreal = nonreal[:, inverse]
+    bad = by_ijk(nonreal | (real.signs()[:, inverse] < 0))
     if bad.any():
         i, j, k = map(int, np.argwhere(bad)[0])
         q_ijk = K[k, i * dp1 + j]
@@ -356,8 +376,7 @@ def krein_parameters(eigen: EigenData) -> KreinData:
         j, k = map(int, np.argwhere(off)[0])
         raise KreinViolation(0, j, k, f"!= {1 if j == k else 0}")
 
-    n = eigen.conductor
-    fixing = [k for k in units_mod(n) if K.galois(k) == K]
+    fixing = [k for k, m in zip(units, moved) if not m.any()]
     q = K.transpose()  # rows (i, j), columns k
     return KreinData(
         q=tuple(tuple(q.row(i * dp1 + j) for j in range(dp1)) for i in range(dp1)),

@@ -502,3 +502,25 @@ def test_text_tables_are_pinned(capsys):
     ]
     for argv, want_code, want in cases:
         assert run(capsys, argv) == (want_code, want, "")
+
+
+def test_text_mode_builds_no_json_payload(capsys, monkeypatch):
+    # the --json payload, with its literal rows of P, Q, P_F and Q_F, is
+    # built only under --json; text mode prints the same tables without it
+    from delsarte import fileio
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON payload was built in text mode")
+
+    a4, a4_eigen = entry_paths("a4")
+    base = data_dir()
+    commands = [
+        ["scheme", "eigen", "--scheme", a4, "--eigen", a4_eigen],
+        ["fusion", "--scheme", a4, "--eigen", a4_eigen, "--field", "Q"],
+        ["group", "rational-fusion", "--group", str(base / "a4.group.json"),
+         "--chars", str(base / "a4.chars.json")],
+        ["design", "report", "--scheme", a4, "--eigen", a4_eigen, "--subset", "0,1,2"],
+    ]
+    for name in ("literal_rows", "fusion_report_to_json", "design_report_to_json"):
+        monkeypatch.setattr(fileio, name, refuse)
+    assert [run(capsys, argv)[0] for argv in commands] == [0, 0, 0, 0]

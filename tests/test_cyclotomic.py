@@ -331,3 +331,14 @@ def test_matrix_shared_conductor():
     m = CycMatrix([[zeta(3), zeta(4)]])
     assert m.conductor == 12
     assert all(v.conductor == 12 for v in m.row(0))
+
+
+def test_rationals_have_a_small_generating_set():
+    # greedy generators: each one at least doubles the closure of those before
+    for n in range(1, 121):
+        spec = SubfieldSpec.rationals(n)
+        assert spec.group == units_mod(n)
+        assert len(spec.generators) <= math.log2(euler_phi(n)) + 1
+        assert spec == SubfieldSpec(n, units_mod(n))
+        assert hash(spec) == hash(SubfieldSpec(n, units_mod(n)))
+        assert repr(spec) == repr(SubfieldSpec(n, units_mod(n)))

@@ -114,3 +114,16 @@ def test_corrupted_grids_give_the_reference_witness(corrupt):
             seen[got[0]] = seen.get(got[0], 0) + 1
     # the corruptions reach the product axioms, not only the cheap ones
     assert seen.get("iii", 0) + seen.get("iv", 0) > 0, seen
+
+
+def test_products_past_the_float64_bound_are_refused(monkeypatch):
+    # the stacks run in float64, exact while every partial sum is at most
+    # |X| < 2^53; a larger grid is a domain error, not a silent rounding
+    from delsarte import scheme
+
+    grid = GRIDS["Z5"]
+    assert verify_scheme(grid).size == 5
+    monkeypatch.setattr(scheme, "FLOAT64_EXACT", 5)
+    with pytest.raises(NotAScheme) as err:
+        verify_scheme(grid)
+    assert err.value.axiom == "shape"

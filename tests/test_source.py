@@ -166,6 +166,60 @@ def test_only_cyclotomic_reads_coefficients():
     assert not found, found
 
 
+def _per_unit_galois(tree):
+    """Line numbers of `.galois(...)` calls made once per pass of a loop or
+    comprehension: the call's arguments read the loop variable."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            targets, bodies = [node.target], node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            targets, bodies = [g.target for g in node.generators], [node]
+        else:
+            continue
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        found |= {call.lineno for body in bodies for call in ast.walk(body)
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "galois"
+                  and any(isinstance(n, ast.Name) and n.id in names
+                          for arg in call.args for n in ast.walk(arg))}
+    return sorted(found)
+
+
+def test_galois_images_come_from_one_stack():
+    # outside cyclotomic.py the images of a matrix under a list of units come
+    # from CycMatrix.galois_line_keys and .galois_moved, one blocked product,
+    # not from one galois call per unit
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cyclotomic.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _per_unit_galois(tree)]
+    assert not found, found
+
+
+def test_galois_guard_catches_the_former_loops():
+    # fusion.sigma_permutations, orbit_merge's subfield check and the fixing
+    # group of krein_parameters, as they were before the stacked images
+    old = (
+        "def sigma_permutations(eigen, subfield):\n"
+        "    n = eigen.conductor\n"
+        "    for k in subfield.group:\n"
+        "        image = eigen.Q.galois(k % n if n > 1 else 1)\n"
+        "        signature = tuple(image.col_key(j) for j in range(dp1))\n"
+        "def orbit_merge(eigen, subfield):\n"
+        "    for g in subfield.generators:\n"
+        "        outside |= ~(merged.galois(g) - merged).zero_mask()\n"
+        "def krein_parameters(eigen):\n"
+        "    fixing = [k for k in units_mod(n) if K.galois(k) == K]\n"
+    )
+    assert _per_unit_galois(ast.parse(old)) == [4, 8, 10]
+    # one image, or a loop whose galois call does not follow the loop
+    once = "want = Q.conjugate()\nfor j in range(d):\n    x = Q.galois(-1)\n"
+    assert _per_unit_galois(ast.parse(once)) == []
+
+
 def _iota_subscripts(tree):
     """Line numbers of every `<expr>.iota[...]` in the tree."""
     return [node.lineno for node in ast.walk(tree)
