@@ -25,9 +25,10 @@ N(x), where N(x) = prod_k sigma_k(x) is rational.  The ``Cyclotomic``
 entries of a matrix are built, all at once, when one is first read.
 
 Real values additionally support exact sign determination: an exact zero
-test first, then adaptive-precision interval evaluation of the real
-embedding via ``mpmath.iv``, under a lock because the working precision
-``mpmath.iv.prec`` is global to the process.
+test first, then a float64 estimate of the real embedding that is accepted
+only where it clears a proven error bound, and otherwise adaptive-precision
+interval evaluation via ``mpmath.iv``, under a lock because the working
+precision ``mpmath.iv.prec`` is global to the process.
 """
 
 from __future__ import annotations
@@ -368,6 +369,55 @@ def _cos_table(n: int, prec: int):
     """cos(2 pi j / n) as intervals; called under _IV_LOCK with iv.prec == prec."""
     two_pi = 2 * mpmath.iv.pi
     return tuple(mpmath.iv.cos(two_pi * j / n) for j in range(n))
+
+
+@lru_cache(maxsize=None)
+def _cos_floats(n: int) -> np.ndarray:
+    """t_e = cos(2 pi e / n) for e < phi(n) as float64, each within 2^-52
+    of the true value: the midpoint of the cached 64-bit interval, rounded
+    once, its distance from both endpoints checked exactly."""
+    with _IV_LOCK:
+        old = mpmath.iv.prec
+        mpmath.iv.prec = 64
+        try:
+            table = _cos_table(n, 64)[:euler_phi(n)]
+        finally:
+            mpmath.iv.prec = old
+    ends = [[(-1) ** s * Fraction(m) * Fraction(2) ** e for s, m, e, _ in x._mpi_]
+            for x in table]
+    t = np.array([float((lo + hi) / 2) for lo, hi in ends])
+    if any(max(abs(Fraction(v) - lo), abs(Fraction(v) - hi)) > Fraction(1, 2**52)
+           for v, (lo, hi) in zip(t.tolist(), ends)):
+        raise InternalAssertion(f"cosine table at conductor {n} is too coarse")
+    t.setflags(write=False)
+    return t
+
+
+def _filtered_signs(n: int, c: np.ndarray) -> np.ndarray:
+    """Signs (-1 or +1) of the real values x_k = sum_e c[k, e] zeta_n^e for
+    an int64 array c (k x phi) of nonzero real values, and 0 where float64
+    cannot settle the sign.
+
+    x_k = sum_e c_e cos(2 pi e / n), since x_k is real.  With f_e = fl(c_e),
+    t_e within 2^-52 of cos(2 pi e / n) (``_cos_floats``) and est the float64
+    product f @ t, the error splits into three terms: |c_e - f_e| <= u |f_e|
+    for rounding to nearest (u = 2^-53; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., eq. (2.5)), the table error 2^-52 |f_e|,
+    and gamma_phi sum_e |f_e t_e| for the dot product in any summation
+    order, FMA or not (Higham, section 3.1, eq. (3.5)), where
+    gamma_phi = phi u / (1 - phi u) and |t_e| <= 1 + 2^-52.  So
+    |x - est| <= (2^-53 + 2^-52 + gamma_phi (1 + 2^-52)) sum_e |f_e|, which
+    is below half of B = 2 (2^-52 + 2^-53 + gamma_phi) sum_e |f_e|; the
+    factor 2 also covers the rounding in computing B itself, since every
+    nonzero |f_e| >= 1 and nothing underflows.  Where |est| > B, x has the
+    sign of est; the other entries are left at 0 for ``_interval_sign``.
+    """
+    phi, u = c.shape[1], 2.0**-53
+    gamma = phi * u / (1 - phi * u)
+    f = c.astype(np.float64)
+    est = f @ _cos_floats(n)
+    bound = 2 * (2.0**-52 + 2.0**-53 + gamma) * np.abs(f).sum(axis=1)
+    return np.where(np.abs(est) > bound, np.sign(est), 0).astype(np.int64)
 
 
 def _interval_sign(n: int, num) -> int:
@@ -888,15 +938,26 @@ class CycMatrix:
         """Exact signs (-1, 0, +1) of the entries, which must all be real.
 
         Zero and rational entries are decided by the sign of their integer
-        numerator (the denominator is positive); only irrational entries go
-        to interval evaluation.
+        numerator (the denominator is positive), with no Galois work.  The
+        irrational entries must be fixed by complex conjugation, one stacked
+        image; their signs come from a float64 estimate with a proven error
+        bound where it settles them (``_filtered_signs``, int64 numerators
+        only), and from interval evaluation otherwise.
         """
-        if self.conjugate() != self:
-            raise ValueError("matrix has a non-real entry; sign undefined")
         head = self._num[..., 0]
         out = (head > 0).astype(np.int64) - (head < 0).astype(np.int64)
-        for i, j in self._irrational():
-            out[i, j] = _interval_sign(self.conductor, self._num[i, j].tolist())
+        irrational = self._irrational()
+        if not len(irrational):
+            return out
+        rows, cols = irrational.T
+        part = self._num[rows, cols]
+        if CycMatrix._from_array(self.conductor, part[:, None]).galois_moved([-1]).any():
+            raise ValueError("matrix has a non-real entry; sign undefined")
+        found = (_filtered_signs(self.conductor, part) if part.dtype != object
+                 else np.zeros(len(part), dtype=np.int64))
+        for k in np.flatnonzero(found == 0).tolist():
+            found[k] = _interval_sign(self.conductor, part[k].tolist())
+        out[rows, cols] = found
         return out
 
     # -- comparison and arithmetic on the integer form -----------------------
@@ -958,7 +1019,11 @@ class CycMatrix:
 
     def left_rational(self, vectors, cols=None) -> "CycMatrix":
         """V self[:, cols] for a rational matrix V (k x rows), one integer product."""
-        ints, den = rational_lift(vectors)
+        return self.left_lifted(*rational_lift(vectors), cols)
+
+    def left_lifted(self, ints: np.ndarray, den: int, cols=None) -> "CycMatrix":
+        """V self[:, cols] for V = ints / den, an integer matrix (k x rows)
+        over a positive denominator, one integer product."""
         block = self.annihilator(cols, _maxabs(ints))
         num = ints.astype(block.dtype, copy=False) @ block
         phi = self._num.shape[2]

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, SubfieldSpec, _dtype, rational_lift
+from .cyclotomic import Cyclotomic, SubfieldSpec, _dtype, _maxabs, rational_lift
 from .errors import (
     IncompatibleT,
     InternalAssertion,
@@ -40,6 +40,17 @@ ENUM_SUBSET_CAP = 2_000_000
 ENUM_CHUNK_PAIRS = 1 << 18
 
 
+def _marks(size: int, indices) -> list[int]:
+    """1 at every listed vertex and 0 elsewhere (a repeated index counts
+    once); every index must lie in 0..size-1."""
+    marks = [0] * size
+    for i in indices:
+        if not 0 <= i < size:
+            raise ValidationError(f"vertex index {i} outside 0..{size - 1}")
+        marks[i] = 1
+    return marks
+
+
 @dataclass(frozen=True)
 class WeightedSubset:
     """Nonnegative rational weights on the vertex set; not identically zero."""
@@ -54,31 +65,42 @@ class WeightedSubset:
 
     @classmethod
     def from_indices(cls, size: int, indices) -> "WeightedSubset":
-        w = [Fraction(0)] * size
-        for i in indices:
-            if not 0 <= i < size:
-                raise ValidationError(f"vertex index {i} outside 0..{size - 1}")
-            w[i] = Fraction(1)
-        return cls(tuple(w))
+        return cls.from_weights(_marks(size, indices))
 
     @classmethod
     def from_weights(cls, weights) -> "WeightedSubset":
         return cls(tuple(Fraction(w) for w in weights))
 
+    @cached_property
+    def _lift(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support C and the integer lift u of the weights on C: the
+        numerators over their common denominator, divided by their gcd (no
+        design quantity depends on the scale).  u takes one dtype, from the
+        bound max u^2 |C|^2 on every pair sum of ``_pair_sums``."""
+        support = np.array([x for x, v in enumerate(self.weights) if v], dtype=np.intp)
+        lifted, _ = rational_lift([[self.weights[x] for x in support.tolist()]])
+        u = lifted[0] // np.gcd.reduce(lifted[0])
+        return support, u.astype(_dtype(int(u.max()) ** 2 * len(support) ** 2), copy=False)
+
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w)
+        return tuple(self._lift[0].tolist())
 
     def is_characteristic(self) -> bool:
         return all(w in (0, 1) for w in self.weights)
 
 
-def _as_subset(scheme: SchemeData, w) -> WeightedSubset:
-    if not isinstance(w, WeightedSubset):
-        return WeightedSubset.from_indices(scheme.size, w)
-    if len(w.weights) != scheme.size:
-        raise ValidationError(f"{len(w.weights)} weights for {scheme.size} vertices")
-    return w
+def _lifted(scheme: SchemeData, w) -> tuple[np.ndarray, np.ndarray]:
+    """The support and integer weights of a WeightedSubset (computed once
+    per subset) or of an index list (unit weights)."""
+    if isinstance(w, WeightedSubset):
+        if len(w.weights) != scheme.size:
+            raise ValidationError(f"{len(w.weights)} weights for {scheme.size} vertices")
+        return w._lift
+    support = np.flatnonzero(_marks(scheme.size, w))
+    if not len(support):
+        raise ZeroVector("weighted subset is identically zero")
+    return support, np.ones(len(support), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -102,26 +124,28 @@ def _pair_counts(scheme: SchemeData, idx: np.ndarray) -> np.ndarray:
     return counts.reshape(m, scheme.classes)
 
 
-def _class_sums(scheme: SchemeData, w):
-    """The support C of w, the integer lift u of its weights on C, and the
-    class sums c[y][i] = sum of u_z over the z in C with (y, z) in R_i, for
-    every vertex y.  u and c take one dtype, from the bound max u^2 |C|^2
-    on every partial sum of u^T c[C] (the weights are nonnegative)."""
-    w = _as_subset(scheme, w)
-    support = np.array(w.support, dtype=np.intp)
-    lifted, _ = rational_lift([[w.weights[x] for x in support.tolist()]])
-    u = lifted[0].astype(_dtype(int(lifted.max()) ** 2 * len(support) ** 2), copy=False)
-    in_class = scheme.relation[:, None, support] == np.arange(scheme.classes)[:, None]
-    return support, u, in_class @ u
+def _class_sums(scheme: SchemeData, support, u, rows) -> np.ndarray:
+    """c[y][i] = sum of u_z over the z in the support with (y, z) in R_i,
+    for the vertices y in rows (exact, in u's dtype)."""
+    rel = scheme.relation[rows[:, None], support]
+    return (rel[:, None, :] == np.arange(scheme.classes)[:, None]) @ u
+
+
+def _pair_sums(scheme: SchemeData, w) -> tuple[np.ndarray, int]:
+    """v_i = u^T A_i u and den = u^T u for the integer lift u of the weights,
+    as pair sums over the support only: the inner distribution is v / den."""
+    support, u = _lifted(scheme, w)
+    return u @ _class_sums(scheme, support, u, support), int(u @ u)
+
+
+def _distribution(v: np.ndarray, den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, den) for x in v.tolist())
 
 
 def inner_distribution(scheme: SchemeData, w) -> tuple[Fraction, ...]:
     """a_i = x^T A_i x / x^T x, exactly: with u the integer lift of the
-    weights on the support C, a_i = u^T A_i u / u^T u = u^T c[C][:, i] / u^T u
-    for the class sums c."""
-    support, u, c = _class_sums(scheme, w)
-    den = int(u @ u)
-    return tuple(Fraction(v, den) for v in (u @ c[support]).tolist())
+    weights on the support C, a_i = u^T A_i u / u^T u."""
+    return _distribution(*_pair_sums(scheme, w))
 
 
 def dual_distribution(eigen: EigenData, a) -> tuple[Cyclotomic, ...]:
@@ -159,10 +183,10 @@ def design_report(
     orbits, else :class:`OrbitClosureViolation` (impossible for verified
     eigendata).
     """
-    w = _as_subset(scheme, w)
-    a = inner_distribution(scheme, w)
-    # b = aQ as a 1 x (d+1) matrix: signs and zeros are read off its integer form
-    dual = eigen.Q.left_rational([a])
+    v, den = _pair_sums(scheme, w)
+    # b = aQ = vQ / den as a 1 x (d+1) matrix: signs and zeros are read off
+    # its integer form
+    dual = eigen.Q.left_lifted(v[None, :], den)
     b = dual.row(0)
     if verify_signs:
         try:
@@ -181,7 +205,7 @@ def design_report(
         raise OrbitClosureViolation(
             f"T = {annihilated} is not a union of Galois orbits"
         )
-    return DesignReport(a=a, b=b, T=annihilated, orbit_closed=closed)
+    return DesignReport(a=_distribution(v, den), b=b, T=annihilated, orbit_closed=closed)
 
 
 def is_T_design(scheme: SchemeData, eigen: EigenData, w, T) -> bool:
@@ -189,8 +213,10 @@ def is_T_design(scheme: SchemeData, eigen: EigenData, w, T) -> bool:
     T = validate_indices(T, scheme.d)
     if not T:
         return True
-    a = inner_distribution(scheme, _as_subset(scheme, w))
-    return bool(eigen.Q.left_rational([a], T).zero_mask().all())
+    # b_j = (vQ)_j / den vanishes iff the numerators of v Q[:, j] do
+    v, _ = _pair_sums(scheme, w)
+    check = eigen.Q.annihilator(T, _maxabs(v))
+    return not (v.astype(check.dtype, copy=False) @ check).any()
 
 
 def is_T_design_via_merges(orbit_data: GaloisOrbitData, w, T) -> bool:
@@ -202,13 +228,14 @@ def is_T_design_via_merges(orbit_data: GaloisOrbitData, w, T) -> bool:
     """
     scheme = orbit_data.eigen.scheme
     merged = orbit_data.merge(validate_indices(T, scheme.d))
-    w = _as_subset(scheme, w)
+    support, u = _lifted(scheme, w)
     if not merged:
         return True
-    # (F_l x)_y = (1/|X|) sum_i c[y][i] Qbar[i][l], up to the positive
-    # common denominator of the weights, for the class sums c
-    _, _, c = _class_sums(scheme, w)
-    return bool(orbit_data.Qbar.left_rational(c, merged).zero_mask().all())
+    # (F_l x)_y = (1/|X|) sum_i c[y][i] Qbar[i][l], up to a positive scale,
+    # for the class sums c of every vertex y
+    c = _class_sums(scheme, support, u, np.arange(scheme.size))
+    check = orbit_data.Qbar.annihilator(merged, _maxabs(c))
+    return not (c.astype(check.dtype, copy=False) @ check).any()
 
 
 # ---------------------------------------------------------------------------

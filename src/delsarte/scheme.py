@@ -341,8 +341,9 @@ def krein_parameters(eigen: EigenData) -> KreinData:
     W[m][(i, j)] = Q[m][i] Q[m][j], then P W / |X|.  Realness, signs and the
     Galois-fixing group are decided on the distinct columns of that array,
     by one blocked stack of their images under all the automorphisms;
-    nonnegativity by the integer sign of rational entries, and interval
-    evaluation of the irrational ones only.
+    nonnegativity by the integer sign of rational entries, and by a float64
+    estimate under a proven error bound, or interval evaluation where that
+    does not settle it, for the irrational ones.
     """
     Q, P = eigen.Q, eigen.P
     dp1 = eigen.scheme.classes

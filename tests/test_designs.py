@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsarte import designs
+from delsarte import cyclotomic, designs
 from delsarte.catalog import (
     CATALOG,
     build_coxeter,
@@ -429,9 +429,10 @@ def test_subgroups_against_brute_force_membership():
                 assert b.group.op(g, h) in members
 
 
-def test_macwilliams_nonnegativity_exact_signs():
+def test_macwilliams_nonnegativity_exact_signs(monkeypatch):
     # real, nonnegative dual distributions with the full exact-sign check,
-    # including irrational entries (kappa values of Dic_5)
+    # including irrational entries (kappa values of Dic_5), which the
+    # float64 filter decides
     bundle = build_dicyclic(5)
     rng = random.Random(53)
     saw_irrational = False
@@ -440,12 +441,29 @@ def test_macwilliams_nonnegativity_exact_signs():
         subset = rng.sample(range(bundle.scheme.size), size)
         report = design_report(bundle.scheme, bundle.eigen, subset)
         saw_irrational |= any(not v.is_rational() for v in report.b)
-    assert saw_irrational  # the interval sign path was exercised
+    assert saw_irrational
     weights = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(20)]
     weights[0] = Fraction(1)  # ensure nonzero
     w = WeightedSubset.from_weights(weights)
     report = design_report(bundle.scheme, bundle.eigen, w)
     assert report.b[0] == sum(report.a)
+    # z12 weights x, y, y on the vertices 0, 5, 7 with x^2 - 3 y^2 = 1: two
+    # b_j are proportional to (x - y sqrt 3)^2, positive but far too close
+    # to zero for the filter, so the interval sign path decides them
+    calls = []
+    interval_sign = cyclotomic._interval_sign
+    monkeypatch.setattr(cyclotomic, "_interval_sign",
+                        lambda n, num: calls.append(n) or interval_sign(n, num))
+    eigen = load_entry("z12").eigen
+    x, y = 18817, 10864
+    assert x * x - 3 * y * y == 1
+    weights = [0] * 12
+    weights[0], weights[5], weights[7] = x, y, y
+    w = WeightedSubset.from_weights(weights)
+    report = design_report(eigen.scheme, eigen, w)
+    assert calls == [12, 12]
+    assert report.T == () and report.b[0] == sum(report.a)
+    assert dual_distribution(eigen, inner_distribution(eigen.scheme, w)) == report.b
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from design_reference import reference_inner_distribution
+from design_reference import reference_inner_distribution, reference_weights
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,7 @@ from delsarte.designs import (
     is_T_design_via_merges,
     rational_orbit_data,
 )
-from delsarte.errors import BadEigenbasis, ValidationError
+from delsarte.errors import BadEigenbasis, DelsarteError, ValidationError, ZeroVector
 from delsarte.groups import cyclic_group, make_character_table
 from delsarte.scheme import attach_eigendata
 
@@ -93,6 +93,111 @@ def test_weights_must_cover_the_vertex_set(count):
     for call in calls:
         with pytest.raises(ValidationError, match=f"{count} weights for 8 vertices"):
             call()
+
+
+def outcome(call):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except DelsarteError as exc:
+        return type(exc), str(exc)
+
+
+def reference_outcomes(eigen, subset, T):
+    """design_report's (a, b, T), is_T_design and is_T_design_via_merges on
+    an index list or weighted subset, from the reference loops: the former
+    index-list conversion, the Fraction inner distribution, b = aQ."""
+    scheme, od = eigen.scheme, rational_orbit_data(eigen)
+    if isinstance(subset, WeightedSubset):
+        weights = subset.weights
+        if len(weights) != scheme.size:
+            error = (ValidationError, f"{len(weights)} weights for {scheme.size} vertices")
+            return error, error, error
+    else:
+        try:
+            weights = reference_weights(scheme.size, subset)
+        except DelsarteError as exc:
+            error = type(exc), str(exc)
+            return error, error, error
+    a, b, zeros = expected_report(eigen, weights)
+    return ((a, b, zeros), set(T) <= set(zeros),
+            set(od.unmerge(od.merge(T))) <= set(zeros))
+
+
+def library_outcomes(eigen, subset, T):
+    scheme, od = eigen.scheme, rational_orbit_data(eigen)
+
+    def report():
+        r = design_report(scheme, eigen, subset)
+        return r.a, r.b, r.T
+
+    return (outcome(report), outcome(lambda: is_T_design(scheme, eigen, subset, T)),
+            outcome(lambda: is_T_design_via_merges(od, subset, T)))
+
+
+INDEX_LISTS = [
+    [0, 8], [99], [-1], [0, -8], [3, 2**70], [],
+    [0, 0, 1, 1, 1], [5, 2, 5, 2],
+    np.array([0, 3, 5]), [np.int64(2), np.int32(4), np.uint8(6)], np.arange(8),
+    range(8), range(0, 8, 2), range(3, 0, -1), (7,), {1, 4},
+]
+
+
+@pytest.mark.parametrize("name", ["x8", "dic3", "coxeter"])
+def test_index_lists_read_as_the_former_weights(name):
+    # every entry point gives the results, or the error type and message,
+    # of the former conversion of an index list into Fraction weights
+    eigen = load_entry(name).eigen
+    size = eigen.scheme.size
+    od = rational_orbit_data(eigen)
+    Ts = [[1], [j for orbit in od.orbits for j in orbit if j][:2]]
+    for subset in INDEX_LISTS + [[size - 1], [size], list(range(size))]:
+        for T in Ts:
+            assert library_outcomes(eigen, subset, T) == reference_outcomes(eigen, subset, T)
+
+
+@pytest.mark.parametrize("name", ["x8", "dic3", "coxeter"])
+def test_weighted_subsets_read_as_their_weights(name):
+    eigen = load_entry(name).eigen
+    size = eigen.scheme.size
+    mixed = [Fraction(0)] * size
+    for z, wz in zip(range(0, size, 2), (1, 1, TINY, 1, 3, TINY)):
+        mixed[z] = Fraction(wz)
+    cases = [[Fraction(2**62)] * size, mixed, [TINY] * size,
+             [Fraction(2**62 + z) for z in range(size)], [1] * (size - 1), [1] * (size + 1)]
+    for weights in cases:
+        w = WeightedSubset.from_weights(weights)
+        for T in ([1], list(range(1, eigen.scheme.classes))):
+            assert library_outcomes(eigen, w, T) == reference_outcomes(eigen, w, T)
+
+
+def test_an_empty_T_is_answered_before_the_subset_is_read():
+    # is_T_design returns True for T = () before it reads the subset, and
+    # is_T_design_via_merges reads the subset first: both as before
+    scheme, eigen = build_x8()
+    od = rational_orbit_data(eigen)
+    for bad in ([99], [], WeightedSubset.from_weights([1] * 3)):
+        assert is_T_design(scheme, eigen, bad, []) is True
+        with pytest.raises((ValidationError, ZeroVector)):
+            is_T_design_via_merges(od, bad, [])
+    assert is_T_design_via_merges(od, [0], []) is True
+
+
+def test_a_subset_is_lifted_once():
+    scheme, eigen = build_x8()
+    w = WeightedSubset.from_weights([Fraction(1, 3), 0, 2, 0, 0, Fraction(5, 2), 0, 0])
+    support, u = w._lift
+    assert support.tolist() == [0, 2, 5] and u.tolist() == [2, 12, 15]
+    design_report(scheme, eigen, w)
+    is_T_design(scheme, eigen, w, [1])
+    is_T_design_via_merges(rational_orbit_data(eigen), w, [1])
+    assert w._lift[0] is support and w._lift[1] is u
+    # the cache is not part of the value
+    twin = WeightedSubset.from_weights(w.weights)
+    assert twin == w and hash(twin) == hash(w) and repr(twin) == repr(w)
+    assert w.support == (0, 2, 5)
+    assert WeightedSubset.from_indices(8, [5, 0, 5]) == WeightedSubset.from_weights(
+        reference_weights(8, [5, 0, 5]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsarte import designs, fileio
+from delsarte import cyclotomic, designs, fileio
 from delsarte.catalog import CATALOG, build_dicyclic, build_x8, load_entry
 from delsarte.groups import cyclic_group
 from delsarte.cyclotomic import (
@@ -353,13 +353,24 @@ def test_file_conductor_cap_admits_the_ladder():
 # interval signs under threads
 # ---------------------------------------------------------------------------
 
-def test_exact_sign_is_thread_safe():
+def test_exact_sign_is_thread_safe(monkeypatch):
     values = [v for name in ("dic7", "coxeter")
               for plane in krein_parameters(load_entry(name).eigen).q
               for row in plane for v in row]
-    assert any(not v.is_rational() for v in values)  # some go to intervals
+    assert any(not v.is_rational() for v in values)
+    # x - y sqrt 2 with x^2 - 2 y^2 = +-1 is about 1 / (2x): too close to
+    # zero for the float64 filter, so these go to intervals
+    x, y = 1, 1
+    while x < 2**60:
+        if x > 2**30:
+            values.append(Cyclotomic.from_terms(8, [(0, x), (1, -y), (3, y)]))
+        x, y = x + 2 * y, x + y
     want = [exact_sign(v) for v in values]
-    results, errors, seen = {}, [], []
+    interval_threads = []
+    interval_sign = cyclotomic._interval_sign
+    monkeypatch.setattr(cyclotomic, "_interval_sign", lambda n, num: (
+        interval_threads.append(threading.get_ident()) or interval_sign(n, num)))
+    results, errors, seen, workers_ids = {}, [], [], {}
     started, done = threading.Event(), threading.Event()
 
     def holder():
@@ -371,6 +382,7 @@ def test_exact_sign_is_thread_safe():
 
     def worker(t):
         try:
+            workers_ids[t] = threading.get_ident()
             results[t] = [[exact_sign(v) for v in values] for _ in range(3)]
         except Exception as exc:  # noqa: BLE001 (reported below)
             errors.append(exc)
@@ -397,3 +409,5 @@ def test_exact_sign_is_thread_safe():
     assert sorted(results) == [0, 1, 2, 3]
     assert all(run == want for runs in results.values() for run in runs)
     assert seen == [97]  # every change was undone, in order
+    # every worker evaluated intervals under the lock
+    assert set(workers_ids.values()) <= set(interval_threads)

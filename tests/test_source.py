@@ -324,3 +324,58 @@ def test_lp_guard_catches_the_old_tableau():
     assert _fraction_tableau(tree) == [1, 3]
     assert not _global_calls(tree, "delsarte_code_lp", "simplex_solve")
     assert not _global_calls(tree, "delsarte_design_lp", "simplex_solve")
+
+
+def _fraction_calls(tree):
+    """(qualified name of the enclosing function or class, line) of every
+    `Fraction(...)` call; "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "Fraction"):
+                found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+#: where designs.py may build Fractions: the returned inner distribution,
+#: and weights given by the caller
+DESIGN_FRACTIONS = {"_distribution", "WeightedSubset.from_weights"}
+
+
+def test_designs_build_fractions_only_at_the_boundary():
+    # a subset stays in its integer lift from input to verdict
+    tree = ast.parse((SRC / "designs.py").read_text())
+    found = [f"designs.py:{line} in {scope}" for scope, line in _fraction_calls(tree)
+             if scope not in DESIGN_FRACTIONS]
+    assert not found, found
+
+
+def test_fraction_guard_catches_the_former_index_list():
+    # WeightedSubset.from_indices as it was before the lift was cached
+    old = (
+        "class WeightedSubset:\n"
+        "    @classmethod\n"
+        "    def from_indices(cls, size: int, indices):\n"
+        "        w = [Fraction(0)] * size\n"
+        "        for i in indices:\n"
+        "            if not 0 <= i < size:\n"
+        "                raise ValidationError(f'vertex index {i} outside')\n"
+        "            w[i] = Fraction(1)\n"
+        "        return cls(tuple(w))\n"
+        "    @classmethod\n"
+        "    def from_weights(cls, weights):\n"
+        "        return cls(tuple(Fraction(w) for w in weights))\n"
+    )
+    found = _fraction_calls(ast.parse(old))
+    assert found == [("WeightedSubset.from_indices", 4), ("WeightedSubset.from_indices", 8),
+                     ("WeightedSubset.from_weights", 12)]
+    assert [scope for scope, _ in found if scope not in DESIGN_FRACTIONS] == [
+        "WeightedSubset.from_indices"] * 2
