@@ -304,7 +304,7 @@ def cmd_lp_code(args):
 
 
 def cmd_catalog_list(args):
-    base = Path(args.catalog) if args.catalog else catalog.data_dir()
+    base = catalog.data_dir()
     entries = catalog.list_entries()
     _emit(args, lambda: {
         "entries": [
@@ -411,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cat = sub.add_parser("catalog", help="built-in example schemes")
     cat_sub = cat.add_subparsers(dest="subcommand", required=True)
-    p = add("list", cmd_catalog_list, cat_sub, help="list entries and paths")
-    p.add_argument("--catalog", help="alternative catalog directory")
+    add("list", cmd_catalog_list, cat_sub, help="list entries and paths")
 
     return parser
 

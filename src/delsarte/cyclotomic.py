@@ -14,12 +14,13 @@ once against rows phi..2phi-2 of the power table; a Galois automorphism, an
 embedding or a list of (exponent, coefficient) terms is one integer matrix
 read off the same table by ``_basis_map``, its only reader; the images of a
 matrix under a list of automorphisms are products with their stacked
-matrices, a bounded block of them at a time, compared line by line on
-numerators over the matrix's own denominator, which they share.  Before each
-operation a cheap bound on every partial sum is computed from the largest
-entries (for a product, max|A| max|B| times the inner dimension, phi and the
-reduction factor); int64 is used only when it is below 2^62, and Python
-integers (``dtype=object``) otherwise, so overflow can never wrap silently.
+matrices, a bounded block of them at a time, which keep the matrix's
+denominator; lines are compared on numerators by ``column_positions`` and
+``line_labels`` only.  Before each operation a cheap bound on every partial
+sum is computed from the largest entries (for a product, max|A| max|B|
+times the inner dimension, phi and the reduction factor); int64 is used
+only when it is below 2^62, and Python integers (``dtype=object``)
+otherwise, so overflow can never wrap silently.
 A scalar inverse goes through the norm: x^(-1) = prod_{k != 1} sigma_k(x) /
 N(x), where N(x) = prod_k sigma_k(x) is rational.  The ``Cyclotomic``
 entries of a matrix are built, all at once, when one is first read.
@@ -327,7 +328,7 @@ class Cyclotomic:
         x, y = pair
         return x._num == y._num and x._den == y._den
 
-    __hash__ = None  # equality crosses conductors; use CycMatrix keys instead
+    __hash__ = None  # equality crosses conductors
 
     def __bool__(self):
         return not self.is_zero()
@@ -849,25 +850,6 @@ class CycMatrix:
     def col(self, j):
         return tuple(row[j] for row in self.entries)
 
-    def col_key(self, j):
-        """Hashable exact key of column j, in lowest terms of its own, so
-        equal columns of two matrices of one conductor have equal keys."""
-        return self._key(self._num[:, j])
-
-    def _key(self, part):
-        top = int(np.gcd.reduce(part, axis=None))
-        if not top:
-            return 1, (0,) * part.size
-        g = math.gcd(self._den, top)
-        return self._den // g, tuple((part // g).ravel().tolist())
-
-    def line_keys(self, axis: int) -> list:
-        """Hashable exact keys of the rows (axis 0) or columns (axis 1): their
-        numerators over the common denominator.  Lines of one matrix, or of
-        matrices of one conductor and denominator (its Galois images, see
-        ``galois_line_keys``), are equal iff their keys are."""
-        return _keys(self._lines(self._num, axis))
-
     @staticmethod
     def _lines(num: np.ndarray, axis: int) -> np.ndarray:
         """A numerator array (..., rows, cols, phi) as (..., lines, numerators)."""
@@ -877,7 +859,7 @@ class CycMatrix:
 
     def _galois_lines(self, units, axis: int):
         """The images sigma_k(self) for the units k, in order, as blocks of
-        arrays (len(block), lines, numerators) laid out as in ``line_keys``,
+        arrays (len(block), lines, numerators) laid out as in ``_lines``,
         over self's denominator: sigma_k maps the integer span of the power
         basis onto itself, so an image keeps the denominator of its lowest
         terms.
@@ -897,11 +879,36 @@ class CycMatrix:
             images = _fit(_mapped(flat, *_galois_stack(n, block)))
             yield images.reshape((len(block),) + lines.shape)
 
-    def galois_line_keys(self, units, axis: int):
-        """For each unit k in order, the ``line_keys(axis)`` of sigma_k(self):
-        they compare exactly with self's own keys."""
-        for images in self._galois_lines(units, axis):
-            yield from map(_keys, images)
+    def column_positions(self, other, units=(1,)) -> list[list[int]]:
+        """For each unit k in order, the index among self's columns of each
+        column of sigma_k(other): -1 where no column of self equals it, and
+        the last copy where self repeats it.
+
+        The conductors meet at their lcm and the denominators at theirs.  The
+        images come from one blocked product (``_galois_lines``) and keep
+        other's denominator, so numerators are compared exactly, each side
+        rescaled only where its denominator differs from the lcm.
+        """
+        a, b = self._common(other)
+        den = math.lcm(a._den, b._den)
+        own = self._lines(a._num, 1)
+        if den != a._den:
+            own = _scaled(own, den // a._den)
+        where = {key: j for j, key in enumerate(_keys(own))}
+        out = []
+        for images in b._galois_lines(units, 1):
+            if den != b._den:
+                images = _scaled(images, den // b._den)
+            out += [[where.get(key, -1) for key in _keys(lines)] for lines in images]
+        return out
+
+    def line_labels(self, axis: int) -> list[int]:
+        """First-occurrence labels of the rows (axis 0) or columns (axis 1):
+        a line gets the number of distinct lines before its first copy, so
+        equal lines share one label."""
+        first: dict = {}
+        return [first.setdefault(key, len(first))
+                for key in _keys(self._lines(self._num, axis))]
 
     def galois_moved(self, units) -> np.ndarray:
         """Boolean (len(units), rows, cols) array, True exactly where sigma_k
@@ -913,9 +920,7 @@ class CycMatrix:
     def distinct_columns(self) -> tuple["CycMatrix", np.ndarray]:
         """The distinct columns, in order of first occurrence, and for each
         column of self the index of its copy among them."""
-        first: dict = {}
-        inverse = [first.setdefault(key, len(first)) for key in self.line_keys(1)]
-        inverse = np.array(inverse, dtype=np.intp)
+        inverse = np.array(self.line_labels(1), dtype=np.intp)
         return self.select(cols=np.unique(inverse, return_index=True)[1]), inverse
 
     def zero_mask(self) -> np.ndarray:

@@ -323,7 +323,7 @@ def build_design_transfer(
 
     The vertex map (identity by default) must carry the fused relation
     partition of the source onto that of the target; fused eigenspaces are
-    then matched by the exact keys of the eigenmatrix columns under the
+    then matched by exact comparison of the eigenmatrix columns under the
     induced class bijection, and a supplied ``eigen_match`` override must
     agree with that matching.
     """
@@ -350,18 +350,12 @@ def build_design_transfer(
         raise IncompatibleT("induced class map is not a bijection")
 
     # column l of the source, its rows carried along the class map, is
-    # matched by its exact key; the columns of a verified Q_F are distinct
+    # matched exactly; the columns of a verified Q_F are distinct
     # (PQ = |X| I), so a match is unique and the matching a bijection
-    n = math.lcm(source.Q_F.conductor, target.Q_F.conductor)
-    moved = source.Q_F.select(rows=np.argsort(class_map)).embed(n)
-    qy = target.Q_F.embed(n)
-    keys = {qy.col_key(l): l for l in range(qy.cols)}
-    derived = []
-    for l in range(moved.cols):
-        match = keys.get(moved.col_key(l))
-        if match is None:
-            raise IncompatibleT(f"fused eigenspace {l} has no match")
-        derived.append(match)
+    moved = source.Q_F.select(rows=np.argsort(class_map))
+    (derived,) = target.Q_F.column_positions(moved)
+    if -1 in derived:
+        raise IncompatibleT(f"fused eigenspace {derived.index(-1)} has no match")
     if eigen_match is not None:
         if tuple(eigen_match) != tuple(derived):
             raise IncompatibleT(

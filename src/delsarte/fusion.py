@@ -154,7 +154,7 @@ def _label_cells(labels) -> tuple[tuple[int, ...], ...]:
 
 
 def _group_rows(matrix: CycMatrix) -> tuple[tuple[int, ...], ...]:
-    return _label_cells(matrix.line_keys(0))
+    return _label_cells(matrix.line_labels(0))
 
 
 def sigma_permutations(
@@ -166,11 +166,9 @@ def sigma_permutations(
     permutes the basis exactly when the image column of Q appears among the
     columns, since the entries of E_j are the entries of column j of Q
     spread over the relation classes.  Automorphisms with the same action on
-    every entry of Q restrict identically to the splitting field and are
-    identified; distinct restrictions must give distinct permutations
-    (faithfulness), which is asserted.  The images of Q under the whole
-    group come from one blocked product, and a column is matched by its
-    numerators, since Q and its images share one denominator.
+    every entry of Q restrict identically to the splitting field and give
+    the same permutation; the columns of Q are matched against its images
+    under the whole group, which come from one blocked product.
     """
     n = eigen.conductor
     if subfield.conductor % n:
@@ -179,33 +177,21 @@ def sigma_permutations(
             f"contain the splitting conductor {n}"
         )
     dp1 = eigen.scheme.classes
-    col_keys = {key: j for j, key in enumerate(eigen.Q.line_keys(1))}
-    by_perm: dict[tuple[int, ...], tuple] = {}
-    images = eigen.Q.galois_line_keys(subfield.group, 1)
-    for k, signature in zip(subfield.group, map(tuple, images)):
-        cols = []
-        for j in range(dp1):
-            target = col_keys.get(signature[j])
-            if target is None:
-                raise NotPermutation(
-                    f"zeta -> zeta^{k} does not map E_{j} into the idempotent "
-                    "basis; Q is inconsistent with its declared conductor"
-                )
-            cols.append(target)
-        perm = tuple(cols)
+    found = set()
+    for k, perm in zip(subfield.group, eigen.Q.column_positions(eigen.Q, subfield.group)):
+        if -1 in perm:
+            raise NotPermutation(
+                f"zeta -> zeta^{k} does not map E_{perm.index(-1)} into the idempotent "
+                "basis; Q is inconsistent with its declared conductor"
+            )
         if len(set(perm)) != dp1:
             raise NotPermutation(f"automorphism {k} does not act bijectively")
-        if by_perm.setdefault(perm, signature) != signature:
-            raise InternalAssertion(
-                "two distinct restrictions induced the same permutation"
-            )
-    perms = tuple(sorted(by_perm))
-    members = set(perms)
-    for a in perms:
-        for b in perms:
-            if tuple(a[b[j]] for j in range(dp1)) not in members:
+        found.add(tuple(perm))
+    for a in found:
+        for b in found:
+            if tuple(a[b[j]] for j in range(dp1)) not in found:
                 raise InternalAssertion("induced permutations are not closed")
-    return perms
+    return tuple(sorted(found))
 
 
 def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:

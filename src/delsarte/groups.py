@@ -17,7 +17,6 @@ C_{n+1} = {y x^even}, C_{n+2} = {y x^odd}, pinning every regression matrix.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,10 +45,6 @@ from .scheme import (
     attach_eigendata,
     verify_scheme,
 )
-
-#: beyond this order, associativity is checked on random triples only
-FULL_ASSOCIATIVITY_CAP = 128
-
 
 @dataclass(frozen=True)
 class GroupTable:
@@ -81,7 +76,7 @@ class GroupTable:
         return n
 
 
-def make_group_table(mult, rng_seed: int = 0) -> GroupTable:
+def make_group_table(mult) -> GroupTable:
     """Validate a multiplication table: identity at 0, inverses, associativity."""
     table = _integer_grid(mult)
     if table is None:
@@ -99,19 +94,38 @@ def make_group_table(mult, rng_seed: int = 0) -> GroupTable:
     lacking = np.flatnonzero((zeros.sum(axis=1) != 1) | (table[inverse, idx] != 0))
     if len(lacking):
         raise ValidationError(f"element {lacking[0]} lacks a two-sided inverse")
-    if order <= FULL_ASSOCIATIVITY_CAP:
-        left = table[table]          # left[a,b,c] = (ab)c
-        right = table[:, table]      # right[a,b,c] = a(bc)
-        if not np.array_equal(left, right):
-            raise ValidationError("multiplication is not associative")
-    else:
-        rng = random.Random(rng_seed)
-        a, b, c = np.array([rng.randrange(order) for _ in range(60000)]).reshape(-1, 3).T
-        bad = np.flatnonzero(table[table[a, b], c] != table[a, table[b, c]])
-        if len(bad):
-            t = bad[0]
-            raise ValidationError(f"associativity fails at {(int(a[t]), int(b[t]), int(c[t]))}")
+    if (triple := _associativity_failure(table)) is not None:
+        raise ValidationError(f"associativity fails at {triple}")
     return GroupTable(order=order, mult=table, inverse=tuple(inverse.tolist()))
+
+
+def _associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (x, g, y) with (xg)y != x(gy), or None, by Light's test.
+
+    The g with (xg)y = x(gy) for all x, y include the identity and are
+    closed under products ((x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
+    x((ab)y)), so they are every element once they include a set that
+    generates the table under its product.  The g checked, in order, are
+    such a set: each is the least element outside the closure of 0 and the
+    ones before under all pairwise products (no associativity assumed).  In
+    a group each at least doubles that closure, a subgroup, so at most
+    log2 |G| + 1 are checked, each by one |G| x |G| comparison.
+    """
+    inside = np.zeros(table.shape[0], dtype=bool)
+    inside[0] = True
+    for g in range(table.shape[0]):
+        if inside[g]:
+            continue
+        bad = np.argwhere(table[table[:, g]] != table[:, table[g]])
+        if len(bad):
+            x, y = map(int, bad[0])
+            return x, g, y
+        inside[g] = True
+        count = 0
+        while (size := np.count_nonzero(inside)) != count:
+            count = size
+            inside[table[inside][:, inside]] = True
+    return None
 
 
 @dataclass(frozen=True)

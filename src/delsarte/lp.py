@@ -19,7 +19,8 @@ On top of the solver sit the two standard Delsarte models: the design LP
 lower bound on T-design size) and the code LP (maximise it subject to
 forbidden relations, an upper bound on code size).  Both require rational
 eigenvalue data: a scheme whose Q is rational, a fusion scheme, or the
-merged matrix Qbar of a Galois orbit datum.
+merged matrix Qbar of a Galois orbit datum.  That matrix's integer
+numerators go to the solver as they are, over its denominator.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .scheme import EigenData, validate_indices
 
 Relation = str  # "<=", "=", ">="
 
-_ONE = Fraction(1)
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
@@ -157,11 +157,19 @@ def simplex_solve(problem: LPProblem) -> LPResult:
     coeffs, mu = rational_lift([row for row, _, _ in problem.constraints])
     rhs, mu_b = rational_lift([[b for _, _, b in problem.constraints]])
     costs, mu_c = rational_lift([problem.objective])
+    return _solve((coeffs.reshape(m, n), mu), [rel for _, rel, _ in problem.constraints],
+                  (rhs.reshape(m), mu_b), (costs.reshape(n), mu_c), problem.maximize)
+
+
+def _solve(A, relations, b, c, maximize: bool) -> LPResult:
+    """``simplex_solve`` on the lifted problem (coeffs / mu) x (rel) rhs / mu_b,
+    objective costs / mu_c: A = (coeffs, mu), b = (rhs, mu_b) and
+    c = (costs, mu_c) are integer arrays (m x n, m, n) over positive ints."""
+    (coeffs, mu), (rhs, mu_b), (costs, mu_c) = A, b, c
+    m, n = coeffs.shape
     # int64 only below the kernel's bound, so sign changes cannot wrap
     dtype = _dtype(max(_maxabs(coeffs), _maxabs(rhs), _maxabs(costs)))
-    coeffs, rhs, costs = (a.astype(dtype, copy=False).reshape(shape)
-                          for a, shape in ((coeffs, (m, n)), (rhs, m), (costs, n)))
-    relations = [rel for _, rel, _ in problem.constraints]
+    coeffs, rhs, costs = (a.astype(dtype, copy=False) for a in (coeffs, rhs, costs))
     flips = np.where(rhs < 0, -1, 1)
     flipped = [_FLIPPED[rel] if f < 0 else rel for f, rel in zip(flips.tolist(), relations)]
 
@@ -194,7 +202,7 @@ def simplex_solve(problem: LPProblem) -> LPResult:
                 if nonzero.size:
                     tab.pivot(r, int(nonzero[0]))
 
-    sign = 1 if problem.maximize else -1
+    sign = 1 if maximize else -1
     tab.set_costs(np.concatenate([sign * costs, np.zeros(width + 1 - n, dtype=costs.dtype)]))
     # artificial columns stay in the tableau for the dual but never enter
     if tab.run(real) == "unbounded":
@@ -303,15 +311,12 @@ def _rational_matrix(source) -> tuple[np.ndarray, int]:
     return ints, den
 
 
-def _distribution_problem(rows, den, relations, rhs, maximize) -> LPProblem:
+def _distribution_lp(rows, den, relations, rhs, maximize) -> LPResult:
     """Optimise sum_i a_i subject to (rows / den) a (rel) rhs and a >= 0, for
-    an integer array rows and integers rhs."""
-    return LPProblem(
-        objective=(_ONE,) * rows.shape[1],
-        constraints=tuple((tuple(Fraction(v, den) for v in row), rel, Fraction(b))
-                          for row, rel, b in zip(rows.tolist(), relations, rhs)),
-        maximize=maximize,
-    )
+    an integer array rows and integers rhs, on the lifted problem as posed."""
+    m, n = rows.shape
+    return _solve((rows, den), relations, (_int_array(rhs).reshape(m), 1),
+                  (np.ones(n, dtype=np.int64), 1), maximize)
 
 
 def _units(indices, classes: int, den: int) -> np.ndarray:
@@ -333,7 +338,7 @@ def delsarte_design_lp(source, T) -> LPResult:
     rows = np.vstack([_units([0], classes, den), ints.T])
     relations = ["="] + ["=" if j in T else ">=" for j in range(spaces)]
     rhs = [1] + [0] * spaces
-    return simplex_solve(_distribution_problem(rows, den, relations, rhs, maximize=False))
+    return _distribution_lp(rows, den, relations, rhs, maximize=False)
 
 
 def delsarte_code_lp(source, S) -> LPResult:
@@ -349,4 +354,4 @@ def delsarte_code_lp(source, S) -> LPResult:
     rows = np.vstack([_units((0, *S), classes, den), ints.T])
     relations = ["="] * (1 + len(S)) + [">="] * spaces
     rhs = [1] + [0] * (len(S) + spaces)
-    return simplex_solve(_distribution_problem(rows, den, relations, rhs, maximize=True))
+    return _distribution_lp(rows, den, relations, rhs, maximize=True)

@@ -298,17 +298,11 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
             f"P[{j}][{i}] on column {j}",
         )
 
-    # Dual map: E_{j*} = adjoint(E_j), i.e. Q[i][j*] = conj(Q[i'][j]).  The
-    # rows permuted, Q keeps its denominator, so its image under -1 is
-    # matched on the numerators of Q's columns
-    col_keys = {key: j for j, key in enumerate(Q.line_keys(1))}
-    (want,) = Q.select(rows=scheme.transpose_map).galois_line_keys([-1], 1)
-    dual = []
-    for j in range(dp1):
-        j_star = col_keys.get(want[j])
-        if j_star is None:
-            raise BadEigenbasis("dual_map", f"adjoint of E_{j} not in the basis")
-        dual.append(j_star)
+    # Dual map: E_{j*} = adjoint(E_j), i.e. Q[i][j*] = conj(Q[i'][j]), the
+    # column of Q equal to column j of the conjugate of Q with permuted rows
+    (dual,) = Q.column_positions(Q.select(rows=scheme.transpose_map), [-1])
+    if -1 in dual:
+        raise BadEigenbasis("dual_map", f"adjoint of E_{dual.index(-1)} not in the basis")
 
     return EigenData(
         scheme=scheme,

@@ -2,12 +2,13 @@
 the stacked images in ``fusion`` and ``scheme``.
 
 These are the library's former loops, kept verbatim apart from their
-names: one ``galois`` call per unit k, and rows and columns compared by
-``col_key``, which puts each line in lowest terms of its own.  The library
-builds the images of all units from one blocked product and compares lines
-by their numerators over the shared denominator; on every input both must
-give the same permutations, orbits, row classes, dual map and Krein data,
-and raise the same error with the same witness.
+names and their column key: one ``galois`` call per unit k, and rows and
+columns compared by ``column_key``, the terms of each entry, read through
+the public ``Cyclotomic.terms`` and so independent of the kernel's integer
+form.  The library builds the images of all units from one blocked product
+and matches columns on numerators (``CycMatrix.column_positions``); on
+every input both must give the same permutations, orbits, row classes,
+dual map and Krein data, and raise the same error with the same witness.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ from delsarte.fusion import _cell_labels, _label_cells, _partition_matrix, parti
 from delsarte.scheme import KreinData
 
 
+def column_key(matrix: CycMatrix, j: int) -> tuple:
+    """Column j as the (exponent, coefficient) terms of its entries: the
+    columns of matrices of one conductor are equal iff their keys are."""
+    return tuple(tuple(v.terms()) for v in matrix.col(j))
+
+
 def reference_sigma_permutations(eigen, subfield):
     """Permutations of {0..d} induced by Gal(F/K), one image of Q per unit."""
     n = eigen.conductor
@@ -37,11 +44,11 @@ def reference_sigma_permutations(eigen, subfield):
             f"contain the splitting conductor {n}"
         )
     dp1 = eigen.scheme.classes
-    col_keys = {eigen.Q.col_key(j): j for j in range(dp1)}
+    col_keys = {column_key(eigen.Q, j): j for j in range(dp1)}
     by_perm: dict[tuple[int, ...], tuple] = {}
     for k in subfield.group:
         image = eigen.Q.galois(k % n if n > 1 else 1)
-        signature = tuple(image.col_key(j) for j in range(dp1))
+        signature = tuple(column_key(image, j) for j in range(dp1))
         cols = []
         for j in range(dp1):
             target = col_keys.get(signature[j])
@@ -96,19 +103,19 @@ def reference_orbit_merge(eigen, subfield):
 
 
 def reference_group_rows(matrix: CycMatrix) -> tuple[tuple[int, ...], ...]:
-    """Cells of equal rows, each row keyed in lowest terms of its own."""
+    """Cells of equal rows, each row keyed by its terms."""
     rows = matrix.transpose()
-    return _label_cells(rows.col_key(i) for i in range(matrix.rows))
+    return _label_cells(column_key(rows, i) for i in range(matrix.rows))
 
 
 def reference_dual_map(scheme, Q: CycMatrix) -> tuple[int, ...]:
     """j -> j* with Q[i][j*] = conj(Q[i'][j]), one column key at a time."""
     dp1 = scheme.classes
-    col_keys = {Q.col_key(j): j for j in range(dp1)}
+    col_keys = {column_key(Q, j): j for j in range(dp1)}
     want = Q.select(rows=scheme.transpose_map).conjugate()
     dual = []
     for j in range(dp1):
-        j_star = col_keys.get(want.col_key(j))
+        j_star = col_keys.get(column_key(want, j))
         if j_star is None:
             raise BadEigenbasis("dual_map", f"adjoint of E_{j} not in the basis")
         dual.append(j_star)

@@ -7,11 +7,19 @@ variables, clean-up pivots that drive zero artificials out of the basis,
 and phase 2 on the rows that remain.  The library's integer tableau must
 make the same pivots, so both return the same optimal vertex even on
 degenerate LPs.  It reads an ``LPProblem`` through its public fields only.
+
+``posed_delsarte_problem`` states a Delsarte LP as the ``LPProblem`` of
+Fractions that the library solves on its integer block, read off the
+public entries of the eigenvalue matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from delsarte.fusion import FusionScheme, GaloisOrbitData
+from delsarte.lp import LPProblem, delsarte_design_lp
+from delsarte.scheme import EigenData
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -127,3 +135,28 @@ def reference_solve(problem):
             solution[b] = tableau[r][-1]
     value = sum(c * x for c, x in zip(problem.objective, solution))
     return "optimal", value, tuple(solution)
+
+
+def posed_delsarte_problem(source, fn, index) -> LPProblem:
+    """The design LP (fn is ``delsarte_design_lp``, index T) or the code LP
+    (index S) on the rational eigenvalue matrix M of source: optimise
+    sum_i a_i subject to a_0 = 1, a_i = 0 for i in S, (aM)_j = 0 for j in T,
+    (aM)_j >= 0 otherwise, and a >= 0, in that row order."""
+    matrix = {EigenData: lambda s: s.Q, FusionScheme: lambda s: s.Q_F,
+              GaloisOrbitData: lambda s: s.Qbar}[type(source)](source)
+    M = [[v.as_rational() for v in row] for row in matrix.entries]
+    classes, spaces = len(M), len(M[0])
+    index = sorted(set(index))
+
+    def unit(i):
+        return tuple(Fraction(int(t == i)) for t in range(classes))
+
+    columns = [tuple(M[i][j] for i in range(classes)) for j in range(spaces)]
+    if fn is delsarte_design_lp:
+        rows = [(unit(0), "=", Fraction(1))] + [
+            (col, "=" if j in index else ">=", Fraction(0)) for j, col in enumerate(columns)]
+    else:
+        rows = [(unit(0), "=", Fraction(1))] + [(unit(i), "=", Fraction(0)) for i in index] + [
+            (col, ">=", Fraction(0)) for col in columns]
+    return LPProblem(objective=(Fraction(1),) * classes, constraints=tuple(rows),
+                     maximize=fn is not delsarte_design_lp)

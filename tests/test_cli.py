@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delsarte.catalog import data_dir, load_entry
+from delsarte.catalog import data_dir, list_entries, load_entry
 from delsarte.cli import main
 
 
@@ -203,6 +203,27 @@ def test_catalog_list(capsys):
     assert code == 0
     names = [e["name"] for e in payload["entries"]]
     assert names == ["a4", "coxeter", "dic3", "dic5", "dic7", "x8", "y8", "z12"]
+
+
+def test_catalog_list_json_names_the_packaged_files(capsys):
+    # the paths are those of the packaged data directory, in one canonical line
+    base = data_dir()
+    want = {"entries": [
+        {"name": e.name, "scheme": str(base / e.scheme_file), "eigen": str(base / e.eigen_file),
+         "group": str(base / e.group_file) if e.group_file else None,
+         "chars": str(base / e.chars_file) if e.chars_file else None, "note": e.note}
+        for e in list_entries()]}
+    code, out, _ = run(capsys, ["catalog", "list", "--json"])
+    assert code == 0
+    assert out == json.dumps(want, sort_keys=True) + "\n"
+
+
+def test_catalog_list_has_no_catalog_option(capsys):
+    # the former --catalog only prefixed the printed paths and read nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "list", "--catalog", "x"])
+    assert exc.value.code == 2
+    assert "--catalog" in capsys.readouterr().err
 
 
 def test_text_output_has_no_floats(capsys):

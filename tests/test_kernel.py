@@ -139,13 +139,15 @@ def test_keys_and_masks_are_exact():
     z = Cyclotomic.zeta
     m = CycMatrix([[Fraction(1, 2), 0], [z(8) / 3, Fraction(1, 2)]])
     other = CycMatrix([[Fraction(2, 4), 0], [0, 1]], 8)
-    # equal rows of matrices with different common denominators
-    assert m.transpose().col_key(0) == other.transpose().col_key(0)
-    assert m.col_key(0) != other.col_key(0)
-    assert m.transpose().col_key(1) != other.transpose().col_key(1)
-    # raw keys compare the lines of one matrix over its common denominator
-    assert m.line_keys(0)[0] != m.line_keys(0)[1]
-    assert len(set(CycMatrix([[1, 2], [1, 2]]).line_keys(0))) == 1
+    # equal rows of matrices with different common denominators: row 0 of
+    # other is row 0 of m, its row 1 and both its columns are not in m
+    assert m.transpose().column_positions(other.transpose()) == [[0, -1]]
+    assert m.column_positions(other) == [[-1, -1]]
+    # and of different conductors: (2/4, 0) over Q is row 0 of m over Q(zeta_8)
+    assert m.transpose().column_positions(CycMatrix([[Fraction(2, 4)], [0]])) == [[0]]
+    # labels compare the lines of one matrix
+    assert m.line_labels(0) == [0, 1]
+    assert CycMatrix([[1, 2], [1, 2]]).line_labels(0) == [0, 0]
     assert m.zero_mask().tolist() == [[False, True], [False, False]]
     with pytest.raises(ValueError):
         m.signs()  # zeta_8 / 3 is not real
@@ -307,8 +309,9 @@ def test_zero_matrices_over_huge_denominators():
     assert a - a == CycMatrix([[0]])
     assert (a - a).zero_mask().all()
     m = CycMatrix([[Fraction(1, 2**64), 0], [0, 0]])
-    assert m.transpose().col_key(1) == m.col_key(1) == CycMatrix([[0], [0]]).col_key(0)
-    assert m.transpose().col_key(0) != m.transpose().col_key(1)
+    zero = CycMatrix([[0], [0]])
+    assert zero.column_positions(m.transpose()) == zero.column_positions(m) == [[-1, 0]]
+    assert m.transpose().column_positions(zero) == [[1]]
 
 
 def test_character_table_keeps_its_matrix():

@@ -22,7 +22,7 @@ from delsarte.catalog import CATALOG, load_entry
 from delsarte.designs import rational_fusion, rational_orbit_data
 from delsarte.errors import InternalAssertion, NotClosed
 from delsarte.lp import LPProblem, LPResult, make_problem, simplex_solve
-from lp_reference import reference_solve
+from lp_reference import posed_delsarte_problem, reference_solve
 
 RELATIONS = ("<=", ">=", "=")
 
@@ -186,9 +186,10 @@ def test_guards_check_the_returned_result(monkeypatch, field, skew, error):
 
 def catalog_lps():
     """(source, LP function, index set) for every design LP (all T) on each
-    entry's rational orbit data and rational fusion, every code LP (all
-    nonempty S) on the fusion, and the code LPs on the orbit data whose S
-    is a union of fused classes (all nonempty S where there is no fusion)."""
+    entry's rational orbit data, its rational fusion and the fusion's own
+    eigendata, every code LP (all nonempty S) on the fusion and its
+    eigendata, and the code LPs on the orbit data whose S is a union of
+    fused classes (all nonempty S where there is no fusion)."""
     out = []
     for name in sorted(CATALOG):
         eigen = load_entry(name).eigen
@@ -197,7 +198,7 @@ def catalog_lps():
             fused = rational_fusion(eigen)
         except NotClosed:
             fused = None
-        for source in (orbits, fused) if fused else (orbits,):
+        for source in (orbits, fused, fused.eigen) if fused else (orbits,):
             classes, spaces = lp._rational_matrix(source)[0].shape
             out += [(source, lp.delsarte_design_lp, T)
                     for k in range(spaces) for T in itertools.combinations(range(1, spaces), k)]
@@ -206,6 +207,7 @@ def catalog_lps():
             for k in range(1, cells):
                 for S in itertools.combinations(range(1, cells), k):
                     out.append((fused, lp.delsarte_code_lp, S))
+                    out.append((fused.eigen, lp.delsarte_code_lp, S))
                     out.append((orbits, lp.delsarte_code_lp,
                                 sorted(i for c in S for i in fused.partition[c])))
         else:
@@ -218,32 +220,25 @@ def catalog_lps():
 
 @pytest.fixture(scope="module")
 def catalog_reference():
-    """Each catalog LP with the problem the library posed and the reference
+    """Each catalog LP with its problem posed in Fractions and the reference
     optimum of that problem."""
-    posed = []
-    solve = lp.simplex_solve
-
-    def spy(problem):
-        posed.append(problem)
-        return solve(problem)
-
-    lp.simplex_solve = spy
-    try:
-        cases = catalog_lps()
-        for source, fn, index in cases:
-            fn(source, index)
-    finally:
-        lp.simplex_solve = solve
-    assert len(posed) == len(cases)
-    return [(case, problem, reference_solve(problem)) for case, problem in zip(cases, posed)]
+    out = []
+    for source, fn, index in catalog_lps():
+        problem = posed_delsarte_problem(source, fn, index)
+        out.append(((source, fn, index), problem, reference_solve(problem)))
+    return out
 
 
 def test_catalog_lps_match_the_reference(catalog_reference):
+    # the Delsarte LPs solve their integer block directly: the result equals
+    # simplex_solve's on the posed Fraction problem in every field
     assert len(catalog_reference) > 400
+    kinds = {(type(source).__name__, fn.__name__) for (source, fn, _), _, _ in catalog_reference}
+    assert len(kinds) == 6
     for (source, fn, index), problem, want in catalog_reference:
         result = fn(source, index)
         assert (result.status, result.value, result.solution) == want
-        assert result.dual == simplex_solve(problem).dual
+        assert result == simplex_solve(problem)
         assert_dual_certificate(problem, result)
 
 

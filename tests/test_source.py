@@ -188,7 +188,7 @@ def _per_unit_galois(tree):
 
 def test_galois_images_come_from_one_stack():
     # outside cyclotomic.py the images of a matrix under a list of units come
-    # from CycMatrix.galois_line_keys and .galois_moved, one blocked product,
+    # from CycMatrix.column_positions and .galois_moved, one blocked product,
     # not from one galois call per unit
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -218,6 +218,55 @@ def test_galois_guard_catches_the_former_loops():
     # one image, or a loop whose galois call does not follow the loop
     once = "want = Q.conjugate()\nfor j in range(d):\n    x = Q.galois(-1)\n"
     assert _per_unit_galois(ast.parse(once)) == []
+
+
+#: the line keys of the kernel and their former public forms
+LINE_KEYS = {"_keys", "line_keys", "galois_line_keys", "col_key"}
+
+
+def _line_key_uses(tree):
+    """(line, name) of every name, attribute, import or definition of a line key."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.alias, ast.FunctionDef)):
+            name = node.name
+        else:
+            continue
+        if name in LINE_KEYS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_only_cyclotomic_handles_line_keys():
+    # when two lines may be compared by their numerators is decided in one
+    # place: other modules match columns with CycMatrix.column_positions and
+    # label equal lines with .line_labels
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cyclotomic.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {name}" for line, name in _line_key_uses(tree)]
+    assert not found, found
+
+
+def test_line_key_guard_catches_the_former_callers():
+    # the dual map of attach_eigendata, fusion._group_rows and the matching
+    # of build_design_transfer, as they were before column_positions
+    old = (
+        "from .cyclotomic import _keys\n"
+        "col_keys = {key: j for j, key in enumerate(Q.line_keys(1))}\n"
+        "(want,) = Q.select(rows=scheme.transpose_map).galois_line_keys([-1], 1)\n"
+        "def _group_rows(matrix):\n"
+        "    return _label_cells(matrix.line_keys(0))\n"
+        "keys = {qy.col_key(l): l for l in range(qy.cols)}\n"
+    )
+    assert [line for line, _ in _line_key_uses(ast.parse(old))] == [1, 2, 3, 5, 6]
+    assert _line_key_uses(ast.parse("(dual,) = Q.column_positions(Q, [-1])\n")) == []
 
 
 def _iota_subscripts(tree):
@@ -302,12 +351,15 @@ def _global_calls(tree, function, callee):
 
 def test_lp_has_no_fraction_tableau():
     # the simplex pivots on the integer tableau; the Fraction tableau is the
-    # reference in tests/lp_reference.py.  Both Delsarte LPs solve through
-    # the module-level simplex_solve, so a wrapper installed on it sees every solve
+    # reference in tests/lp_reference.py.  simplex_solve and both Delsarte
+    # LPs (through _distribution_lp) solve through the module-level _solve,
+    # so a wrapper installed on it sees every solve
     tree = ast.parse((SRC / "lp.py").read_text())
     assert _fraction_tableau(tree) == []
+    for function in ("simplex_solve", "_distribution_lp"):
+        assert _global_calls(tree, function, "_solve"), function
     for function in ("delsarte_design_lp", "delsarte_code_lp"):
-        assert _global_calls(tree, function, "simplex_solve"), function
+        assert _global_calls(tree, function, "_distribution_lp"), function
 
 
 def test_lp_guard_catches_the_old_tableau():
@@ -343,6 +395,35 @@ def _fraction_calls(tree):
 
     visit(tree, "")
     return found
+
+
+#: where lp.py may build Fractions: posed problems, the returned result and
+#: its exact checks against the posed problem
+LP_FRACTIONS = {"make_problem", "_solve", "_check_solution", "_check_dual"}
+
+
+def test_delsarte_lps_build_no_fractions():
+    # the Delsarte LPs pass the integer rows of the eigenvalue matrix and
+    # their denominator to the solver as they are
+    tree = ast.parse((SRC / "lp.py").read_text())
+    found = [f"lp.py:{line} in {scope}" for scope, line in _fraction_calls(tree)
+             if scope not in LP_FRACTIONS]
+    assert not found, found
+
+
+def test_lp_fraction_guard_catches_the_former_problem():
+    old = (
+        "def _distribution_problem(rows, den, relations, rhs, maximize):\n"
+        "    return LPProblem(\n"
+        "        objective=(_ONE,) * rows.shape[1],\n"
+        "        constraints=tuple((tuple(Fraction(v, den) for v in row), rel, Fraction(b))\n"
+        "                          for row, rel, b in zip(rows.tolist(), relations, rhs)),\n"
+        "        maximize=maximize,\n"
+        "    )\n"
+    )
+    found = _fraction_calls(ast.parse(old))
+    assert found == [("_distribution_problem", 4)] * 2
+    assert not LP_FRACTIONS & {scope for scope, _ in found}
 
 
 #: where designs.py may build Fractions: the returned inner distribution,
