@@ -15,8 +15,9 @@ embedding or a list of (exponent, coefficient) terms is one integer matrix
 read off the same table by ``_basis_map``, its only reader; the images of a
 matrix under a list of automorphisms are products with their stacked
 matrices, a bounded block of them at a time, which keep the matrix's
-denominator; lines are compared on numerators by ``column_positions`` and
-``line_labels`` only.  Before each operation a cheap bound on every partial
+denominator; a rational scaling of rows and columns is one broadcast
+multiply of the numerators (``scale_lines``); lines are compared on
+numerators by ``column_positions`` and ``line_labels`` only.  Before each operation a cheap bound on every partial
 sum is computed from the largest entries (for a product, max|A| max|B|
 times the inner dimension, phi and the reduction factor); int64 is used
 only when it is below 2^62, and Python integers (``dtype=object``)
@@ -738,6 +739,18 @@ def _convolve(n: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.n
     return conv[..., :phi] + conv[..., phi:] @ red.astype(dtype, copy=False)
 
 
+def _line_factor(values, size: int, shape) -> tuple[np.ndarray, int]:
+    """A rational vector of the given size as integers over its least
+    common denominator, reshaped to broadcast along one axis of a numerator
+    array; None is the factor 1."""
+    if values is None:
+        return np.ones((1, 1, 1), dtype=np.int64), 1
+    ints, den = rational_lift([list(values)])
+    if ints.shape[1] != size:
+        raise ValueError("shape mismatch")
+    return ints.reshape(shape), den
+
+
 def _shape(grid) -> tuple[int, int]:
     rows, cols = len(grid), len(grid[0]) if grid else 0
     if any(len(r) != cols for r in grid):
@@ -827,8 +840,30 @@ class CycMatrix:
 
     @classmethod
     def diagonal(cls, values) -> "CycMatrix":
-        """The square matrix with the given rational diagonal."""
-        return cls(np.diag(np.array(list(values), dtype=object)))
+        """The square matrix with the given rational diagonal, lifted once."""
+        ints, den = rational_lift([list(values)])
+        idx = np.arange(ints.shape[1])
+        num = np.zeros((len(idx), len(idx), 1), dtype=ints.dtype)
+        num[idx, idx, 0] = ints[0]
+        return cls._from_array(1, num, den)
+
+    def scale_lines(self, rows=None, cols=None) -> "CycMatrix":
+        """diag(rows) self diag(cols) for rational vectors (None leaves that
+        side alone), as one broadcast multiply of the numerator array.
+
+        Each vector is lifted once to integers over its least common
+        denominator.  The product is int64 while max|num| max|r| max|c| (each
+        taken as at least 1) is below 2^62 and Python ints otherwise; the
+        denominators multiply, and ``_set`` returns the result to lowest
+        terms.
+        """
+        r, dr = _line_factor(rows, self.rows, (-1, 1, 1))
+        c, dc = _line_factor(cols, self.cols, (1, -1, 1))
+        # every factor's entries are below the bound too, so each cast fits
+        dtype = _dtype(max(_maxabs(self._num), 1) * max(_maxabs(r), 1) * max(_maxabs(c), 1))
+        num = (self._num.astype(dtype, copy=False) * r.astype(dtype, copy=False)
+               * c.astype(dtype, copy=False))
+        return CycMatrix._from_array(self.conductor, num, self._den * dr * dc)
 
     # -- entries, built together on the first read -----------------------------
 
@@ -946,8 +981,9 @@ class CycMatrix:
         numerator (the denominator is positive), with no Galois work.  The
         irrational entries must be fixed by complex conjugation, one stacked
         image; their signs come from a float64 estimate with a proven error
-        bound where it settles them (``_filtered_signs``, int64 numerators
-        only), and from interval evaluation otherwise.
+        bound where it settles them (``_filtered_signs``, on the entries
+        whose own numerators are below 2^62 in absolute value, whatever the
+        dtype of the whole matrix), and from interval evaluation otherwise.
         """
         head = self._num[..., 0]
         out = (head > 0).astype(np.int64) - (head < 0).astype(np.int64)
@@ -958,8 +994,13 @@ class CycMatrix:
         part = self._num[rows, cols]
         if CycMatrix._from_array(self.conductor, part[:, None]).galois_moved([-1]).any():
             raise ValueError("matrix has a non-real entry; sign undefined")
-        found = (_filtered_signs(self.conductor, part) if part.dtype != object
-                 else np.zeros(len(part), dtype=np.int64))
+        if part.dtype != object:
+            found = _filtered_signs(self.conductor, part)
+        else:
+            found = np.zeros(len(part), dtype=np.int64)
+            small = (np.abs(part) < INT64_BOUND).all(axis=1)
+            if small.any():
+                found[small] = _filtered_signs(self.conductor, part[small].astype(np.int64))
         for k in np.flatnonzero(found == 0).tolist():
             found[k] = _interval_sign(self.conductor, part[k].tolist())
         out[rows, cols] = found
@@ -1015,12 +1056,13 @@ class CycMatrix:
         the numerator array of V self[:, cols], flattened to
         (k, len(cols) * phi), over self's positive denominator; so a
         combination vanishes exactly where its row of V @ block does.  The
-        block is int64 when bound * max|block| * rows < 2^62 and Python ints
-        otherwise, so the product never wraps.
+        block is int64 when bound * max|block| * rows < 2^62 (max|block| taken
+        as at least 1, so that V itself fits the block's dtype) and Python
+        ints otherwise, so the product never wraps.
         """
         part = self._num if cols is None else self._num[:, np.asarray(cols, dtype=np.intp)]
         block = part.reshape(self.rows, part.shape[1] * part.shape[2])
-        return block.astype(_dtype((bound + 1) * _maxabs(block) * self.rows), copy=False)
+        return block.astype(_dtype((bound + 1) * max(_maxabs(block), 1) * self.rows), copy=False)
 
     def left_rational(self, vectors, cols=None) -> "CycMatrix":
         """V self[:, cols] for a rational matrix V (k x rows), one integer product."""

@@ -250,8 +250,10 @@ def fuse_by_relation_partition(
     total); on success the fused scheme is rebuilt and re-verified from
     scratch, P_F is read off the distinct rows of PO, and Q_F is read off the
     second orthogonality relation m_l conj(P_F[l][i]) = v_i Q_F[i][l] (m_l the
-    summed multiplicities of eigen class l, v_i the fused valencies) and
-    attached with full eigendata verification.
+    summed multiplicities of eigen class l, v_i the fused valencies), one
+    rational scaling of the rows and columns of P_F^*
+    (``CycMatrix.scale_lines``), and attached with full eigendata
+    verification.
     """
     cells = _validate_partition(partition, scheme.classes)
     e1 = len(cells)
@@ -269,10 +271,8 @@ def fuse_by_relation_partition(
 
     p_f = po.select(rows=[cell[0] for cell in eigen_classes])
     fused_mult = [sum(eigen.multiplicities[j] for j in cell) for cell in eigen_classes]
-    q_f = (
-        CycMatrix.diagonal([Fraction(1, v) for v in fused_scheme.valencies])
-        * p_f.adjoint()
-        * CycMatrix.diagonal(fused_mult)
+    q_f = p_f.adjoint().scale_lines(
+        rows=[Fraction(1, v) for v in fused_scheme.valencies], cols=fused_mult
     )
     try:
         fused_eigen = attach_eigendata(fused_scheme, q_f)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, units_mod
+from .cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, euler_phi, units_mod
 from .errors import (
     BadEigenbasis,
     InternalAssertion,
@@ -231,17 +231,17 @@ def verify_character_table(
 
     With X the table and D = diag(|C_i|), row orthogonality is
     X D X^* = |G| I and column orthogonality is X^T conj(X) = |G| D^(-1),
-    each one kernel product.
+    each one kernel product (X D is a scaling of the columns of X).
     """
     dp1 = len(classes.classes)
     if (table.matrix.rows, table.matrix.cols) != (dp1, dp1):
         raise BadEigenbasis("character_table_shape")
     x = table.matrix
-    if x.select(rows=[0]) != CycMatrix([[1] * dp1]):
+    if x.select(rows=[0]) != CycMatrix(np.ones((1, dp1), dtype=np.int64)):
         raise BadEigenbasis("trivial_character", "first row must be all ones")
     order = group.order
     sizes = classes.sizes
-    rows = x * CycMatrix.diagonal(sizes) * x.adjoint() - CycMatrix.identity(dp1).scale(order)
+    rows = x.scale_lines(cols=sizes) * x.adjoint() - CycMatrix(order * np.eye(dp1, dtype=np.int64))
     bad = np.argwhere(np.triu(~rows.zero_mask()))
     if len(bad):
         j, k = map(int, bad[0])
@@ -271,7 +271,7 @@ def eigendata_from_characters(
         scheme, found = conj_class_scheme(group)
         if found.classes != classes.classes:
             raise BadEigenbasis("class_order", "classes disagree with the group")
-    q = table.matrix.adjoint() * CycMatrix.diagonal(table.degrees)
+    q = table.matrix.adjoint().scale_lines(cols=table.degrees)
     eigen = attach_eigendata(scheme, q)
     expected = tuple(f * f for f in table.degrees)
     if eigen.multiplicities != expected:
@@ -287,10 +287,11 @@ def character_product_multiplicities(
 ) -> tuple[int, ...]:
     """Multiplicities r with chi_i chi_j = sum_k r[k] chi_k (pointwise).
 
-    r = (chi_i o chi_j) D X^* / |G|, one kernel product.
+    r = (chi_i o chi_j) D X^* / |G|: a scaling of the columns, then one
+    kernel product.
     """
     x = table.matrix
-    prod = x.select(rows=[i]).schur(x.select(rows=[j])) * CycMatrix.diagonal(classes.sizes)
+    prod = x.select(rows=[i]).schur(x.select(rows=[j])).scale_lines(cols=classes.sizes)
     r = (prod * x.adjoint()).scale(Fraction(1, order))
     out, bad = _integer_entries(r, 0)
     if bad is not None:
@@ -434,6 +435,12 @@ class Representation:
     U: CycMatrix
 
 
+#: numerators of the product rho(a) rho(b) per block of rows a, 512 kB in
+#: int64 (a block holds at least one a): the traced peak of the check grows
+#: as |G| f^2 phi, not as its square
+REPRESENTATION_BLOCK_NUMERATORS = 1 << 16
+
+
 def verify_representation(
     group: GroupTable, rho: Representation, character_row=None
 ) -> CycMatrix:
@@ -441,12 +448,14 @@ def verify_representation(
     against ``character_row`` (one value per element) when given; returns the
     traces as a |G| x 1 column.
 
-    The homomorphism check is one product: L = U as (|G| f) x f has row
-    (a, r) = row r of rho(a), its rearrangement R (f x |G| f) has column
-    (b, c) = column c of rho(b), so entry ((a, r), (b, c)) of L R is
-    (rho(a) rho(b))[r, c]; it is compared with the same rearrangement of the
-    rows mult[a, b] of U.  A failure names the first (a, b) in lexicographic
-    order.
+    The homomorphism check is one product per block of rows a: L = U as
+    (|G| f) x f has row (a, r) = row r of rho(a), its rearrangement R
+    (f x |G| f) has column (b, c) = column c of rho(b), so entry
+    ((a, r), (b, c)) of L R is (rho(a) rho(b))[r, c]; it is compared with the
+    same rearrangement of the rows mult[a, b] of U.  A block takes the rows
+    of L of as many a as keep its product within
+    REPRESENTATION_BLOCK_NUMERATORS numerators, and the blocks run in order
+    of a, so a failure names the first (a, b) in lexicographic order.
     """
     f, order, u = rho.degree, group.order, rho.U
     if (u.rows, u.cols) != (order, f * f):
@@ -454,20 +463,27 @@ def verify_representation(
     if u.select(rows=[0]) != CycMatrix.identity(f).reshape(1, f * f):
         raise ValidationError("identity must map to the identity matrix")
     g, s = np.arange(order), np.arange(f)
-    left = u.reshape(order * f, f)
-    right = left.select(rows=(f * g[None, :] + s[:, None]).ravel()).reshape(f, order * f)
-    a, r, b = np.ix_(g, s, g)
-    expected = (
-        u.select(rows=group.mult.ravel())
-        .reshape(order * order * f, f)
-        .select(rows=((order * a + b) * f + r).ravel())
-        .reshape(order * f, order * f)
+    right = (
+        u.reshape(order * f, f)
+        .select(rows=(f * g[None, :] + s[:, None]).ravel())
+        .reshape(f, order * f)
     )
-    bad = ~(left * right - expected).zero_mask()
-    if bad.any():
-        a, b = map(int, np.argwhere(bad.reshape(order, f, order, f).any(axis=(1, 3)))[0])
-        raise ValidationError(f"rho({a}) rho({b}) != rho({a}*{b})")
-    traces = u.select(cols=s * (f + 1)) * CycMatrix([[1]] * f)
+    per = max(1, REPRESENTATION_BLOCK_NUMERATORS // (order * f * f * euler_phi(u.conductor)))
+    for start in range(0, order, per):
+        rows = g[start:start + per]
+        m = len(rows)
+        a, r, b = np.ix_(np.arange(m), s, g)
+        expected = (
+            u.select(rows=group.mult[rows].ravel())
+            .reshape(m * order * f, f)
+            .select(rows=((order * a + b) * f + r).ravel())
+            .reshape(m * f, order * f)
+        )
+        bad = ~(u.select(rows=rows).reshape(m * f, f) * right - expected).zero_mask()
+        if bad.any():
+            a, b = map(int, np.argwhere(bad.reshape(m, f, order, f).any(axis=(1, 3)))[0])
+            raise ValidationError(f"rho({start + a}) rho({b}) != rho({start + a}*{b})")
+    traces = u.select(cols=s * (f + 1)) * CycMatrix(np.ones((f, 1), dtype=np.int64))
     if character_row is not None:
         wrong = ~(traces - CycMatrix([[v] for v in character_row])).zero_mask()
         if wrong.any():
@@ -497,7 +513,7 @@ def representation_eigenvectors(
     indicator = np.zeros((len(classes.classes), group.order), dtype=np.int64)
     indicator[classes.class_of, np.arange(group.order)] = 1
     chi = traces.select(rows=[cell[0] for cell in classes.classes])
-    theta = CycMatrix.diagonal([Fraction(len(cell), f) for cell in classes.classes]) * chi
+    theta = chi.scale_lines(rows=[Fraction(len(cell), f) for cell in classes.classes])
     expected = theta * CycMatrix.identity(f).reshape(1, f * f)
     wrong = ~(u.left_rational(indicator) - expected).zero_mask()
     if wrong.any():

@@ -246,7 +246,10 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     Q must be (d+1) x (d+1) with first column all ones (so E_0 = J/|X|).
     P is read off the second orthogonality relation
     m_j P[j][i] = v_i conj(Q[i][j]) from the positive integer multiplicities
-    m_j = Q[0][j] and the scheme's valencies v_i.  Every invariant is then
+    m_j = Q[0][j] and the scheme's valencies v_i: one rational scaling of the
+    rows and columns of Q^* (``CycMatrix.scale_lines``), with no diagonal
+    matrix and no product.  The identities are compared with constant
+    matrices built from integer arrays.  Every invariant is then
     checked exactly: PQ = |X| I (over a field a square P with this property
     is |X| Q^(-1), so a singular Q fails here), the common-eigenvector
     identity that makes each E_j idempotent and mutually orthogonal, and
@@ -259,7 +262,7 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     size = scheme.size
     if Q.rows != dp1 or Q.cols != dp1:
         raise BadEigenbasis("shape", f"Q must be {dp1}x{dp1}")
-    if Q.select(cols=[0]) != CycMatrix([[1]] * dp1):
+    if Q.select(cols=[0]) != CycMatrix(np.ones((dp1, 1), dtype=np.int64)):
         raise BadEigenbasis("E0", "column 0 of Q must be all ones")
 
     first_row = Q.select(rows=[0])
@@ -271,12 +274,8 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
 
     # Second orthogonality: m_j P[j][i] = v_i conj(Q[i][j]).  With Q[i][0] = 1
     # and m_0 = v_0 = 1 this gives P[0][i] = v_i and P[j][0] = 1 outright.
-    P = (
-        CycMatrix.diagonal([Fraction(1, m) for m in mult])
-        * Q.adjoint()
-        * CycMatrix.diagonal(scheme.valencies)
-    )
-    if P * Q != CycMatrix.identity(dp1).scale(size):
+    P = Q.adjoint().scale_lines(rows=[Fraction(1, m) for m in mult], cols=scheme.valencies)
+    if P * Q != CycMatrix(size * np.eye(dp1, dtype=np.int64)):
         raise BadEigenbasis("orthogonality", "PQ != |X| I")
 
     # Common-eigenvector identity: B_i Qcol_j = P[j][i] Qcol_j where

@@ -10,6 +10,7 @@ set (Light's test) must give the verdict of the full check on all triples.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,38 @@ def test_corrupted_blocks_fail_at_the_reference_pair(family, params):
             assert got == _failure(reference_verify_representation, group, _images(bad))
             messages.append(got[1])
     assert any(m.startswith("rho(") for m in messages)
+
+
+@pytest.mark.parametrize("budget", [1, 5000])
+def test_corrupted_blocks_fail_at_the_reference_pair_across_blocks(budget, monkeypatch):
+    # blocks of one row a each (budget 1), and of a few rows a (on dic5 at
+    # 5000 numerators: 12 rows for f = 1, 3 for f = 2): the first failing
+    # (a, b) is still the reference's
+    monkeypatch.setattr(groups, "REPRESENTATION_BLOCK_NUMERATORS", budget)
+    for family, params in [("cyclic", (12,)), ("dicyclic", (5,))]:
+        group = builtin_group(family, *params)[0]
+        rng = np.random.default_rng(11)
+        for rho in builtin_representations(family, *params):
+            for _ in range(3):
+                bad = Representation(rho.degree, _corrupt(rho.U, rng))
+                got = _failure(verify_representation, group, bad)
+                assert got is not None
+                assert got == _failure(reference_verify_representation, group, _images(bad))
+
+
+def test_representation_check_memory_is_bounded_on_dic31():
+    # a two-dimensional representation of Dic_31 (|G| = 124, phi = 60): the
+    # whole (|G| f)^2 product held a 70.5 MB traced peak, blocks of rows a
+    # about 2.5 MB
+    group = builtin_group("dicyclic", 31)[0]
+    rho = next(r for r in groups.dicyclic_representations(31) if r.degree == 2)
+    tracemalloc.start()
+    try:
+        verify_representation(group, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
 
 
 def test_traces_and_class_sums_fail_like_the_reference():

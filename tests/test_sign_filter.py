@@ -1,8 +1,8 @@
 """The float64 sign filter of ``CycMatrix.signs`` against interval signs.
 
-``signs`` decides an irrational entry with int64 numerators in float64 when
-the estimate clears its proven error bound, and sends every other entry to
-``_interval_sign``.  Here every sign it returns is compared with the
+``signs`` decides an irrational entry whose own numerators are below 2^62 in
+float64 when the estimate clears its proven error bound, whatever the dtype
+of the whole matrix, and sends every other entry to ``_interval_sign``.  Here every sign it returns is compared with the
 interval sign of the same numerators: random real values at many
 conductors with numerators up to 2^62 (where float64 rounds them),
 object-dtype numerators, values so close to zero that the filter must pass
@@ -55,8 +55,10 @@ def check_signs(m: CycMatrix) -> tuple[int, int]:
     for i, j in irrational:
         want[i][j] = _interval_sign(n, num[i, j].tolist())
     assert got.tolist() == want
-    if num.dtype == object:
-        assert len(calls) == len(irrational)  # no float64 estimate on objects
+    # no float64 estimate on an entry with a numerator of 2^62 or more
+    called = {numerators for _, numerators in calls}
+    assert all(tuple(num[i, j].tolist()) in called for i, j in irrational
+               if max(abs(c) for c in num[i, j].tolist()) >= 2**62)
     assert len(calls) <= len(irrational)
     return len(irrational) - len(calls), len(calls)
 
@@ -99,9 +101,11 @@ def test_large_numerators_are_rounded_and_still_decided():
 
 def test_object_numerators_take_the_interval_path():
     root2 = Cyclotomic.from_terms(8, [(1, 1), (7, 1)])
+    # only the entry whose own numerators do not fit takes intervals; its
+    # small neighbour takes the float64 filter
     m = CycMatrix([[root2 * 2**70 - 1, -root2 * 3 + 1, Fraction(-1, 3)]])
     assert m._num.dtype == object
-    assert check_signs(m) == (0, 2)
+    assert check_signs(m) == (1, 1)
 
 
 def pell(d: int, x: int, y: int, top: int):

@@ -460,3 +460,44 @@ def test_fraction_guard_catches_the_former_index_list():
                      ("WeightedSubset.from_weights", 12)]
     assert [scope for scope, _ in found if scope not in DESIGN_FRACTIONS] == [
         "WeightedSubset.from_indices"] * 2
+
+
+def _diagonal_products(tree):
+    """Line numbers of every `CycMatrix.diagonal(...)` call that is a factor
+    of a product."""
+    return sorted({side.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.MatMult))
+                   for side in (node.left, node.right)
+                   if isinstance(side, ast.Call)
+                   and ast.unparse(side.func) == "CycMatrix.diagonal"})
+
+
+def test_no_products_with_diagonal_matrices():
+    # a rational scaling of rows or columns is one broadcast multiply,
+    # CycMatrix.scale_lines, not a dense product with a diagonal matrix
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _diagonal_products(tree)]
+    assert not found, found
+
+
+def test_diagonal_guard_catches_the_former_scalings():
+    # P in scheme.attach_eigendata and Q_F in fusion.fuse_by_relation_partition,
+    # as they were before scale_lines
+    old = (
+        "P = (\n"
+        "    CycMatrix.diagonal([Fraction(1, m) for m in mult])\n"
+        "    * Q.adjoint()\n"
+        "    * CycMatrix.diagonal(scheme.valencies)\n"
+        ")\n"
+        "q_f = (\n"
+        "    CycMatrix.diagonal([Fraction(1, v) for v in fused_scheme.valencies])\n"
+        "    * p_f.adjoint()\n"
+        "    * CycMatrix.diagonal(fused_mult)\n"
+        ")\n"
+    )
+    assert _diagonal_products(ast.parse(old)) == [2, 4, 7, 9]
+    # a diagonal matrix that is compared or subtracted is no scaling
+    kept = "cols = x.transpose() * x.conjugate() - CycMatrix.diagonal(sizes)\n"
+    assert _diagonal_products(ast.parse(kept)) == []
