@@ -50,7 +50,7 @@ def _table(rows) -> list[str]:
 
 
 def _matrix_lines(name, m) -> list[str]:
-    return [f"{name} ="] + ["  " + line for line in _table(m.entries)]
+    return [f"{name} ="] + ["  " + line for line in _table(m.texts())]
 
 
 def _load_scheme_eigen(args):
@@ -109,8 +109,8 @@ def cmd_scheme_eigen(args):
         "multiplicities": list(eigen.multiplicities),
         "valencies": list(scheme.valencies),
         "krein_conductor": kd.krein_conductor,
-        "P": fileio.literal_rows(eigen.P.entries),
-        "Q": fileio.literal_rows(eigen.Q.entries),
+        "P": fileio.literal_rows(eigen.P),
+        "Q": fileio.literal_rows(eigen.Q),
     }, lambda: [
         f"eigendata verified; splitting conductor {eigen.conductor}, "
         f"Krein conductor {kd.krein_conductor}",
@@ -225,8 +225,8 @@ def cmd_group_rational_fusion(args):
     _emit(args, lambda: {
         "rational_classes": [list(c) for c in partition],
         "fused_classes": fused.fused.classes,
-        "P_F": fileio.literal_rows(fused.P_F.entries),
-        "Q_F": fileio.literal_rows(fused.Q_F.entries),
+        "P_F": fileio.literal_rows(fused.P_F),
+        "Q_F": fileio.literal_rows(fused.Q_F),
     }, lambda: [
         f"rational classes: {[list(c) for c in partition]}",
         *_matrix_lines("P_F", fused.P_F),

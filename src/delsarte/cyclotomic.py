@@ -26,11 +26,18 @@ A scalar inverse goes through the norm: x^(-1) = prod_{k != 1} sigma_k(x) /
 N(x), where N(x) = prod_k sigma_k(x) is rational.  The ``Cyclotomic``
 entries of a matrix are built, all at once, when one is first read.
 
+Exact literals enter and leave on the same form: ``from_ratios`` builds a
+matrix from (exponent, numerator, denominator) triples, and ``lowest_terms``
+reads each entry's nonzero coefficients back as such triples, in lowest
+terms from one ``np.gcd`` over the numerators; ``texts`` and
+``Cyclotomic.__str__`` print from them.  Neither builds a ``Fraction``.
+
 Real values additionally support exact sign determination: an exact zero
 test first, then a float64 estimate of the real embedding that is accepted
 only where it clears a proven error bound, and otherwise adaptive-precision
 interval evaluation via ``mpmath.iv``, under a lock because the working
-precision ``mpmath.iv.prec`` is global to the process.
+precision ``mpmath.iv.prec`` is global to the process.  ``mpmath`` is
+imported with the first irrational sign, not with this module.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import ConductorMismatch, InternalAssertion, NotAUnit, SingularMatrix
@@ -202,6 +208,13 @@ class Cyclotomic:
         """Canonical form of sum(c * zeta^e) for (exponent, coefficient) pairs."""
         return CycMatrix.from_terms(conductor, [[terms]])[0, 0]
 
+    def lowest_terms(self) -> list[tuple[int, int, int]]:
+        """Nonzero coefficients as (exponent, numerator, denominator) triples
+        in lowest terms, ascending exponents, as ``CycMatrix.lowest_terms``
+        gives them; one cell's few numerators are Python ints already."""
+        den = self._den
+        return [(e, c // (g := math.gcd(c, den)), den // g) for e, c in enumerate(self._num) if c]
+
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -338,23 +351,7 @@ class Cyclotomic:
         return f"Cyclotomic({self.conductor}, {self!s})"
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            if e == 0:
-                parts.append(str(c))
-                continue
-            z = f"z{self.conductor}" if e == 1 else f"z{self.conductor}^{e}"
-            if c == 1:
-                parts.append(z)
-            elif c == -1:
-                parts.append(f"-{z}")
-            else:
-                parts.append(f"{c}*{z}")
-        return parts[0] + "".join(
-            f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:]
-        )
+        return _text(self.conductor, self.lowest_terms())
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +366,8 @@ _IV_LOCK = threading.Lock()
 @lru_cache(maxsize=None)
 def _cos_table(n: int, prec: int):
     """cos(2 pi j / n) as intervals; called under _IV_LOCK with iv.prec == prec."""
+    import mpmath
+
     two_pi = 2 * mpmath.iv.pi
     return tuple(mpmath.iv.cos(two_pi * j / n) for j in range(n))
 
@@ -378,6 +377,8 @@ def _cos_floats(n: int) -> np.ndarray:
     """t_e = cos(2 pi e / n) for e < phi(n) as float64, each within 2^-52
     of the true value: the midpoint of the cached 64-bit interval, rounded
     once, its distance from both endpoints checked exactly."""
+    import mpmath
+
     with _IV_LOCK:
         old = mpmath.iv.prec
         mpmath.iv.prec = 64
@@ -431,6 +432,8 @@ def _interval_sign(n: int, num) -> int:
     zero.  The value must be real and nonzero, or this never terminates
     below the precision cap.
     """
+    import mpmath
+
     prec = 64
     while prec <= 1 << 20:
         with _IV_LOCK:
@@ -739,6 +742,14 @@ def _convolve(n: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.n
     return conv[..., :phi] + conv[..., phi:] @ red.astype(dtype, copy=False)
 
 
+def _ratio(c) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational: an int or a
+    Fraction as it is, anything else through Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator, c.denominator
+
+
 def _line_factor(values, size: int, shape) -> tuple[np.ndarray, int]:
     """A rational vector of the given size as integers over its least
     common denominator, reshaped to broadcast along one axis of a numerator
@@ -749,6 +760,49 @@ def _line_factor(values, size: int, shape) -> tuple[np.ndarray, int]:
     if ints.shape[1] != size:
         raise ValueError("shape mismatch")
     return ints.reshape(shape), den
+
+
+def _lowest_terms(num: np.ndarray, den: int) -> list[list[tuple[int, int, int]]]:
+    """For each row of a 2-d numerator array over the denominator den > 0,
+    its nonzero coefficients as (exponent, numerator, denominator) triples,
+    ascending exponents, each in lowest terms by one np.gcd over the nonzero
+    numerators (Python ints where den or a numerator does not fit int64)."""
+    out = [[] for _ in range(num.shape[0])]
+    cells, exps = np.nonzero(num)
+    top = num[cells, exps]
+    if den == 1:
+        bottom = np.ones_like(top)
+    else:
+        if den >= INT64_BOUND:
+            top = top.astype(object)
+        g = np.gcd(top, den)
+        top, bottom = top // g, den // g
+    for c, e, p, q in zip(cells.tolist(), exps.tolist(), top.tolist(), bottom.tolist()):
+        out[c].append((e, p, q))
+    return out
+
+
+def ratio_text(p: int, q: int) -> str:
+    """ "p/q", or "p" when q == 1."""
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def _text(n: int, terms) -> str:
+    """sum p/q z_n^e as text, from its lowest-terms triples: "0" when there
+    are none, a unit coefficient left out, and a negative term subtracted."""
+    parts = []
+    for e, p, q in terms:
+        c = ratio_text(p, q)
+        if e == 0:
+            parts.append(c)
+            continue
+        z = f"z{n}" if e == 1 else f"z{n}^{e}"
+        parts.append(z if c == "1" else f"-{z}" if c == "-1" else f"{c}*{z}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(
+        f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:]
+    )
 
 
 def _shape(grid) -> tuple[int, int]:
@@ -776,8 +830,8 @@ class CycMatrix:
         """The matrix of a rational array, or of rows of int, Fraction and
         Cyclotomic entries, over the lcm of ``conductor`` and the entries'
         conductors.  An array is lifted by one ``rational_lift``, rows by one
-        ``from_terms``: a rational entry is one term, and only the Cyclotomic
-        entries are read cell by cell, by their terms."""
+        ``from_ratios``: a rational entry is one triple, and a Cyclotomic
+        entry gives one triple per nonzero numerator over its denominator."""
         if isinstance(entries, np.ndarray):
             ints, den = rational_lift(entries)
             form = CycMatrix._from_array(1, ints[..., None], den).embed(conductor or 1)
@@ -785,32 +839,45 @@ class CycMatrix:
             grid = [list(row) for row in entries]
             n = math.lcm(conductor or 1, *(v.conductor for row in grid for v in row
                                           if isinstance(v, Cyclotomic)))
-            form = CycMatrix.from_terms(n, [
-                [[(e * (n // v.conductor), c) for e, c in v.terms()]
-                 if isinstance(v, Cyclotomic) else [(0, v)] for v in row]
+            form = CycMatrix.from_ratios(n, [
+                [[(e * (n // v.conductor), c, v._den) for e, c in enumerate(v._num) if c]
+                 if isinstance(v, Cyclotomic) else [(0, *_ratio(v))] for v in row]
                 for row in grid])
         self._set(form.conductor, form._num, form._den)
 
     @classmethod
     def from_terms(cls, n: int, grid) -> "CycMatrix":
         """The matrix over Q(zeta_n) whose (i, j) entry is sum(c * zeta_n^e)
-        over the (exponent, rational coefficient) pairs of grid[i][j].
+        over the (exponent, rational coefficient) pairs of grid[i][j]: each
+        coefficient is read as its numerator and denominator, and the
+        triples go to ``from_ratios``."""
+        return cls.from_ratios(n, [[[(e, *_ratio(c)) for e, c in cell] for cell in row]
+                                   for row in grid])
 
-        Only the given coefficients are lifted, to integers over their
-        common denominator; they are reduced on the power basis by one
-        product with the basis map of the exponents that occur.
+    @classmethod
+    def from_ratios(cls, n: int, grid) -> "CycMatrix":
+        """The matrix over Q(zeta_n) whose (i, j) entry is sum(p/q * zeta_n^e)
+        over the (exponent, numerator, denominator) triples of grid[i][j],
+        for integers p, any exponents and positive denominators q, reduced
+        or not.
+
+        The numerators are lifted to integers over the lcm of the
+        denominators and reduced on the power basis by one product with the
+        basis map of the exponents that occur; ``_set`` returns the result
+        to lowest terms, so equal values give equal forms however they were
+        written.
         """
         _check_conductor(n)
         cells = [[list(cell) for cell in row] for row in grid]
         rows, cols = _shape(cells)
-        flat = [[(e % n, Fraction(c)) for e, c in cell] for row in cells for cell in row]
-        den = math.lcm(*(c.denominator for cell in flat for _, c in cell))
-        exponents = sorted({e for cell in flat for e, _ in cell})
+        flat = [cell for row in cells for cell in row]
+        den = math.lcm(*{q for cell in flat for _, _, q in cell})
+        exponents = sorted({e % n for cell in flat for e, _, _ in cell})
         column = {e: t for t, e in enumerate(exponents)}
         lifted = [[0] * len(exponents) for _ in flat]
         for out, cell in zip(lifted, flat):
-            for e, c in cell:
-                out[column[e]] += c.numerator * (den // c.denominator)
+            for e, p, q in cell:
+                out[column[e % n]] += p * (den // q)
         table, _ = _basis_map(n, exponents)
         num = bounded_matmul(_int_array(lifted).reshape(len(flat), len(exponents)), table)
         return cls._from_array(n, num.reshape(rows, cols, euler_phi(n)), den)
@@ -878,6 +945,17 @@ class CycMatrix:
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
+
+    def lowest_terms(self) -> list[list[list[tuple[int, int, int]]]]:
+        """Rows of entries, each the list of its nonzero coefficients as
+        (exponent, numerator, denominator) triples in lowest terms,
+        ascending exponents; no cell is built."""
+        terms, c = _lowest_terms(self._num.reshape(-1, self._num.shape[2]), self._den), self.cols
+        return [terms[i * c:(i + 1) * c] for i in range(self.rows)]
+
+    def texts(self) -> list[list[str]]:
+        """Rows of the entries as text, each as ``str`` of its cell prints it."""
+        return [[_text(self.conductor, cell) for cell in row] for row in self.lowest_terms()]
 
     def row(self, i):
         return self.entries[i]
@@ -1170,7 +1248,5 @@ class CycMatrix:
         return CycMatrix(b)
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(str(v) for v in row) for row in self.entries
-        )
+        body = "; ".join(" ".join(row) for row in self.texts())
         return f"CycMatrix[{self.rows}x{self.cols}]({body})"

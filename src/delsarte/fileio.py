@@ -6,6 +6,13 @@ omitted when the denominator is 1) and cyclotomic values are term lists
 is canonical (sorted keys, one matrix row per line), so
 ``serialize(parse(f))`` is byte-identical for canonical files.
 
+Literals are parsed and emitted on the integer form: a "p/q" goes from
+the grammar's match straight to an (exponent, numerator, denominator)
+triple, a matrix of them is one ``CycMatrix.from_ratios``, and output is
+formatted from ``CycMatrix.lowest_terms``; no ``Fraction`` and no
+``Cyclotomic`` cell is built on the way (a design's weights, which the API
+answers as Fractions, excepted).
+
 Formats:
 
 - scheme:     {"size": v, "classes": d+1, "relation": [[...]]}
@@ -25,7 +32,7 @@ import json
 import re
 from fractions import Fraction
 
-from .cyclotomic import CycMatrix, Cyclotomic, euler_phi
+from .cyclotomic import CycMatrix, Cyclotomic, euler_phi, ratio_text
 from .designs import DesignReport, WeightedSubset
 from .errors import ParseError
 from .groups import CharacterTable, GroupTable, make_character_table, make_group_table
@@ -60,53 +67,72 @@ def _declared_conductor(value) -> int:
 # ---------------------------------------------------------------------------
 
 def rational_to_str(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """ "p/q" for an int or a Fraction, "p" when the denominator is 1."""
+    return ratio_text(q.numerator, q.denominator)
 
 
 #: The one rational literal the formats accept, in ASCII digits only.
 _RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def rational_from_str(text) -> Fraction:
-    """Parse "p" or "p/q" (``-?[0-9]+(/[0-9]+)?``) with q != 0; anything else,
-    and integers beyond Python's limit on decimal digits, is a ParseError."""
+def _ratio_from_str(text) -> tuple[int, int]:
+    """The numerator and denominator of "p" or "p/q"
+    (``-?[0-9]+(/[0-9]+)?``) with q != 0, as written (not reduced);
+    anything else, and integers beyond Python's limit on decimal digits, is
+    a ParseError."""
     try:
         literal = str(text)
         match = _RATIONAL_LITERAL.fullmatch(literal)
         if match is None:
             raise ValueError(f"{literal[:40]!r} is not p or p/q in ASCII digits")
         num, den = match.groups()
-        return Fraction(int(num), int(den or 1))
+        p, q = int(num), int(den or 1)
+        if not q:
+            raise ZeroDivisionError(f"Fraction({p}, 0)")  # Fraction's own message
+        return p, q
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(None, f"bad rational literal: {exc}") from exc
 
 
+def rational_from_str(text) -> Fraction:
+    """The rational "p" or "p/q" (see ``_ratio_from_str``) as a Fraction."""
+    return Fraction(*_ratio_from_str(text))
+
+
+def _terms_literal(terms):
+    """A "p/q" string for a rational entry, else a term list, from its
+    lowest-terms (exponent, numerator, denominator) triples."""
+    if not terms:
+        return "0"
+    if len(terms) == 1 and terms[0][0] == 0:
+        return ratio_text(terms[0][1], terms[0][2])
+    return [[e, ratio_text(p, q)] for e, p, q in terms]
+
+
 def cyc_to_literal(value: Cyclotomic):
     """Rational values become "p/q" strings; others term lists."""
-    if value.is_rational():
-        return rational_to_str(value.as_rational())
-    return [[e, rational_to_str(c)] for e, c in value.terms()]
+    return _terms_literal(value.lowest_terms())
 
 
-def literal_rows(rows) -> list:
-    """Rows of cyclotomic values (``CycMatrix.entries``, table rows) as literals."""
-    return [[cyc_to_literal(v) for v in row] for row in rows]
+def literal_rows(m: CycMatrix) -> list:
+    """The rows of a matrix as literals, read off its integer form."""
+    return [[_terms_literal(terms) for terms in row] for row in m.lowest_terms()]
 
 
-def _literal_terms(lit) -> list:
-    """The (exponent, rational) terms of a "p/q" or term-list literal."""
+def _literal_ratios(lit) -> list:
+    """The (exponent, numerator, denominator) triples of a "p/q" or
+    term-list literal."""
     if isinstance(lit, (int, str)):
-        return [(0, rational_from_str(lit))]
+        return [(0, *_ratio_from_str(lit))]
     if isinstance(lit, list) and all(
         isinstance(t, list) and len(t) == 2 and type(t[0]) is int for t in lit
     ):
-        return [(e, rational_from_str(c)) for e, c in lit]
+        return [(e, *_ratio_from_str(c)) for e, c in lit]
     raise ParseError(None, f"bad cyclotomic literal {lit!r}")
 
 
 def cyc_from_literal(lit, conductor: int) -> Cyclotomic:
-    return Cyclotomic.from_terms(conductor, _literal_terms(lit))
+    return CycMatrix.from_ratios(conductor, [[_literal_ratios(lit)]])[0, 0]
 
 
 def _literal_matrix(rows, conductor: int) -> CycMatrix:
@@ -114,13 +140,13 @@ def _literal_matrix(rows, conductor: int) -> CycMatrix:
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
             and len({len(row) for row in rows}) <= 1):
         raise ParseError(None, "a matrix must be a list of rows of one length")
-    return CycMatrix.from_terms(conductor, [[_literal_terms(v) for v in row] for row in rows])
+    return CycMatrix.from_ratios(conductor, [[_literal_ratios(v) for v in row] for row in rows])
 
 
 def cyclotomic_to_json(value: Cyclotomic) -> dict:
     return {
         "conductor": value.conductor,
-        "terms": [[e, rational_to_str(c)] for e, c in value.terms()],
+        "terms": [[e, ratio_text(p, q)] for e, p, q in value.lowest_terms()],
     }
 
 
@@ -211,7 +237,7 @@ def dump_eigen(eigen: EigenData) -> str:
     return canonical_dumps(
         {
             "conductor": eigen.conductor,
-            "Q": literal_rows(eigen.Q.entries),
+            "Q": literal_rows(eigen.Q),
         }
     )
 
@@ -249,7 +275,7 @@ def dump_characters(table: CharacterTable) -> str:
     return canonical_dumps(
         {
             "conductor": table.conductor,
-            "rows": literal_rows(table.rows),
+            "rows": literal_rows(table.matrix),
             "degrees": list(table.degrees),
         }
     )
@@ -307,7 +333,7 @@ def fusion_report_to_json(passes, orbits, iota, row_classes, q_f) -> dict:
         out["Q_F"] = None
     else:
         out["conductor"] = q_f.conductor
-        out["Q_F"] = literal_rows(q_f.entries)
+        out["Q_F"] = literal_rows(q_f)
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -124,19 +125,16 @@ def verify_scheme(relation) -> SchemeData:
             f"{d + 1} classes on {size} points: class {k} does not occur in row 0",
         )
 
-    # (ii) the transpose of every class is a class
-    transpose_map = []
-    rel_t = rel.T
-    for i in range(d + 1):
-        vals = np.unique(rel_t[rel == i])
-        if len(vals) != 1:
-            cells = np.argwhere(rel == i)
-            x, y = map(int, cells[0])
-            raise NotAScheme(
-                "ii", (i, (x, y)), f"transpose of class {i} is not a single class"
-            )
-        transpose_map.append(int(vals[0]))
-    transpose_map = tuple(transpose_map)
+    # (ii) the transpose of every class is a class: the transpose map is read
+    # at the first cell of each class, and must hold at every cell; the
+    # witness is the least failing class and its first cell in row-major order
+    tmap = rel.T.ravel()[first]
+    bad = tmap[rel] != rel.T
+    if bad.any():
+        i = int(rel[bad].min())
+        x, y = divmod(int(first[i]), size)
+        raise NotAScheme("ii", (i, (x, y)), f"transpose of class {i} is not a single class")
+    transpose_map = tuple(tmap.tolist())
 
     # (iii) constant intersection numbers, and (iv) their symmetry: for each
     # i, the products A_i A_j (j >= i) as one stack, p_ij^k read at the first
@@ -319,10 +317,20 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
 
 @dataclass(frozen=True)
 class KreinData:
-    """The Krein tensor q[i][j][k] and the conductor of its field."""
+    """The verified Krein tensor and the conductor of its field.
 
-    q: tuple[tuple[tuple[Cyclotomic, ...], ...], ...]
+    ``tensor`` holds q[i][j][k] at row (d+1) i + j and column k, on the
+    integer form; ``q``, the nested tuples of cells, is built on its first
+    read and kept.
+    """
+
+    tensor: CycMatrix
     krein_conductor: int
+
+    @cached_property
+    def q(self) -> tuple[tuple[tuple[Cyclotomic, ...], ...], ...]:
+        rows, dp1 = self.tensor.entries, self.tensor.cols
+        return tuple(rows[i:i + dp1] for i in range(0, len(rows), dp1))
 
 
 def krein_parameters(eigen: EigenData) -> KreinData:
@@ -371,8 +379,7 @@ def krein_parameters(eigen: EigenData) -> KreinData:
         raise KreinViolation(0, j, k, f"!= {1 if j == k else 0}")
 
     fixing = [k for k, m in zip(units, moved) if not m.any()]
-    q = K.transpose()  # rows (i, j), columns k
     return KreinData(
-        q=tuple(tuple(q.row(i * dp1 + j) for j in range(dp1)) for i in range(dp1)),
+        tensor=K.transpose(),  # rows (i, j), columns k
         krein_conductor=fixed_field_conductor(n, fixing),
     )

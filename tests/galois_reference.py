@@ -149,8 +149,6 @@ def reference_krein_parameters(eigen) -> KreinData:
 
     n = eigen.conductor
     fixing = [k for k in units_mod(n) if K.galois(k) == K]
-    q = K.transpose()
-    return KreinData(
-        q=tuple(tuple(q.row(i * dp1 + j) for j in range(dp1)) for i in range(dp1)),
-        krein_conductor=fixed_field_conductor(n, fixing),
-    )
+    kd = KreinData(tensor=K.transpose(), krein_conductor=fixed_field_conductor(n, fixing))
+    kd.q  # the cells, built here as they were before q was built on first read
+    return kd

@@ -10,11 +10,14 @@ only under a proven bound), and the thread safety of interval signs.
 """
 
 import dataclasses
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -23,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsarte import cyclotomic, designs, fileio
-from delsarte.catalog import CATALOG, build_dicyclic, build_x8, load_entry
+from delsarte.catalog import CATALOG, build_dicyclic, build_x8, data_dir, load_entry
 from delsarte.groups import cyclic_group
 from delsarte.cyclotomic import (
     INT64_BOUND,
@@ -414,3 +417,26 @@ def test_exact_sign_is_thread_safe(monkeypatch):
     assert seen == [97]  # every change was undone, in order
     # every worker evaluated intervals under the lock
     assert set(workers_ids.values()) <= set(interval_threads)
+
+
+def test_mpmath_is_imported_with_the_first_irrational_sign():
+    # a command that decides no irrational sign never imports mpmath; one
+    # that does imports it on the way
+    src = Path(cyclotomic.__file__).resolve().parent.parent
+    probe = (
+        "import sys, contextlib, io\n"
+        "from delsarte.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'mpmath' in sys.modules)\n"
+    )
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        return done.stdout.split()
+
+    base = data_dir()
+    assert run("scheme", "verify", "--scheme", str(base / "coxeter.scheme.json")) == ["0", "False"]
+    assert run("scheme", "eigen", "--scheme", str(base / "coxeter.scheme.json"),
+               "--eigen", str(base / "coxeter.eigen.json")) == ["0", "True"]

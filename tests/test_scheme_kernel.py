@@ -116,6 +116,33 @@ def test_corrupted_grids_give_the_reference_witness(corrupt):
     assert seen.get("iii", 0) + seen.get("iv", 0) > 0, seen
 
 
+def _break_transposes(grid, rng):
+    # one to three off-diagonal cells move to another nonzero class, so the
+    # transposes of one or more classes stop being single classes
+    d = int(grid.max())
+    for _ in range(int(rng.integers(1, 4))):
+        x, y = rng.choice(len(grid), size=2, replace=False)
+        grid[x, y] = 1 + (grid[x, y] + int(rng.integers(d - 1))) % d
+
+
+def test_transpose_failures_give_the_reference_witness():
+    # axiom (ii) is one gather of the transpose map at the first cell of each
+    # class; the witness must stay the former loop's: the least failing class
+    # and its first cell in row-major order
+    rng = np.random.default_rng(15)
+    seen = {}
+    for name, base in GRIDS.items():
+        if base.max() < 2:
+            continue
+        for _ in range(40):
+            grid = base.copy()
+            _break_transposes(grid, rng)
+            got = _outcome(verify_scheme, grid)
+            assert got == _outcome(reference_verify_scheme, grid), (name, got)
+            seen[got[0]] = seen.get(got[0], 0) + 1
+    assert seen.get("ii", 0) > 100, seen
+
+
 def test_products_past_the_float64_bound_are_refused(monkeypatch):
     # the stacks run in float64, exact while every partial sum is at most
     # |X| < 2^53; a larger grid is a domain error, not a silent rounding

@@ -378,9 +378,9 @@ def test_lp_guard_catches_the_old_tableau():
     assert not _global_calls(tree, "delsarte_design_lp", "simplex_solve")
 
 
-def _fraction_calls(tree):
+def _named_calls(tree, callee):
     """(qualified name of the enclosing function or class, line) of every
-    `Fraction(...)` call; "" at module level."""
+    call of `callee(...)` by its bare name; "" at module level."""
     found = []
 
     def visit(node, scope):
@@ -389,12 +389,17 @@ def _fraction_calls(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "Fraction"):
+                    and child.func.id == callee):
                 found.append((scope, child.lineno))
             visit(child, inner)
 
     visit(tree, "")
     return found
+
+
+def _fraction_calls(tree):
+    """(scope, line) of every `Fraction(...)` call (see ``_named_calls``)."""
+    return _named_calls(tree, "Fraction")
 
 
 #: where lp.py may build Fractions: posed problems, the returned result and
@@ -501,3 +506,60 @@ def test_diagonal_guard_catches_the_former_scalings():
     # a diagonal matrix that is compared or subtracted is no scaling
     kept = "cols = x.transpose() * x.conjugate() - CycMatrix.diagonal(sizes)\n"
     assert _diagonal_products(ast.parse(kept)) == []
+
+
+#: where fileio.py may build Fractions, and the only functions that may call
+#: each: a design's weights, which the API answers as Fractions
+FILEIO_FRACTIONS = {"rational_from_str": {"parse_design_file"}}
+#: reads of cells or of Fraction coefficients: CycMatrix.entries and .row,
+#: Cyclotomic.terms, .coeffs and .as_rational, CharacterTable.rows (the
+#: table's cells), and from_terms, which takes rational coefficients
+CELL_READS = {"entries", "row", "terms", "coeffs", "as_rational", "rows", "from_terms"}
+
+
+def _fileio_cell_paths(tree):
+    """Line numbers where fileio would parse or emit a literal through a
+    Fraction or a cell: a Fraction built outside FILEIO_FRACTIONS, a function
+    there called from elsewhere, and every attribute of CELL_READS."""
+    found = [line for scope, line in _fraction_calls(tree) if scope not in FILEIO_FRACTIONS]
+    for func, callers in FILEIO_FRACTIONS.items():
+        found += [line for scope, line in _named_calls(tree, func) if scope not in callers]
+    found += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in CELL_READS]
+    return sorted(found)
+
+
+def test_fileio_literals_build_no_fractions_and_no_cells():
+    # literals are parsed to (exponent, numerator, denominator) triples and
+    # emitted from CycMatrix.lowest_terms, on the integer form throughout
+    tree = ast.parse((SRC / "fileio.py").read_text())
+    assert _fileio_cell_paths(tree) == []
+
+
+def test_fileio_guard_catches_the_former_literal_paths():
+    # rational_to_str, cyc_to_literal, literal_rows, _literal_terms,
+    # _literal_matrix and the dumps of Q and of character tables, as they
+    # were before the literals moved onto the integer form
+    old = (
+        "def rational_to_str(q) -> str:\n"
+        "    q = Fraction(q)\n"
+        "    return str(q.numerator) if q.denominator == 1 else f'{q.numerator}/{q.denominator}'\n"
+        "def rational_from_str(text) -> Fraction:\n"
+        "    return Fraction(int(num), int(den or 1))\n"
+        "def cyc_to_literal(value: Cyclotomic):\n"
+        "    if value.is_rational():\n"
+        "        return rational_to_str(value.as_rational())\n"
+        "    return [[e, rational_to_str(c)] for e, c in value.terms()]\n"
+        "def _literal_terms(lit) -> list:\n"
+        "    if isinstance(lit, (int, str)):\n"
+        "        return [(0, rational_from_str(lit))]\n"
+        "def _literal_matrix(rows, conductor: int) -> CycMatrix:\n"
+        "    return CycMatrix.from_terms(conductor, [[_literal_terms(v) for v in row] for row in rows])\n"
+        "def dump_eigen(eigen):\n"
+        "    return canonical_dumps({'Q': literal_rows(eigen.Q.entries)})\n"
+        "def dump_characters(table):\n"
+        "    return canonical_dumps({'rows': literal_rows(table.rows)})\n"
+        "def parse_design_file(text, size):\n"
+        "    weights = [rational_from_str(w) for w in obj['weights']]\n"
+    )
+    assert _fileio_cell_paths(ast.parse(old)) == [2, 8, 9, 12, 14, 16, 18]
