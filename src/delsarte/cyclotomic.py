@@ -10,18 +10,22 @@ Two values are equal iff they agree after embedding into the lcm of their
 conductors; mixed-conductor arithmetic embeds automatically.
 
 A product convolves the coefficient slices over the power basis and reduces
-once against rows phi..2phi-2 of the power table; a Galois automorphism, an
-embedding or a list of (exponent, coefficient) terms is one integer matrix
-read off the same table by ``_basis_map``, its only reader; the images of a
-matrix under a list of automorphisms are products with their stacked
-matrices, a bounded block of them at a time, which keep the matrix's
-denominator; a rational scaling of rows and columns is one broadcast
-multiply of the numerators (``scale_lines``); lines are compared on
-numerators by ``column_positions`` and ``line_labels`` only.  Before each operation a cheap bound on every partial
-sum is computed from the largest entries (for a product, max|A| max|B|
-times the inner dimension, phi and the reduction factor); int64 is used
-only when it is below 2^62, and Python integers (``dtype=object``)
-otherwise, so overflow can never wrap silently.
+once against rows phi..2phi-2 of the power table (``_convolve``); a Galois
+automorphism, an embedding or a list of (exponent, coefficient) terms is one
+integer matrix gathered from the same table by ``_basis_map``, its only
+reader, and applied by one ``bounded_matmul``; the images of a matrix under
+a list of automorphisms are products with their stacked matrices, a bounded
+block of them at a time, which keep the matrix's denominator; an integer
+combination of rows (``left_lifted``) and its exact zero test
+(``left_zero_mask``) are one ``bounded_matmul`` too; a rational scaling of
+rows and columns is one broadcast multiply of the numerators
+(``scale_lines``); lines are compared on numerators by ``column_positions``
+and ``line_labels`` only.  So every exact product runs in ``bounded_matmul``
+or ``_convolve``, under one rule: a cheap bound on every partial sum is
+computed from the largest entries, each taken as at least 1 (max|A| max|B|
+times the inner dimension, and for a convolution also phi and the reduction
+factor); int64 is used only when it is below 2^62, and Python integers
+(``dtype=object``) otherwise, so overflow can never wrap silently.
 A scalar inverse goes through the norm: x^(-1) = prod_{k != 1} sigma_k(x) /
 N(x), where N(x) = prod_k sigma_k(x) is rational.  The ``Cyclotomic``
 entries of a matrix are built, all at once, when one is first read.
@@ -120,21 +124,25 @@ def _poly_div_exact(num, den):
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_n^j reduced on the power basis, as integer rows, for 0 <= j < 2n."""
+def _power_table(n: int) -> np.ndarray:
+    """zeta_n^j reduced on the power basis, row j for 0 <= j < n, as one
+    read-only integer array (n x phi); zeta_n^n = 1, so row j % n serves
+    every exponent j."""
     phi = euler_phi(n)
     head = cyclotomic_polynomial(n)[:phi]
     rows = []
     cur = [0] * phi
     cur[0] = 1
-    for _ in range(2 * n):
-        rows.append(tuple(cur))
+    for _ in range(n):
+        rows.append(cur)
         lead = cur[phi - 1]
         cur = [0] + cur[: phi - 1]
         if lead:
             for t in range(phi):
                 cur[t] -= lead * head[t]
-    return tuple(rows)
+    table = _int_array(rows)
+    table.setflags(write=False)
+    return table
 
 
 def _check_conductor(n: int) -> None:
@@ -157,7 +165,7 @@ class Cyclotomic:
     integer numerators and a positive denominator in lowest terms, so equal
     values of one conductor have equal fields.  Arithmetic, Galois images
     and embeddings run the array kernel below (``_sum``, ``_scaled``,
-    ``_convolve``, ``_mapped``) on the numerators as a vector.
+    ``_convolve``, ``bounded_matmul``) on the numerators as a vector.
     """
 
     __slots__ = ("conductor", "_num", "_den")
@@ -240,10 +248,11 @@ class Cyclotomic:
 
     def embed(self, m: int) -> "Cyclotomic":
         """The same value viewed in Q(zeta_m); requires conductor | m."""
-        maps = _embedding(self.conductor, m)
-        if maps is None:
+        table = _embedding(self.conductor, m)
+        if table is None:
             return self
-        return Cyclotomic._cell(m, _mapped(_int_array(self._num), *maps).tolist(), self._den)
+        num = bounded_matmul(_int_array(self._num), table)
+        return Cyclotomic._cell(m, num.tolist(), self._den)
 
     # -- arithmetic on the numerator vectors ---------------------------------
 
@@ -324,10 +333,10 @@ class Cyclotomic:
 
     def galois(self, k: int) -> "Cyclotomic":
         """Image under the automorphism zeta_n -> zeta_n^k; gcd(k, n) must be 1."""
-        maps = _galois_matrix(self.conductor, k)
-        if maps is None:
+        table = _galois_matrix(self.conductor, k)
+        if table is None:
             return self
-        num = _mapped(_int_array(self._num), *maps)
+        num = bounded_matmul(_int_array(self._num), table)
         return Cyclotomic._cell(self.conductor, num.tolist(), self._den)
 
     def conjugate(self) -> "Cyclotomic":
@@ -593,10 +602,12 @@ def _fit(a: np.ndarray) -> np.ndarray:
 
 
 def bounded_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for integer (or boolean) arrays, exactly: every partial sum is at
-    most max|x| max|y| times the inner dimension, so int64 is used only when
-    that bound is below 2^62 and Python ints otherwise."""
-    dtype = _dtype(_maxabs(x) * _maxabs(y) * x.shape[-1])
+    """x @ y for integer (or boolean) arrays, with numpy's broadcasting,
+    exactly: every partial sum is at most max|x| max|y| times the inner
+    dimension, so int64 is used only when that bound is below 2^62 and
+    Python ints otherwise.  Each max is taken as at least 1, so both factors
+    fit the chosen dtype even when the other one is zero."""
+    dtype = _dtype(max(_maxabs(x), 1) * max(_maxabs(y), 1) * x.shape[-1])
     return _fit(x.astype(dtype, copy=False) @ y.astype(dtype, copy=False))
 
 
@@ -613,23 +624,22 @@ def rational_lift(rows) -> tuple[np.ndarray, int]:
     return _int_array([[v.numerator * (den // v.denominator) for v in row] for row in rows]), den
 
 
-def _basis_map(n: int, exponents) -> tuple[np.ndarray, int]:
-    """Integer matrix whose row e is zeta_n^(exponents[e]) on the power basis,
-    with its largest column sum of absolute values (so |v @ t| <= max|v| * it)."""
-    pows = _power_table(n)
-    rows = [pows[e] for e in exponents]
-    t = _int_array(rows).reshape(len(rows), euler_phi(n))
+def _basis_map(n: int, exponents) -> np.ndarray:
+    """Read-only integer matrix whose row e is zeta_n^(exponents[e]) on the
+    power basis: one gather from the power table, for any integer exponents."""
+    t = _power_table(n)[np.asarray(exponents, dtype=np.intp) % n]
     t.setflags(write=False)
-    return t, _maxabs(np.abs(t).sum(axis=0)) if t.size else 0
+    return t
 
 
 @lru_cache(maxsize=None)
 def _reduction(n: int) -> tuple[np.ndarray, int]:
     """Rows phi..2phi-2 of the power table, which reduce a product of two
-    reduced vectors, and the bound factor of the whole reduction."""
+    reduced vectors, and the bound factor of the whole reduction: 1 plus the
+    largest column sum of their absolute values."""
     phi = euler_phi(n)
-    t, factor = _basis_map(n, range(phi, 2 * phi - 1))
-    return t, 1 + factor
+    t = _basis_map(n, range(phi, 2 * phi - 1))
+    return t, 1 + (_maxabs(np.abs(t).sum(axis=0)) if t.size else 0)
 
 
 @lru_cache(maxsize=256)
@@ -642,7 +652,7 @@ def _galois_matrix(n: int, k: int):
         return None
     if math.gcd(k, n) != 1:
         raise NotAUnit(f"{k} is not a unit modulo {n}")
-    return _basis_map(n, [(e * k) % n for e in range(euler_phi(n))])
+    return _basis_map(n, np.arange(euler_phi(n)) * (k % n))
 
 
 @lru_cache(maxsize=None)
@@ -654,7 +664,7 @@ def _embedding(n: int, m: int):
     if m % n:
         raise ConductorMismatch(f"{n} does not divide {m}")
     _check_conductor(m)
-    return _basis_map(m, [e * (m // n) for e in range(euler_phi(n))])
+    return _basis_map(m, np.arange(euler_phi(n)) * (m // n))
 
 
 #: numerators per block of stacked Galois images, 64 kB in int64 (a block
@@ -664,19 +674,12 @@ GALOIS_BLOCK_NUMERATORS = 1 << 13
 
 
 @lru_cache(maxsize=64)
-def _galois_stack(n: int, units: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """The tables of sigma_k for the units k, stacked (len(units), phi, phi),
-    with the largest column sum of absolute values among them."""
-    phi = euler_phi(n)
-    tables, factor = [], 1
-    for k in units:
-        maps = _galois_matrix(n, k)
-        table, f = maps if maps is not None else (np.eye(phi, dtype=np.int64), 1)
-        tables.append(table)
-        factor = max(factor, f)
-    stack = np.stack(tables)
+def _galois_stack(n: int, units: tuple[int, ...]) -> np.ndarray:
+    """The tables of sigma_k for the units k, stacked (len(units), phi, phi)."""
+    eye = np.eye(euler_phi(n), dtype=np.int64)
+    stack = np.stack([eye if (t := _galois_matrix(n, k)) is None else t for k in units])
     stack.setflags(write=False)
-    return stack, factor
+    return stack
 
 
 def _keys(lines: np.ndarray) -> list:
@@ -689,10 +692,9 @@ def _keys(lines: np.ndarray) -> list:
             for line in lines]
 
 
-def _mapped(num: np.ndarray, table: np.ndarray, factor: int) -> np.ndarray:
-    """num @ table for a basis map whose column sums of |table| are at most factor."""
-    dtype = _dtype(_maxabs(num) * factor)
-    return num.astype(dtype, copy=False) @ table.astype(dtype, copy=False)
+def _zeros(num: np.ndarray) -> np.ndarray:
+    """True exactly where the numerators along the last axis all vanish."""
+    return (num == 0).all(axis=-1)
 
 
 def _sum(a: np.ndarray, da: int, b: np.ndarray, db: int) -> tuple[np.ndarray, int]:
@@ -726,11 +728,12 @@ def _convolve(n: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.n
     slices are convolved over the power basis and the result is reduced once
     against rows phi..2phi-2 of ``_power_table(n)``.  Every partial sum is at
     most max|a| max|b| inner phi times the reduction factor, so int64 is used
-    only when that bound is below 2^62 and Python ints otherwise.
+    only when that bound, each max taken as at least 1 so that both factors
+    fit, is below 2^62 and Python ints otherwise.
     """
     phi = euler_phi(n)
     red, factor = _reduction(n)
-    dtype = _dtype(_maxabs(a) * _maxabs(b) * inner * phi * factor)
+    dtype = _dtype(max(_maxabs(a), 1) * max(_maxabs(b), 1) * inner * phi * factor)
     a = a.astype(dtype, copy=False)
     b = np.ascontiguousarray(b, dtype=dtype)
     s0, *rest = np.flatnonzero(a.reshape(-1, phi).any(axis=0)).tolist() or [0]
@@ -819,9 +822,9 @@ class CycMatrix:
     (rows, cols, phi(n)) on the power basis over one positive common
     denominator, in lowest terms, so equal matrices have equal forms.
     Products, sums, Galois images and comparisons run on that array (see
-    ``_convolve`` for the overflow rule); the first read of ``entries`` or
-    ``[i, j]`` builds every cell as a ``Cyclotomic`` from one ``tolist()``,
-    and caches them.
+    ``bounded_matmul`` and ``_convolve`` for the overflow rule); the first
+    read of ``entries`` or ``[i, j]`` builds every cell as a ``Cyclotomic``
+    from one ``tolist()``, and caches them.
     """
 
     __slots__ = ("rows", "cols", "conductor", "_num", "_den", "_cells")
@@ -878,7 +881,7 @@ class CycMatrix:
         for out, cell in zip(lifted, flat):
             for e, p, q in cell:
                 out[column[e % n]] += p * (den // q)
-        table, _ = _basis_map(n, exponents)
+        table = _basis_map(n, exponents)
         num = bounded_matmul(_int_array(lifted).reshape(len(flat), len(exponents)), table)
         return cls._from_array(n, num.reshape(rows, cols, euler_phi(n)), den)
 
@@ -980,7 +983,7 @@ class CycMatrix:
         A block is one product of the numerators with the stacked tables of
         its units; its images, and its stack of phi x phi tables, hold at most
         GALOIS_BLOCK_NUMERATORS integers unless one image or one table alone
-        is larger.  Its dtype follows the overflow rule of ``_mapped``.
+        is larger.  The product is one ``bounded_matmul``, under its rule.
         """
         n, phi = self.conductor, self._num.shape[2]
         lines = self._lines(self._num, axis)
@@ -989,7 +992,7 @@ class CycMatrix:
         per = max(1, GALOIS_BLOCK_NUMERATORS // max(flat.size, phi * phi))
         for start in range(0, len(units), per):
             block = tuple(units[start:start + per])
-            images = _fit(_mapped(flat, *_galois_stack(n, block)))
+            images = bounded_matmul(flat, _galois_stack(n, block))
             yield images.reshape((len(block),) + lines.shape)
 
     def column_positions(self, other, units=(1,)) -> list[list[int]]:
@@ -1038,7 +1041,7 @@ class CycMatrix:
 
     def zero_mask(self) -> np.ndarray:
         """Boolean (rows, cols) array, True exactly where the entry is zero."""
-        return ~(self._num != 0).any(axis=-1)
+        return _zeros(self._num)
 
     def rational_part(self) -> tuple[np.ndarray, int, tuple[int, int] | None]:
         """Integer numerators (rows, cols) of the rational parts of the
@@ -1104,10 +1107,10 @@ class CycMatrix:
 
     def embed(self, m: int) -> "CycMatrix":
         """The same matrix viewed over Q(zeta_m); requires conductor | m."""
-        maps = _embedding(self.conductor, m)
-        if maps is None:
+        table = _embedding(self.conductor, m)
+        if table is None:
             return self
-        return CycMatrix._from_array(m, _mapped(self._num, *maps), self._den)
+        return CycMatrix._from_array(m, bounded_matmul(self._num, table), self._den)
 
     def __add__(self, other):
         if not isinstance(other, CycMatrix):
@@ -1127,20 +1130,13 @@ class CycMatrix:
         num = _scaled(self._num, q.numerator)
         return CycMatrix._from_array(self.conductor, num, self._den * q.denominator)
 
-    def annihilator(self, cols, bound: int) -> np.ndarray:
-        """Integer block of self[:, cols] for exact zero tests of combinations.
-
-        For an integer matrix V (k x rows) with |V| <= bound, V @ block is
-        the numerator array of V self[:, cols], flattened to
-        (k, len(cols) * phi), over self's positive denominator; so a
-        combination vanishes exactly where its row of V @ block does.  The
-        block is int64 when bound * max|block| * rows < 2^62 (max|block| taken
-        as at least 1, so that V itself fits the block's dtype) and Python
-        ints otherwise, so the product never wraps.
-        """
+    def _left_product(self, ints: np.ndarray, cols) -> np.ndarray:
+        """Numerators (k, len(cols), phi) of V self[:, cols] over self's
+        denominator, for an integer matrix V (k x rows): one
+        ``bounded_matmul`` with the numerator block of those columns."""
         part = self._num if cols is None else self._num[:, np.asarray(cols, dtype=np.intp)]
         block = part.reshape(self.rows, part.shape[1] * part.shape[2])
-        return block.astype(_dtype((bound + 1) * max(_maxabs(block), 1) * self.rows), copy=False)
+        return bounded_matmul(ints, block).reshape((ints.shape[0],) + part.shape[1:])
 
     def left_rational(self, vectors, cols=None) -> "CycMatrix":
         """V self[:, cols] for a rational matrix V (k x rows), one integer product."""
@@ -1149,11 +1145,15 @@ class CycMatrix:
     def left_lifted(self, ints: np.ndarray, den: int, cols=None) -> "CycMatrix":
         """V self[:, cols] for V = ints / den, an integer matrix (k x rows)
         over a positive denominator, one integer product."""
-        block = self.annihilator(cols, _maxabs(ints))
-        num = ints.astype(block.dtype, copy=False) @ block
-        phi = self._num.shape[2]
-        shape = (ints.shape[0], block.shape[1] // phi, phi)
-        return CycMatrix._from_array(self.conductor, num.reshape(shape), den * self._den)
+        return CycMatrix._from_array(self.conductor, self._left_product(ints, cols),
+                                     den * self._den)
+
+    def left_zero_mask(self, ints: np.ndarray, cols=None) -> np.ndarray:
+        """The ``zero_mask`` of V self[:, cols] for an integer matrix V
+        (k x rows), from the same product as ``left_lifted`` but with no
+        matrix built: an entry of a combination is zero exactly where its
+        numerators are, whatever the (positive) denominators."""
+        return _zeros(self._left_product(ints, cols))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -1204,10 +1204,10 @@ class CycMatrix:
 
     def galois(self, k: int) -> "CycMatrix":
         """Entrywise image under zeta_n -> zeta_n^k; gcd(k, n) must be 1."""
-        maps = _galois_matrix(self.conductor, k)
-        if maps is None:
+        table = _galois_matrix(self.conductor, k)
+        if table is None:
             return self
-        return CycMatrix._from_array(self.conductor, _mapped(self._num, *maps), self._den)
+        return CycMatrix._from_array(self.conductor, bounded_matmul(self._num, table), self._den)
 
     def conjugate(self) -> "CycMatrix":
         """Entrywise complex conjugate, the automorphism zeta -> zeta^(-1)."""
@@ -1216,9 +1216,6 @@ class CycMatrix:
     def adjoint(self) -> "CycMatrix":
         """Hermitian adjoint (conjugate transpose)."""
         return self.conjugate().transpose()
-
-    def is_hermitian(self) -> bool:
-        return self == self.adjoint()
 
     def inverse(self) -> "CycMatrix":
         """Exact inverse by Gaussian elimination; raises SingularMatrix."""

@@ -41,7 +41,8 @@ from .scheme import EigenData, SchemeData, verify_scheme
 
 #: Largest field degree phi(n) accepted for a conductor declared in a file.
 #: Far above the catalog's 12 and the scale ladder's 24, and small enough
-#: that the reduction table behind any accepted conductor stays under 10 MB.
+#: that the power table behind any accepted conductor, one int64 array of
+#: n x phi(n) entries, stays under 2.1 MB (n = 1020 is the largest).
 FILE_PHI_LIMIT = 256
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, euler_phi, units_mod
+from .cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, bounded_matmul, euler_phi, units_mod
 from .errors import (
     BadEigenbasis,
     InternalAssertion,
@@ -324,7 +324,7 @@ def abelian_group(*orders: int):
     group = make_group_table(np.ravel_multi_index(tuple(sums), orders))
     classes = conjugacy_classes(group)
     L = math.lcm(*orders)
-    exponents = ((L // shape) * coords).T @ coords % L
+    exponents = bounded_matmul(((L // shape) * coords).T, coords) % L
     rows = [[[(e, 1)] for e in row] for row in exponents.tolist()]
     return group, classes, make_character_table(CycMatrix.from_terms(L, rows))
 

@@ -116,7 +116,8 @@ class _Tableau:
         """Objective row for integer costs over the columns (rhs entry 0)."""
         body = self.rows[:-1]
         cb = costs[self.basis]
-        dtype = _dtype(_maxabs(costs) * self.det)
+        # at least 1, so that det fits the dtype even when every cost is 0
+        dtype = _dtype(max(_maxabs(costs), 1) * self.det)
         row = costs.astype(dtype) * self.det - bounded_matmul(cb[None, :], body)[0]
         self.rows = _fit(np.vstack([body, row]))
 

@@ -94,7 +94,7 @@ def reference_from_terms(n: int, grid) -> CycMatrix:
     for out, cell in zip(lifted, flat):
         for e, c in cell:
             out[column[e]] += c.numerator * (den // c.denominator)
-    table, _ = _basis_map(n, exponents)
+    table = _basis_map(n, exponents)
     num = bounded_matmul(_int_array(lifted).reshape(len(flat), len(exponents)), table)
     return CycMatrix._from_array(n, num.reshape(rows, cols, euler_phi(n)), den)
 

@@ -324,7 +324,7 @@ def test_adjoint_and_schur():
     s = m.schur(m)
     assert s[0, 1] == -1
     herm = CycMatrix([[2, i], [-i, 3]])
-    assert herm.is_hermitian()
+    assert herm == herm.adjoint()
 
 
 def test_matrix_shared_conductor():

@@ -32,6 +32,7 @@ from delsarte.cyclotomic import (
     INT64_BOUND,
     CycMatrix,
     Cyclotomic,
+    bounded_matmul,
     euler_phi,
     exact_sign,
     units_mod,
@@ -323,10 +324,70 @@ def test_character_table_keeps_its_matrix():
     assert table.matrix[1, 1] is table.rows[1][1]  # the cells are shared, not rebuilt
 
 
-def test_annihilator_dtype_follows_the_bound():
+def test_left_zero_mask_dtype_follows_the_bound(monkeypatch):
     q = build_x8()[1].Q
-    assert q.annihilator([1, 2], 64).dtype == np.int64
-    assert q.annihilator([1, 2], INT64_BOUND).dtype == object
+    dtypes = []
+
+    def recorded(x, y):
+        out = bounded_matmul(x, y)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(cyclotomic, "bounded_matmul", recorded)
+    for top, dtype in [(64, np.int64), (INT64_BOUND, object)]:
+        ints = np.array([[top] * q.rows, [0] * q.rows, [top] + [0] * (q.rows - 1)], dtype=object)
+        dtypes.clear()
+        mask = q.left_zero_mask(ints, [1, 2])
+        assert dtypes == [dtype]
+        assert mask.tolist() == q.left_lifted(ints, 1, [1, 2]).zero_mask().tolist()
+        assert mask[1].all() and not mask[2].any()
+
+
+def test_zero_factors_meet_huge_numerators():
+    # a zero factor bounds nothing: with each max taken as at least 1, the
+    # other factor's numerators past 2^63 pick Python ints, not an int64 cast
+    big = CycMatrix.from_ratios(5, [[[(1, 2**70, 1)]]])
+    zero = CycMatrix.from_ratios(5, [[[]]])
+    for product in (zero * big, big * zero, zero.schur(big), big.schur(zero),
+                    CycMatrix([[0]]) * big, big * CycMatrix([[0]])):
+        assert product == zero and product.zero_mask().all()
+    assert Cyclotomic.zeta(5) * 0 * big[0, 0] == 0
+    assert big[0, 0] * (Cyclotomic.zeta(5) * 0) == 0
+    assert big.left_zero_mask(np.zeros((2, 1), dtype=np.int64)).all()
+    huge = np.array([[2**70, -(2**80)]], dtype=object)
+    for got in (bounded_matmul(np.zeros((3, 1), dtype=np.int64), huge),
+                bounded_matmul(huge.T, np.zeros((1, 2), dtype=bool))):
+        assert not got.any() and got.dtype == np.int64
+
+
+@st.composite
+def near_powers(draw):
+    """An integer within 2 of 0, 1, 2^31, 2^62 or 2^63, either sign."""
+    base = draw(st.sampled_from([0, 1, 2**31, 2**62, 2**63]))
+    return draw(st.sampled_from([1, -1])) * (base + draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bounded_matmul_matches_object_products(data):
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    x = [[data.draw(near_powers()) for _ in range(k)] for _ in range(r)]
+    y = [[data.draw(near_powers()) for _ in range(c)] for _ in range(k)]
+    # whole zero rows of x and zero columns of y
+    for i in data.draw(st.sets(st.integers(0, 3))):
+        if i < r:
+            x[i] = [0] * k
+        if i < c:
+            for row in y:
+                row[i] = 0
+    xs = cyclotomic._int_array(x).reshape(r, k)
+    ys = cyclotomic._int_array(y).reshape(k, c)
+    got = bounded_matmul(xs, ys)
+    want = xs.astype(object) @ ys.astype(object)
+    assert got.shape == (r, c) and got.tolist() == want.tolist()
+    # int64 exactly when every entry of the product fits below 2^62
+    fits = all(abs(v) < INT64_BOUND for v in want.ravel().tolist())
+    assert (got.dtype == np.int64) == fits
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +397,7 @@ def test_annihilator_dtype_follows_the_bound():
 @pytest.mark.parametrize("conductor", [10_007, 10_008, 0, -4, 2**64, "many"])
 def test_file_conductor_cap_rejects_before_allocating(conductor):
     # 10 008 has phi = 3312, within PHI_LIMIT: its power table alone would be
-    # 2 * 10 008 rows of 3312 Python ints
+    # 10 008 rows of 3312 integers, 265 MB in int64
     text = '{"conductor": %s, "Q": [[[[1, "1"]]]]}' % (
         f'"{conductor}"' if isinstance(conductor, str) else conductor)
     tracemalloc.start()

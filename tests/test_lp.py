@@ -16,6 +16,7 @@ from delsarte.lp import (
     make_problem,
     simplex_solve,
 )
+from lp_reference import reference_solve
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +247,12 @@ def test_lp_index_sets_are_checked_as_validation_errors():
         with pytest.raises(ValidationError):
             delsarte_code_lp(source, S)
     assert delsarte_design_lp(source, [1, 1]).status == "optimal"
+
+
+@pytest.mark.parametrize("objective", [[0, 0], [1, 0]])
+def test_zero_costs_against_a_huge_coefficient(objective):
+    # a zero cost row (phase 2 of [0, 0]) or a zero dual (against [1, 0])
+    # meets a coefficient of 2^70: each dtype must fit both factors
+    problem = make_problem(objective, [([2**70, 1], ">=", 1)])
+    result = simplex_solve(problem)
+    assert (result.status, result.value, result.solution) == reference_solve(problem)

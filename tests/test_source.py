@@ -378,9 +378,9 @@ def test_lp_guard_catches_the_old_tableau():
     assert not _global_calls(tree, "delsarte_design_lp", "simplex_solve")
 
 
-def _named_calls(tree, callee):
+def _scoped(tree, match):
     """(qualified name of the enclosing function or class, line) of every
-    call of `callee(...)` by its bare name; "" at module level."""
+    node for which match(node) holds; "" at module level."""
     found = []
 
     def visit(node, scope):
@@ -388,13 +388,19 @@ def _named_calls(tree, callee):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == callee):
+            if match(child):
                 found.append((scope, child.lineno))
             visit(child, inner)
 
     visit(tree, "")
     return found
+
+
+def _named_calls(tree, callee):
+    """(scope, line) of every call of `callee(...)` by its bare name (see
+    ``_scoped``)."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name) and node.func.id == callee)
 
 
 def _fraction_calls(tree):
@@ -563,3 +569,48 @@ def test_fileio_guard_catches_the_former_literal_paths():
         "    weights = [rational_from_str(w) for w in obj['weights']]\n"
     )
     assert _fileio_cell_paths(ast.parse(old)) == [2, 8, 9, 12, 14, 16, 18]
+
+
+def _matmuls(tree):
+    """(scope, line) of every `@` and `@=` (see ``_scoped``)."""
+    return _scoped(tree, lambda node: isinstance(node, (ast.BinOp, ast.AugAssign))
+                   and isinstance(node.op, ast.MatMult))
+
+
+#: where a module other than cyclotomic.py may write a product with `@`: the
+#: integer class and pair sums of a subset, in the dtype WeightedSubset._lift
+#: picks from their bound, and the 0/1 stacks of verify_scheme in float64,
+#: exact below 2^53.  Every other exact product is a kernel call.
+MATMUL_SITES = {"designs.py": {"_class_sums", "_pair_sums"}, "scheme.py": {"verify_scheme"}}
+
+
+def test_products_go_through_the_kernel():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cyclotomic.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = MATMUL_SITES.get(path.name, set())
+        found += [f"{path.name}:{line} in {scope}" for scope, line in _matmuls(tree)
+                  if scope not in allowed]
+    assert not found, found
+
+
+def test_matmul_guard_catches_the_former_products():
+    # is_T_design against the annihilator block, and the exponent product of
+    # groups.abelian_group, as they were before they became kernel calls
+    old = (
+        "def is_T_design(scheme, eigen, w, T):\n"
+        "    T = validate_indices(T, scheme.d)\n"
+        "    if not T:\n"
+        "        return True\n"
+        "    v, _ = _pair_sums(scheme, w)\n"
+        "    check = eigen.Q.annihilator(T, _maxabs(v))\n"
+        "    return not (v.astype(check.dtype, copy=False) @ check).any()\n"
+        "def abelian_group(*orders):\n"
+        "    exponents = ((L // shape) * coords).T @ coords % L\n"
+    )
+    found = _matmuls(ast.parse(old))
+    assert found == [("is_T_design", 7), ("abelian_group", 9)]
+    assert not MATMUL_SITES["designs.py"] & {scope for scope, _ in found}
+    assert _matmuls(ast.parse("def f(x, y):\n    x @= y\n")) == [("f", 2)]
