@@ -165,7 +165,7 @@ def cmd_design_report(args):
     report = design_report(scheme, eigen, subset)
     _emit(args, lambda: fileio.design_report_to_json(report, eigen.conductor), lambda: [
         f"a = {[fileio.rational_to_str(v) for v in report.a]}",
-        f"b = {[str(v) for v in report.b]}",
+        f"b = {report.dual.texts()[0]}",
         f"T(C) = {list(report.T)}",
     ])
     return 0
@@ -246,7 +246,7 @@ def cmd_dicyclic_table(args):
                 "k": r.k,
                 "order": r.order,
                 "a": [fileio.rational_to_str(v) for v in r.a],
-                "b": [fileio.cyc_to_literal(v) for v in r.b],
+                "b": fileio.literal_rows(r.dual)[0],
                 "T": list(r.T),
             }
             for r in rows
@@ -256,7 +256,7 @@ def cmd_dicyclic_table(args):
             f"{r.kind}(k={r.k})",
             r.order,
             "[" + " ".join(fileio.rational_to_str(v) for v in r.a) + "]",
-            "[" + " ".join(str(v) for v in r.b) + "]",
+            "[" + " ".join(r.dual.texts()[0]) + "]",
             "{" + " ".join(map(str, r.T)) + "}",
         ]
         for r in rows

@@ -25,7 +25,11 @@ or ``_convolve``, under one rule: a cheap bound on every partial sum is
 computed from the largest entries, each taken as at least 1 (max|A| max|B|
 times the inner dimension, and for a convolution also phi and the reduction
 factor); int64 is used only when it is below 2^62, and Python integers
-(``dtype=object``) otherwise, so overflow can never wrap silently.
+(``dtype=object``) otherwise, so overflow can never wrap silently.  The
+largest entries are scanned once: a ``CycMatrix`` keeps the largest absolute
+value of its numerators (``_bound``, found on first need), every basis table
+of a conductor shares one bound (``_table_bound``), and the kernel routines
+take the bounds their callers hold.
 A scalar inverse goes through the norm: x^(-1) = prod_{k != 1} sigma_k(x) /
 N(x), where N(x) = prod_k sigma_k(x) is rational.  The ``Cyclotomic``
 entries of a matrix are built, all at once, when one is first read.
@@ -251,7 +255,7 @@ class Cyclotomic:
         table = _embedding(self.conductor, m)
         if table is None:
             return self
-        num = bounded_matmul(_int_array(self._num), table)
+        num = bounded_matmul(_int_array(self._num), table, None, _table_bound(m))
         return Cyclotomic._cell(m, num.tolist(), self._den)
 
     # -- arithmetic on the numerator vectors ---------------------------------
@@ -336,7 +340,7 @@ class Cyclotomic:
         table = _galois_matrix(self.conductor, k)
         if table is None:
             return self
-        num = bounded_matmul(_int_array(self._num), table)
+        num = bounded_matmul(_int_array(self._num), table, None, _table_bound(self.conductor))
         return Cyclotomic._cell(self.conductor, num.tolist(), self._den)
 
     def conjugate(self) -> "Cyclotomic":
@@ -601,13 +605,20 @@ def _fit(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def bounded_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _known(bound, a: np.ndarray) -> int:
+    """The bound a caller holds for max|a|, or a scan of a when it holds none."""
+    return _maxabs(a) if bound is None else bound
+
+
+def bounded_matmul(x: np.ndarray, y: np.ndarray, bx=None, by=None) -> np.ndarray:
     """x @ y for integer (or boolean) arrays, with numpy's broadcasting,
     exactly: every partial sum is at most max|x| max|y| times the inner
     dimension, so int64 is used only when that bound is below 2^62 and
     Python ints otherwise.  Each max is taken as at least 1, so both factors
-    fit the chosen dtype even when the other one is zero."""
-    dtype = _dtype(max(_maxabs(x), 1) * max(_maxabs(y), 1) * x.shape[-1])
+    fit the chosen dtype even when the other one is zero.  ``bx`` and ``by``
+    are bounds on max|x| and max|y| that the caller already holds; an
+    operand without one is scanned."""
+    dtype = _dtype(max(_known(bx, x), 1) * max(_known(by, y), 1) * x.shape[-1])
     return _fit(x.astype(dtype, copy=False) @ y.astype(dtype, copy=False))
 
 
@@ -630,6 +641,14 @@ def _basis_map(n: int, exponents) -> np.ndarray:
     t = _power_table(n)[np.asarray(exponents, dtype=np.intp) % n]
     t.setflags(write=False)
     return t
+
+
+@lru_cache(maxsize=None)
+def _table_bound(n: int) -> int:
+    """A bound on the entries of every basis table at conductor n: each is a
+    gather of power-table rows, so the largest entry of the whole table (the
+    gather of all n rows) bounds them all."""
+    return _maxabs(_basis_map(n, range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -697,17 +716,21 @@ def _zeros(num: np.ndarray) -> np.ndarray:
     return (num == 0).all(axis=-1)
 
 
-def _sum(a: np.ndarray, da: int, b: np.ndarray, db: int) -> tuple[np.ndarray, int]:
-    """a / da + b / db for numerator arrays, as numerators over the lcm."""
+def _sum(a: np.ndarray, da: int, b: np.ndarray, db: int, ba=None, bb=None,
+         sign: int = 1) -> tuple[np.ndarray, int]:
+    """a / da + sign b / db (sign is 1 or -1) for numerator arrays, as
+    numerators over the lcm; ``ba`` and ``bb`` bound max|a| and max|b|
+    where the caller holds them."""
     den = math.lcm(da, db)
     fa, fb = den // da, den // db
-    dtype = _dtype((_maxabs(a) + 1) * fa + (_maxabs(b) + 1) * fb)
-    return a.astype(dtype, copy=False) * fa + b.astype(dtype, copy=False) * fb, den
+    dtype = _dtype((_known(ba, a) + 1) * fa + (_known(bb, b) + 1) * fb)
+    return a.astype(dtype, copy=False) * fa + b.astype(dtype, copy=False) * (sign * fb), den
 
 
-def _scaled(num: np.ndarray, c: int) -> np.ndarray:
-    """c num for an integer c."""
-    return num.astype(_dtype((_maxabs(num) + 1) * abs(c)), copy=False) * c
+def _scaled(num: np.ndarray, c: int, bound=None) -> np.ndarray:
+    """c num for an integer c; ``bound`` bounds max|num| where it is held.
+    |c| is taken as at least 1, so num fits the chosen dtype even for c = 0."""
+    return num.astype(_dtype((_known(bound, num) + 1) * max(abs(c), 1)), copy=False) * c
 
 
 def _matmul(x, b):
@@ -720,7 +743,8 @@ def _entrywise(x, b):
     return x[..., None] * b
 
 
-def _convolve(n: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.ndarray:
+def _convolve(n: int, a: np.ndarray, b: np.ndarray, product, inner: int,
+              ba=None, bb=None) -> np.ndarray:
     """Reduced power-basis coefficients of a bilinear product of cyclotomic arrays.
 
     ``product(x, b)`` applies the product to one coefficient slice
@@ -729,11 +753,12 @@ def _convolve(n: int, a: np.ndarray, b: np.ndarray, product, inner: int) -> np.n
     against rows phi..2phi-2 of ``_power_table(n)``.  Every partial sum is at
     most max|a| max|b| inner phi times the reduction factor, so int64 is used
     only when that bound, each max taken as at least 1 so that both factors
-    fit, is below 2^62 and Python ints otherwise.
+    fit, is below 2^62 and Python ints otherwise; ``ba`` and ``bb`` bound
+    max|a| and max|b| where the caller holds them.
     """
     phi = euler_phi(n)
     red, factor = _reduction(n)
-    dtype = _dtype(max(_maxabs(a), 1) * max(_maxabs(b), 1) * inner * phi * factor)
+    dtype = _dtype(max(_known(ba, a), 1) * max(_known(bb, b), 1) * inner * phi * factor)
     a = a.astype(dtype, copy=False)
     b = np.ascontiguousarray(b, dtype=dtype)
     s0, *rest = np.flatnonzero(a.reshape(-1, phi).any(axis=0)).tolist() or [0]
@@ -822,12 +847,14 @@ class CycMatrix:
     (rows, cols, phi(n)) on the power basis over one positive common
     denominator, in lowest terms, so equal matrices have equal forms.
     Products, sums, Galois images and comparisons run on that array (see
-    ``bounded_matmul`` and ``_convolve`` for the overflow rule); the first
-    read of ``entries`` or ``[i, j]`` builds every cell as a ``Cyclotomic``
-    from one ``tolist()``, and caches them.
+    ``bounded_matmul`` and ``_convolve`` for the overflow rule), each
+    operand under the largest absolute value of its numerators, which the
+    matrix finds on first need and keeps (``_bound``); the first read of
+    ``entries`` or ``[i, j]`` builds every cell as a ``Cyclotomic`` from one
+    ``tolist()``, and caches them.
     """
 
-    __slots__ = ("rows", "cols", "conductor", "_num", "_den", "_cells")
+    __slots__ = ("rows", "cols", "conductor", "_num", "_den", "_cells", "_max")
 
     def __init__(self, entries, conductor=None):
         """The matrix of a rational array, or of rows of int, Fraction and
@@ -846,7 +873,7 @@ class CycMatrix:
                 [[(e * (n // v.conductor), c, v._den) for e, c in enumerate(v._num) if c]
                  if isinstance(v, Cyclotomic) else [(0, *_ratio(v))] for v in row]
                 for row in grid])
-        self._set(form.conductor, form._num, form._den)
+        self._set(form.conductor, form._num, form._den, form._max)
 
     @classmethod
     def from_terms(cls, n: int, grid) -> "CycMatrix":
@@ -882,27 +909,45 @@ class CycMatrix:
             for e, p, q in cell:
                 out[column[e % n]] += p * (den // q)
         table = _basis_map(n, exponents)
-        num = bounded_matmul(_int_array(lifted).reshape(len(flat), len(exponents)), table)
+        num = bounded_matmul(_int_array(lifted).reshape(len(flat), len(exponents)), table,
+                             None, _table_bound(n))
         return cls._from_array(n, num.reshape(rows, cols, euler_phi(n)), den)
 
     @classmethod
-    def _from_array(cls, n: int, num: np.ndarray, den: int = 1) -> "CycMatrix":
+    def _from_array(cls, n: int, num: np.ndarray, den: int = 1, top=None) -> "CycMatrix":
         self = object.__new__(cls)
-        self._set(n, num, den)
+        self._set(n, num, den, top)
         return self
 
-    def _set(self, n, num, den):
+    def _set(self, n, num, den, top=None):
+        """Keep num / den in lowest terms; ``top``, where given, is max|num|
+        exactly, and is kept as the bound (divided by the common factor)."""
         if den != 1:
-            top = int(np.gcd.reduce(num, axis=None))
-            if not top:
+            common = int(np.gcd.reduce(num, axis=None))
+            if not common:
                 den = 1  # a zero matrix; dividing by den itself may not fit int64
-            elif (g := math.gcd(den, top)) > 1:
+            elif (g := math.gcd(den, common)) > 1:
                 num, den = num // g, den // g
-        num = _fit(num)
+                if top is not None:
+                    top //= g
+        if num.dtype == object:
+            # Python-int results that fit go back to int64
+            if top is None:
+                top = _maxabs(num)
+            if top < INT64_BOUND:
+                num = num.astype(np.int64)
         num.setflags(write=False)
         self.conductor = n
         self.rows, self.cols = num.shape[0], num.shape[1]
-        self._num, self._den, self._cells = num, den, None
+        self._num, self._den, self._cells, self._max = num, den, None, top
+
+    @property
+    def _bound(self) -> int:
+        """max |numerator|, scanned on first need and kept: every kernel
+        product and sum bounds this matrix by it."""
+        if self._max is None:
+            self._max = _maxabs(self._num)
+        return self._max
 
     @classmethod
     def identity(cls, n: int) -> "CycMatrix":
@@ -930,7 +975,7 @@ class CycMatrix:
         r, dr = _line_factor(rows, self.rows, (-1, 1, 1))
         c, dc = _line_factor(cols, self.cols, (1, -1, 1))
         # every factor's entries are below the bound too, so each cast fits
-        dtype = _dtype(max(_maxabs(self._num), 1) * max(_maxabs(r), 1) * max(_maxabs(c), 1))
+        dtype = _dtype(max(self._bound, 1) * max(_maxabs(r), 1) * max(_maxabs(c), 1))
         num = (self._num.astype(dtype, copy=False) * r.astype(dtype, copy=False)
                * c.astype(dtype, copy=False))
         return CycMatrix._from_array(self.conductor, num, self._den * dr * dc)
@@ -992,7 +1037,7 @@ class CycMatrix:
         per = max(1, GALOIS_BLOCK_NUMERATORS // max(flat.size, phi * phi))
         for start in range(0, len(units), per):
             block = tuple(units[start:start + per])
-            images = bounded_matmul(flat, _galois_stack(n, block))
+            images = bounded_matmul(flat, _galois_stack(n, block), self._bound, _table_bound(n))
             yield images.reshape((len(block),) + lines.shape)
 
     def column_positions(self, other, units=(1,)) -> list[list[int]]:
@@ -1009,7 +1054,7 @@ class CycMatrix:
         den = math.lcm(a._den, b._den)
         own = self._lines(a._num, 1)
         if den != a._den:
-            own = _scaled(own, den // a._den)
+            own = _scaled(own, den // a._den, a._bound)
         where = {key: j for j, key in enumerate(_keys(own))}
         out = []
         for images in b._galois_lines(units, 1):
@@ -1110,33 +1155,43 @@ class CycMatrix:
         table = _embedding(self.conductor, m)
         if table is None:
             return self
-        return CycMatrix._from_array(m, bounded_matmul(self._num, table), self._den)
+        num = bounded_matmul(self._num, table, self._bound, _table_bound(m))
+        return CycMatrix._from_array(m, num, self._den)
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign other, one ``_sum`` of the numerators."""
         if not isinstance(other, CycMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         a, b = self._common(other)
-        return CycMatrix._from_array(a.conductor, *_sum(a._num, a._den, b._num, b._den))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+        return CycMatrix._from_array(
+            a.conductor, *_sum(a._num, a._den, b._num, b._den, a._bound, b._bound, sign))
 
     def scale(self, c) -> "CycMatrix":
         if isinstance(c, Cyclotomic):
             return self._entrywise(CycMatrix([[c]]))
         q = Fraction(c)
-        num = _scaled(self._num, q.numerator)
-        return CycMatrix._from_array(self.conductor, num, self._den * q.denominator)
+        top = self._bound
+        num = _scaled(self._num, q.numerator, top)
+        return CycMatrix._from_array(self.conductor, num, self._den * q.denominator,
+                                     top * abs(q.numerator))
 
-    def _left_product(self, ints: np.ndarray, cols) -> np.ndarray:
+    def _left_product(self, ints: np.ndarray, cols, bound=None) -> np.ndarray:
         """Numerators (k, len(cols), phi) of V self[:, cols] over self's
-        denominator, for an integer matrix V (k x rows): one
-        ``bounded_matmul`` with the numerator block of those columns."""
+        denominator, for an integer matrix V (k x rows) with max|V| at most
+        ``bound`` where that is held: one ``bounded_matmul`` with the
+        numerator block of those columns, under self's bound."""
         part = self._num if cols is None else self._num[:, np.asarray(cols, dtype=np.intp)]
         block = part.reshape(self.rows, part.shape[1] * part.shape[2])
-        return bounded_matmul(ints, block).reshape((ints.shape[0],) + part.shape[1:])
+        prod = bounded_matmul(ints, block, bound, self._bound)
+        return prod.reshape((ints.shape[0],) + part.shape[1:])
 
     def left_rational(self, vectors, cols=None) -> "CycMatrix":
         """V self[:, cols] for a rational matrix V (k x rows), one integer product."""
@@ -1164,11 +1219,12 @@ class CycMatrix:
             raise ValueError("shape mismatch")
         # a rational factor needs no convolution
         if self.conductor == 1:
-            return other.left_rational(self._num[..., 0]).scale(Fraction(1, self._den))
+            num = other._left_product(self._num[..., 0], None, self._bound)
+            return CycMatrix._from_array(other.conductor, num, self._den * other._den)
         if other.conductor == 1:
             return (other.transpose() * self.transpose()).transpose()
         a, b = self._common(other)
-        num = _convolve(a.conductor, a._num, b._num, _matmul, a.cols)
+        num = _convolve(a.conductor, a._num, b._num, _matmul, a.cols, a._bound, b._bound)
         return CycMatrix._from_array(a.conductor, num, a._den * b._den)
 
     __rmul__ = scale
@@ -1182,7 +1238,7 @@ class CycMatrix:
     def _entrywise(self, other) -> "CycMatrix":
         # other may be 1 x 1, which broadcasts
         a, b = self._common(other)
-        num = _convolve(a.conductor, a._num, b._num, _entrywise, 1)
+        num = _convolve(a.conductor, a._num, b._num, _entrywise, 1, a._bound, b._bound)
         return CycMatrix._from_array(a.conductor, num, a._den * b._den)
 
     def select(self, rows=None, cols=None) -> "CycMatrix":
@@ -1195,19 +1251,21 @@ class CycMatrix:
         return CycMatrix._from_array(self.conductor, num, self._den)
 
     def transpose(self) -> "CycMatrix":
-        return CycMatrix._from_array(self.conductor, self._num.transpose(1, 0, 2), self._den)
+        num = self._num.transpose(1, 0, 2)
+        return CycMatrix._from_array(self.conductor, num, self._den, self._max)
 
     def reshape(self, rows: int, cols: int) -> "CycMatrix":
         """The same entries in row-major order, as a rows x cols matrix."""
         num = self._num.reshape(rows, cols, self._num.shape[2])
-        return CycMatrix._from_array(self.conductor, num, self._den)
+        return CycMatrix._from_array(self.conductor, num, self._den, self._max)
 
     def galois(self, k: int) -> "CycMatrix":
         """Entrywise image under zeta_n -> zeta_n^k; gcd(k, n) must be 1."""
         table = _galois_matrix(self.conductor, k)
         if table is None:
             return self
-        return CycMatrix._from_array(self.conductor, bounded_matmul(self._num, table), self._den)
+        num = bounded_matmul(self._num, table, self._bound, _table_bound(self.conductor))
+        return CycMatrix._from_array(self.conductor, num, self._den)
 
     def conjugate(self) -> "CycMatrix":
         """Entrywise complex conjugate, the automorphism zeta -> zeta^(-1)."""

@@ -19,7 +19,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, SubfieldSpec, _dtype, rational_lift
+from .cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, _dtype, rational_lift
 from .errors import (
     IncompatibleT,
     InternalAssertion,
@@ -103,12 +103,23 @@ def _lifted(scheme: SchemeData, w) -> tuple[np.ndarray, np.ndarray]:
     return support, np.ones(len(support), dtype=np.int64)
 
 
+class _DualRow:
+    """b = aQ held on the integer form, as the 1 x (d+1) matrix ``dual``;
+    ``b``, its entries as cells, is built on the first read and kept by the
+    matrix.  Text and literals are read off ``dual`` (``texts``,
+    ``lowest_terms``), with no cell."""
+
+    @property
+    def b(self) -> tuple[Cyclotomic, ...]:
+        return self.dual.row(0)
+
+
 @dataclass(frozen=True)
-class DesignReport:
+class DesignReport(_DualRow):
     """Inner/dual distributions, the annihilated set, and orbit closure."""
 
     a: tuple[Fraction, ...]
-    b: tuple[Cyclotomic, ...]
+    dual: CycMatrix
     T: tuple[int, ...]
     orbit_closed: bool
 
@@ -148,17 +159,18 @@ def inner_distribution(scheme: SchemeData, w) -> tuple[Fraction, ...]:
     return _distribution(*_pair_sums(scheme, w))
 
 
-def dual_distribution(eigen: EigenData, a) -> tuple[Cyclotomic, ...]:
-    """The MacWilliams transform b = aQ.
+def dual_distribution(eigen: EigenData, a) -> CycMatrix:
+    """The MacWilliams transform b = aQ, as a 1 x (d+1) matrix.
 
     One integer product: a is lifted to integers over a common denominator
     and multiplied into the integer form held by Q, under the kernel's
-    int64-or-Python-int bound; only the d+1 results become ``Cyclotomic``.
+    int64-or-Python-int bound.  The answer stays on the integer form: its
+    entries become ``Cyclotomic`` cells only when read (``row(0)``).
     """
     dp1 = eigen.scheme.classes
     if len(a) != dp1:
         raise ValueError(f"inner distribution must have length {dp1}")
-    return eigen.Q.left_rational([a]).row(0)
+    return eigen.Q.left_rational([a])
 
 
 @lru_cache(maxsize=32)
@@ -187,15 +199,14 @@ def design_report(
     # b = aQ = vQ / den as a 1 x (d+1) matrix: signs and zeros are read off
     # its integer form
     dual = eigen.Q.left_lifted(v[None, :], den)
-    b = dual.row(0)
     if verify_signs:
         try:
             signs = dual.signs()[0]
         except ValueError as exc:
-            raise InternalAssertion(f"b = {b} is not real") from exc
+            raise InternalAssertion(f"b = {dual.row(0)} is not real") from exc
         if (signs < 0).any():
             j = int(np.argmax(signs < 0))
-            raise InternalAssertion(f"b[{j}] = {b[j]} is negative")
+            raise InternalAssertion(f"b[{j}] = {dual[0, j]} is negative")
     zero = dual.zero_mask()[0]
     if zero[0]:
         raise InternalAssertion("b[0] vanished for a nonzero subset")
@@ -205,7 +216,7 @@ def design_report(
         raise OrbitClosureViolation(
             f"T = {annihilated} is not a union of Galois orbits"
         )
-    return DesignReport(a=_distribution(v, den), b=b, T=annihilated, orbit_closed=closed)
+    return DesignReport(a=_distribution(v, den), dual=dual, T=annihilated, orbit_closed=closed)
 
 
 def is_T_design(scheme: SchemeData, eigen: EigenData, w, T) -> bool:
@@ -395,7 +406,7 @@ def transfer_design(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SubgroupDistribution:
+class SubgroupDistribution(_DualRow):
     """One row of the dicyclic subgroup table."""
 
     kind: str  # "cyclic" or "dicyclic"
@@ -403,7 +414,7 @@ class SubgroupDistribution:
     order: int
     elements: tuple[int, ...]
     a: tuple[Fraction, ...]
-    b: tuple[Cyclotomic, ...]
+    dual: CycMatrix
     T: tuple[int, ...]
 
 
@@ -443,7 +454,7 @@ def dicyclic_subgroup_table(n: int) -> list[SubgroupDistribution]:
                 order=len(elements),
                 elements=elements,
                 a=report.a,
-                b=report.b,
+                dual=report.dual,
                 T=report.T,
             )
         )

@@ -317,7 +317,7 @@ def design_report_to_json(report: DesignReport, conductor: int) -> dict:
     return {
         "conductor": conductor,
         "a": [rational_to_str(v) for v in report.a],
-        "b": [cyc_to_literal(v) for v in report.b],
+        "b": literal_rows(report.dual)[0],
         "T": list(report.T),
         "orbit_closed": report.orbit_closed,
     }

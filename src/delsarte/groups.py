@@ -25,6 +25,7 @@ import numpy as np
 from .cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, bounded_matmul, euler_phi, units_mod
 from .errors import (
     BadEigenbasis,
+    DelsarteError,
     InternalAssertion,
     NotEigen,
     UnsupportedFamily,
@@ -224,35 +225,36 @@ def make_character_table(grid: CycMatrix) -> CharacterTable:
     return CharacterTable(matrix=grid, degrees=tuple(degrees))
 
 
-def verify_character_table(
-    table: CharacterTable, group: GroupTable, classes: ConjClassData
-) -> None:
-    """Check shape, the trivial first row and both orthogonality relations.
-
-    With X the table and D = diag(|C_i|), row orthogonality is
-    X D X^* = |G| I and column orthogonality is X^T conj(X) = |G| D^(-1),
-    each one kernel product (X D is a scaling of the columns of X).
-    """
+def _check_table_form(table: CharacterTable, classes: ConjClassData) -> None:
+    """The cheap checks of a character table: one row and one column per
+    class, and the trivial character as the first row."""
     dp1 = len(classes.classes)
     if (table.matrix.rows, table.matrix.cols) != (dp1, dp1):
         raise BadEigenbasis("character_table_shape")
-    x = table.matrix
-    if x.select(rows=[0]) != CycMatrix(np.ones((1, dp1), dtype=np.int64)):
+    if table.matrix.select(rows=[0]) != CycMatrix(np.ones((1, dp1), dtype=np.int64)):
         raise BadEigenbasis("trivial_character", "first row must be all ones")
-    order = group.order
-    sizes = classes.sizes
-    rows = x.scale_lines(cols=sizes) * x.adjoint() - CycMatrix(order * np.eye(dp1, dtype=np.int64))
+
+
+def verify_character_table(
+    table: CharacterTable, group: GroupTable, classes: ConjClassData
+) -> None:
+    """Check shape, the trivial first row and the orthogonality of the rows.
+
+    With X the table and D = diag(|C_i|), row orthogonality is
+    X D X^* = |G| I, one kernel product (X D is a scaling of the columns of
+    X).  Column orthogonality, X^T conj(X) = |G| D^(-1), is implied and not
+    checked: X D X^* / |G| = I makes D X^* / |G| the inverse of the square
+    matrix X, so D X^* X = |G| I too, whose conjugate is the column relation
+    (Isaacs, *Character Theory of Finite Groups*, 1976, ch. 2).
+    """
+    _check_table_form(table, classes)
+    x = table.matrix
+    eye = CycMatrix(group.order * np.eye(x.rows, dtype=np.int64))
+    rows = x.scale_lines(cols=classes.sizes) * x.adjoint() - eye
     bad = np.argwhere(np.triu(~rows.zero_mask()))
     if len(bad):
         j, k = map(int, bad[0])
         raise BadEigenbasis("character_row_orthogonality", f"rows {j}, {k}")
-    cols = x.transpose() * x.conjugate() - CycMatrix.diagonal(
-        [Fraction(order, size) for size in sizes]
-    )
-    bad = np.argwhere(np.triu(~cols.zero_mask()))
-    if len(bad):
-        a, b = map(int, bad[0])
-        raise BadEigenbasis("character_column_orthogonality", f"classes {a}, {b}")
 
 
 def eigendata_from_characters(
@@ -265,8 +267,33 @@ def eigendata_from_characters(
 
     Q[i][j] = f_j conj(chi_j(g_i)); the attached data is verified in full
     and the multiplicities must come out as the squared degrees.
+
+    On the table's own class scheme (|X| = |G| and v_i = |C_i|), the table
+    needs no orthogonality product of its own.  With m_j = f_j^2 read off
+    Q's first row, attach's P = diag(1/m) Q^* diag(v) gives
+    (PQ)[j][k] = (f_k / f_j) (X D X^*)[j][k], so its check PQ = |X| I is the
+    row orthogonality X D X^* = |G| I of ``verify_character_table``.  So
+    after the cheap checks of shape and trivial row, a valid table makes
+    only attach's products; where anything raises, the full check runs
+    first, so a bad table reports today's error, invariant and witness.  On
+    any other scheme the full check runs first, as before.
     """
-    verify_character_table(table, group, classes)
+    _check_table_form(table, classes)
+    own = scheme is None or (
+        scheme.size == group.order and scheme.valencies == classes.sizes)
+    if not own:
+        verify_character_table(table, group, classes)
+        return _attach_characters(group, classes, table, scheme)
+    try:
+        return _attach_characters(group, classes, table, scheme)
+    except DelsarteError:
+        verify_character_table(table, group, classes)
+        raise
+
+
+def _attach_characters(group, classes, table, scheme) -> EigenData:
+    """Q = X^* diag(f) attached to the scheme (the group's class scheme when
+    None), and the multiplicities checked as the squared degrees."""
     if scheme is None:
         scheme, found = conj_class_scheme(group)
         if found.classes != classes.classes:

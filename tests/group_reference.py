@@ -11,7 +11,10 @@ Kept verbatim in their arithmetic:
   entry.
 
 * associativity checked on all |G|^3 triples at once, the library's
-  former check up to order 128.
+  former check up to order 128;
+* a character table checked by both orthogonality products before its
+  eigendata are attached, the library's former
+  ``verify_character_table`` and ``eigendata_from_characters``.
 
 The library's broadcast multiplication tables and one-call character
 tables must equal these, its one-product checks must give the same
@@ -23,13 +26,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from delsarte.cyclotomic import CycMatrix, Cyclotomic
-from delsarte.errors import NotEigen, UnsupportedFamily, ValidationError
-from delsarte.groups import ConjClassData, GroupTable, abelian_group
-from delsarte.scheme import SchemeData
+from delsarte.errors import BadEigenbasis, NotEigen, UnsupportedFamily, ValidationError
+from delsarte.groups import (
+    CharacterTable,
+    ConjClassData,
+    GroupTable,
+    abelian_group,
+    conj_class_scheme,
+)
+from delsarte.scheme import EigenData, SchemeData, attach_eigendata
 
 zeta = Cyclotomic.zeta
 
@@ -232,3 +242,61 @@ def reference_representations(family: str, *params: int) -> list[ImageRepresenta
             for j in range(table.count)
         ]
     raise UnsupportedFamily(f"unknown family {family!r}")
+
+
+def reference_verify_character_table(
+    table: CharacterTable, group: GroupTable, classes: ConjClassData
+) -> None:
+    """Check shape, the trivial first row and both orthogonality relations.
+
+    With X the table and D = diag(|C_i|), row orthogonality is
+    X D X^* = |G| I and column orthogonality is X^T conj(X) = |G| D^(-1),
+    each one kernel product (X D is a scaling of the columns of X).
+    """
+    dp1 = len(classes.classes)
+    if (table.matrix.rows, table.matrix.cols) != (dp1, dp1):
+        raise BadEigenbasis("character_table_shape")
+    x = table.matrix
+    if x.select(rows=[0]) != CycMatrix(np.ones((1, dp1), dtype=np.int64)):
+        raise BadEigenbasis("trivial_character", "first row must be all ones")
+    order = group.order
+    sizes = classes.sizes
+    rows = x.scale_lines(cols=sizes) * x.adjoint() - CycMatrix(order * np.eye(dp1, dtype=np.int64))
+    bad = np.argwhere(np.triu(~rows.zero_mask()))
+    if len(bad):
+        j, k = map(int, bad[0])
+        raise BadEigenbasis("character_row_orthogonality", f"rows {j}, {k}")
+    cols = x.transpose() * x.conjugate() - CycMatrix.diagonal(
+        [Fraction(order, size) for size in sizes]
+    )
+    bad = np.argwhere(np.triu(~cols.zero_mask()))
+    if len(bad):
+        a, b = map(int, bad[0])
+        raise BadEigenbasis("character_column_orthogonality", f"classes {a}, {b}")
+
+
+def reference_eigendata_from_characters(
+    group: GroupTable,
+    classes: ConjClassData,
+    table: CharacterTable,
+    scheme: SchemeData | None = None,
+) -> EigenData:
+    """Eigenstructure of the conjugacy class scheme from its character table.
+
+    Q[i][j] = f_j conj(chi_j(g_i)); the attached data is verified in full
+    and the multiplicities must come out as the squared degrees.
+    """
+    reference_verify_character_table(table, group, classes)
+    if scheme is None:
+        scheme, found = conj_class_scheme(group)
+        if found.classes != classes.classes:
+            raise BadEigenbasis("class_order", "classes disagree with the group")
+    q = table.matrix.adjoint().scale_lines(cols=table.degrees)
+    eigen = attach_eigendata(scheme, q)
+    expected = tuple(f * f for f in table.degrees)
+    if eigen.multiplicities != expected:
+        raise BadEigenbasis(
+            "multiplicity_squares",
+            f"{eigen.multiplicities} != squared degrees {expected}",
+        )
+    return eigen

@@ -121,7 +121,7 @@ def test_criterion_03_coxeter():
         fano = coxeter_second_fano()
         a = inner_distribution(scheme, fano)
         assert a == (1, 0, 0, 6, 0)
-        b = dual_distribution(eigen, a)
+        b = dual_distribution(eigen, a).row(0)
         assert b == (7, 0, 0, 21, 0)
         data = orbit_merge(eigen, SubfieldSpec.rationals(8))
         merged_b = [

@@ -66,7 +66,7 @@ def test_coxeter_fano_distributions():
     fano = coxeter_second_fano()
     a = inner_distribution(scheme, fano)
     assert a == (1, 0, 0, 6, 0)
-    b = dual_distribution(eigen, a)
+    b = dual_distribution(eigen, a).row(0)
     assert b == (7, 0, 0, 21, 0)
     data = orbit_merge(eigen, SubfieldSpec.rationals(eigen.conductor))
     merged = [
@@ -79,7 +79,7 @@ def test_coxeter_fano_distributions():
 def test_whole_vertex_set_dual():
     scheme, eigen = build_x8()
     a = inner_distribution(scheme, range(8))
-    b = dual_distribution(eigen, a)
+    b = dual_distribution(eigen, a).row(0)
     assert b[0] == 8
     assert all(v.is_zero() for v in b[1:])
 
@@ -465,7 +465,7 @@ def test_macwilliams_nonnegativity_exact_signs(monkeypatch):
     report = design_report(eigen.scheme, eigen, w)
     assert calls == [12, 12]
     assert report.T == () and report.b[0] == sum(report.a)
-    assert dual_distribution(eigen, inner_distribution(eigen.scheme, w)) == report.b
+    assert dual_distribution(eigen, inner_distribution(eigen.scheme, w)) == report.dual
 
 
 @pytest.mark.parametrize("n", [3, 5])

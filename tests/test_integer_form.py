@@ -36,7 +36,7 @@ TINY = Fraction(1, 2**62 - 57)
 def expected_report(eigen, weights):
     """a from the reference loop; b = aQ, T(C) its zero set among j >= 1."""
     a = reference_inner_distribution(eigen.scheme, weights)
-    b = dual_distribution(eigen, a)
+    b = dual_distribution(eigen, a).row(0)
     return a, b, tuple(j for j in range(1, len(b)) if b[j].is_zero())
 
 

@@ -614,3 +614,29 @@ def test_matmul_guard_catches_the_former_products():
     assert found == [("is_T_design", 7), ("abelian_group", 9)]
     assert not MATMUL_SITES["designs.py"] & {scope for scope, _ in found}
     assert _matmuls(ast.parse("def f(x, y):\n    x @= y\n")) == [("f", 2)]
+
+
+def _numerator_scans(tree):
+    """(scope, line) of every `_maxabs(<x>._num)` (see ``_scoped``)."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name) and node.func.id == "_maxabs"
+                   and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
+                   and node.args[0].attr == "_num")
+
+
+def test_matrices_scan_their_numerators_once():
+    # a CycMatrix finds the bound of its numerators once and keeps it; every
+    # kernel routine takes it from the accessor
+    tree = ast.parse((SRC / "cyclotomic.py").read_text())
+    assert [scope for scope, _ in _numerator_scans(tree)] == ["CycMatrix._bound"]
+
+
+def test_numerator_scan_guard_catches_the_former_scale_lines():
+    old = (
+        "class CycMatrix:\n"
+        "    def scale_lines(self, rows=None, cols=None):\n"
+        "        r, dr = _line_factor(rows, self.rows, (-1, 1, 1))\n"
+        "        dtype = _dtype(max(_maxabs(self._num), 1) * max(_maxabs(r), 1)"
+        " * max(_maxabs(c), 1))\n"
+    )
+    assert _numerator_scans(ast.parse(old)) == [("CycMatrix.scale_lines", 4)]
