@@ -953,15 +953,6 @@ class CycMatrix:
     def identity(cls, n: int) -> "CycMatrix":
         return cls(np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def diagonal(cls, values) -> "CycMatrix":
-        """The square matrix with the given rational diagonal, lifted once."""
-        ints, den = rational_lift([list(values)])
-        idx = np.arange(ints.shape[1])
-        num = np.zeros((len(idx), len(idx), 1), dtype=ints.dtype)
-        num[idx, idx, 0] = ints[0]
-        return cls._from_array(1, num, den)
-
     def scale_lines(self, rows=None, cols=None) -> "CycMatrix":
         """diag(rows) self diag(cols) for rational vectors (None leaves that
         side alone), as one broadcast multiply of the numerator array.

@@ -110,11 +110,6 @@ def _terms_literal(terms):
     return [[e, ratio_text(p, q)] for e, p, q in terms]
 
 
-def cyc_to_literal(value: Cyclotomic):
-    """Rational values become "p/q" strings; others term lists."""
-    return _terms_literal(value.lowest_terms())
-
-
 def literal_rows(m: CycMatrix) -> list:
     """The rows of a matrix as literals, read off its integer form."""
     return [[_terms_literal(terms) for terms in row] for row in m.lowest_terms()]

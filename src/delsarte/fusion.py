@@ -20,22 +20,15 @@ from itertools import chain
 
 import numpy as np
 
-from .cyclotomic import CycMatrix, SubfieldSpec
+from .cyclotomic import CycMatrix, SubfieldSpec, bounded_matmul
 from .errors import (
     ConductorMismatch,
     InternalAssertion,
     NotAFusion,
-    NotAScheme,
     NotClosed,
     NotPermutation,
 )
-from .scheme import (
-    EigenData,
-    SchemeData,
-    attach_eigendata,
-    validate_indices,
-    verify_scheme,
-)
+from .scheme import EigenData, SchemeData, attach_eigendata, validate_indices
 
 
 @dataclass(frozen=True)
@@ -167,8 +160,15 @@ def sigma_permutations(
     columns, since the entries of E_j are the entries of column j of Q
     spread over the relation classes.  Automorphisms with the same action on
     every entry of Q restrict identically to the splitting field and give
-    the same permutation; the columns of Q are matched against its images
-    under the whole group, which come from one blocked product.
+    the same permutation.
+
+    Only the images of Q under the generators of the fixing group are
+    formed (one blocked product).  Since sigma_ab = sigma_a sigma_b, every
+    unit of the group permutes the columns exactly when the generators do,
+    and the permutations are the closure of the generators' ones under
+    composition.  When a generator fails, the columns are matched against
+    the images under the whole group, so the error names the first failing
+    unit k and idempotent E_j in the group's order.
     """
     n = eigen.conductor
     if subfield.conductor % n:
@@ -177,20 +177,26 @@ def sigma_permutations(
             f"contain the splitting conductor {n}"
         )
     dp1 = eigen.scheme.classes
-    found = set()
-    for k, perm in zip(subfield.group, eigen.Q.column_positions(eigen.Q, subfield.group)):
-        if -1 in perm:
-            raise NotPermutation(
-                f"zeta -> zeta^{k} does not map E_{perm.index(-1)} into the idempotent "
-                "basis; Q is inconsistent with its declared conductor"
-            )
-        if len(set(perm)) != dp1:
-            raise NotPermutation(f"automorphism {k} does not act bijectively")
-        found.add(tuple(perm))
-    for a in found:
-        for b in found:
-            if tuple(a[b[j]] for j in range(dp1)) not in found:
-                raise InternalAssertion("induced permutations are not closed")
+    gens = [tuple(perm) for perm in eigen.Q.column_positions(eigen.Q, subfield.generators)]
+    if any(len(set(perm)) != dp1 or -1 in perm for perm in gens):
+        for k, perm in zip(subfield.group, eigen.Q.column_positions(eigen.Q, subfield.group)):
+            if -1 in perm:
+                raise NotPermutation(
+                    f"zeta -> zeta^{k} does not map E_{perm.index(-1)} into the idempotent "
+                    "basis; Q is inconsistent with its declared conductor"
+                )
+            if len(set(perm)) != dp1:
+                raise NotPermutation(f"automorphism {k} does not act bijectively")
+        raise InternalAssertion("a generator fails to permute the idempotents, but no unit does")
+    found = {tuple(range(dp1))}
+    frontier = list(found)
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = tuple(a[g[j]] for j in range(dp1))
+            if b not in found:
+                found.add(b)
+                frontier.append(b)
     return tuple(sorted(found))
 
 
@@ -241,19 +247,75 @@ def _validate_partition(cells, dp1: int) -> tuple[tuple[int, ...], ...]:
     return cells
 
 
+def _fused_failure(axiom: str, detail: str) -> InternalAssertion:
+    return InternalAssertion(f"fused relation failed verification: axiom ({axiom}): {detail}")
+
+
+def _fused_scheme(scheme: SchemeData, cells, class_map) -> SchemeData:
+    """The scheme on the relation grid fused along the cells (cell 0 = {0}),
+    derived from the parent's intersection tensor.
+
+    For (x, y) in R_k, |{z : (x, z) in R_I, (z, y) in R_J}| is the sum of
+    p_ij^k over i in I and j in J: the fused grid's products A_I A_J are the
+    sums Oᵀ p O, with O the 0/1 partition matrix.  So the fused grid satisfies
+    each axiom exactly when the matching condition holds on the parent
+    tensor: (i) because cell 0 = {0}; (ii) when the parent's transpose map
+    sends each cell into one cell; (iii) when each sum is the same for every
+    k in a cell; (iv) when the sums are symmetric in (I, J).  A failure is
+    reported as ``verify_scheme`` on the fused grid would report it, as an
+    :class:`InternalAssertion`; on success every field equals what that
+    check returns.
+    """
+    labels = np.array(class_map, dtype=np.int64)
+    heads = [cell[0] for cell in cells]
+    tmap = labels[list(scheme.transpose_map)]
+    split = tmap != tmap[heads][labels]
+    if split.any():
+        raise _fused_failure("ii", f"transpose of class {int(labels[split].min())} is "
+                                   "not a single class")
+
+    # p[k, I, J]: the parent classes k first, so one broadcast product per side
+    o = _partition_matrix(class_map, len(cells))
+    p = bounded_matmul(bounded_matmul(o.T, scheme.intersection.transpose(2, 0, 1), 1), o, by=1)
+    varying = p != p[heads][labels]
+    swapped = p != p.transpose(0, 2, 1)
+    failing = np.triu((varying | swapped).any(axis=0))
+    if failing.any():
+        i, j = map(int, np.argwhere(failing)[0])
+        if varying[:, i, j].any():
+            k = int(labels[varying[:, i, j]].min())
+            raise _fused_failure("iii", f"|R_{i}(a) n R_{j}'(b)| is not constant on class {k}")
+        # the fused class of the first failing cell in row-major order
+        cell = np.argmax(swapped[:, i, j][scheme.relation])
+        k = int(labels[scheme.relation.flat[cell]])
+        raise _fused_failure("iv", f"p[{i}][{j}]^{k} != p[{j}][{i}]^{k}")
+    return SchemeData(
+        size=scheme.size,
+        classes=len(cells),
+        relation=labels[scheme.relation],
+        transpose_map=tuple(tmap[heads].tolist()),
+        valencies=tuple(sum(scheme.valencies[k] for k in cell) for cell in cells),
+        intersection=np.ascontiguousarray(p[heads].transpose(1, 2, 0)),
+    )
+
+
 def fuse_by_relation_partition(
     scheme: SchemeData, eigen: EigenData, partition
 ) -> FusionScheme:
     """Fuse relations along a partition, checked by the PO row criterion.
 
     PO must have exactly one distinct row per fused eigenspace (e+1 in
-    total); on success the fused scheme is rebuilt and re-verified from
-    scratch, P_F is read off the distinct rows of PO, and Q_F is read off the
-    second orthogonality relation m_l conj(P_F[l][i]) = v_i Q_F[i][l] (m_l the
-    summed multiplicities of eigen class l, v_i the fused valencies), one
-    rational scaling of the rows and columns of P_F^*
-    (``CycMatrix.scale_lines``), and attached with full eigendata
-    verification.
+    total).  On success the fused scheme is derived from the parent's
+    intersection tensor (``_fused_scheme``): its intersection numbers are the
+    sums of the parent's over the cells, which must not depend on the class
+    within a cell and must be symmetric, and the transpose map must respect
+    the cells; these conditions hold exactly when the fused grid passes
+    ``verify_scheme``, so the grid is not re-verified.  P_F is read off the
+    distinct rows of PO, and Q_F is read off the second orthogonality
+    relation m_l conj(P_F[l][i]) = v_i Q_F[i][l] (m_l the summed
+    multiplicities of eigen class l, v_i the fused valencies), one rational
+    scaling of the rows and columns of P_F^* (``CycMatrix.scale_lines``), and
+    attached with full eigendata verification.
     """
     cells = _validate_partition(partition, scheme.classes)
     e1 = len(cells)
@@ -263,11 +325,8 @@ def fuse_by_relation_partition(
     if len(eigen_classes) != e1:
         raise NotAFusion(len(eigen_classes), e1)
 
-    fused_rel = np.array(class_map, dtype=np.int64)[scheme.relation]
-    try:
-        fused_scheme = verify_scheme(fused_rel)
-    except NotAScheme as exc:  # criterion passed, so this cannot happen
-        raise InternalAssertion(f"fused relation failed verification: {exc}") from exc
+    # the criterion passed, so this cannot fail
+    fused_scheme = _fused_scheme(scheme, cells, class_map)
 
     p_f = po.select(rows=[cell[0] for cell in eigen_classes])
     fused_mult = [sum(eigen.multiplicities[j] for j in cell) for cell in eigen_classes]

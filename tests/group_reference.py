@@ -266,8 +266,8 @@ def reference_verify_character_table(
     if len(bad):
         j, k = map(int, bad[0])
         raise BadEigenbasis("character_row_orthogonality", f"rows {j}, {k}")
-    cols = x.transpose() * x.conjugate() - CycMatrix.diagonal(
-        [Fraction(order, size) for size in sizes]
+    cols = x.transpose() * x.conjugate() - CycMatrix.identity(dp1).scale_lines(
+        rows=[Fraction(order, size) for size in sizes]
     )
     bad = np.argwhere(np.triu(~cols.zero_mask()))
     if len(bad):

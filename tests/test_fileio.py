@@ -15,7 +15,7 @@ from delsarte.catalog import (
     list_entries,
     load_entry,
 )
-from delsarte.cyclotomic import Cyclotomic
+from delsarte.cyclotomic import CycMatrix, Cyclotomic
 from delsarte.errors import DelsarteError, NotAScheme, ParseError, ValidationError
 
 
@@ -70,10 +70,11 @@ def test_every_json_rejection_is_a_parse_error(text):
 
 def test_cyclotomic_literals():
     sqrt2 = Cyclotomic.from_terms(8, {1: 1, 7: 1}.items())
-    lit = fileio.cyc_to_literal(sqrt2)
+    lit = fileio.literal_rows(CycMatrix([[sqrt2]]))[0][0]
     assert lit == [[1, "1"], [3, "-1"]]
     assert fileio.cyc_from_literal(lit, 8) == sqrt2
-    assert fileio.cyc_to_literal(Cyclotomic.from_rational(Fraction(1, 2), 8)) == "1/2"
+    half = Cyclotomic.from_rational(Fraction(1, 2), 8)
+    assert fileio.literal_rows(CycMatrix([[half]]))[0][0] == "1/2"
 
 
 def test_cyclotomic_json_object():

@@ -187,7 +187,8 @@ def test_catalog_identities_against_scalar_loops(name):
 @pytest.mark.parametrize("corrupt, indices, reason", [
     (lambda P: P.scale(-1), (0, 0, 0), "= -1 is negative"),
     (lambda P: P.scale(Cyclotomic.zeta(4)), (0, 0, 0), "= z4 is not real"),
-    (lambda P: CycMatrix.diagonal([1, 1, 1, -1, 1]) * P, (0, 3, 3), "= -1 is negative"),
+    (lambda P: CycMatrix.identity(5).scale_lines(rows=[1, 1, 1, -1, 1]) * P, (0, 3, 3),
+     "= -1 is negative"),
     (lambda P: P.scale(Fraction(1, 2)), (0, 0, 0), "!= 1"),
 ])
 def test_krein_rejections_name_the_first_bad_entry(corrupt, indices, reason):
@@ -247,7 +248,8 @@ def test_enumeration_survives_a_huge_column(build, shift):
     scheme, eigen = build()
     for j in range(1, scheme.classes):
         factors = [2**shift if l == j else 1 for l in range(scheme.classes)]
-        scaled = dataclasses.replace(eigen, Q=eigen.Q * CycMatrix.diagonal(factors))
+        factor = CycMatrix.identity(scheme.classes).scale_lines(rows=factors)
+        scaled = dataclasses.replace(eigen, Q=eigen.Q * factor)
         want = enumerate_T_designs(scheme, eigen, {j}, 1, scheme.size)
         assert enumerate_T_designs(scheme, scaled, {j}, 1, scheme.size) == want
 
@@ -260,7 +262,8 @@ def test_enumeration_survives_a_huge_column_in_tiny_chunks(build, shift, monkeyp
     scheme, eigen = build()
     for j in range(1, scheme.classes):
         factors = [2**shift if l == j else 1 for l in range(scheme.classes)]
-        scaled = dataclasses.replace(eigen, Q=eigen.Q * CycMatrix.diagonal(factors))
+        factor = CycMatrix.identity(scheme.classes).scale_lines(rows=factors)
+        scaled = dataclasses.replace(eigen, Q=eigen.Q * factor)
         want = enumerate_T_designs(scheme, eigen, {j}, 1, scheme.size)
         with monkeypatch.context() as patch:
             patch.setattr(designs, "ENUM_CHUNK_PAIRS", 5)

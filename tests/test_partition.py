@@ -5,13 +5,14 @@ import math
 import random
 from functools import lru_cache
 from itertools import chain, combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsarte.catalog import CATALOG, load_entry
-from delsarte.cyclotomic import SubfieldSpec, units_mod
+from delsarte.cyclotomic import CycMatrix, SubfieldSpec, units_mod
 from delsarte.designs import (
     design_report,
     enumerate_T_designs,
@@ -26,6 +27,7 @@ from delsarte.groups import (
     conj_class_scheme,
     rational_classes,
 )
+from galois_reference import reference_sigma_permutations
 
 NAMES = sorted(CATALOG)
 
@@ -76,6 +78,25 @@ def test_orbits_and_iota_match_a_search(name):
         assert data.iota == tuple(
             next(l for l, o in enumerate(expected) if j in o) for j in range(dp1)
         )
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_permutations_from_the_generators_match_the_loops(name):
+    # sigma_permutations forms only the generators' images and closes their
+    # permutations; the per-unit loops form the image under every unit
+    eigen = entry(name).eigen
+    positions = CycMatrix.column_positions
+    for subfield in subfields(eigen.conductor):
+        asked = []
+
+        def spy(self, other, units=(1,)):
+            asked.append(tuple(units))
+            return positions(self, other, units)
+
+        with mock.patch.object(CycMatrix, "column_positions", spy):
+            perms = sigma_permutations(eigen, subfield)
+        assert perms == reference_sigma_permutations(eigen, subfield), subfield
+        assert asked == [subfield.generators]
 
 
 def reference_rational_classes(group, classes):

@@ -640,3 +640,88 @@ def test_numerator_scan_guard_catches_the_former_scale_lines():
         " * max(_maxabs(c), 1))\n"
     )
     assert _numerator_scans(ast.parse(old)) == [("CycMatrix.scale_lines", 4)]
+
+
+def _verify_scheme_uses(tree):
+    """Line numbers of every name, attribute or import of verify_scheme."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id == "verify_scheme")
+                  or (isinstance(node, ast.Attribute) and node.attr == "verify_scheme")
+                  or (isinstance(node, ast.alias) and node.name == "verify_scheme"))
+
+
+def test_fusions_are_not_reverified_from_the_grid():
+    # a fused scheme is derived from the parent's intersection tensor
+    # (fusion._fused_scheme), whose conditions hold exactly when the fused
+    # grid passes verify_scheme
+    assert _verify_scheme_uses(ast.parse((SRC / "fusion.py").read_text())) == []
+
+
+def test_verify_scheme_guard_catches_the_former_fusion():
+    # fuse_by_relation_partition as it was before the fused tensor
+    old = (
+        "from .scheme import (\n"
+        "    EigenData,\n"
+        "    verify_scheme,\n"
+        ")\n"
+        "def fuse_by_relation_partition(scheme, eigen, partition):\n"
+        "    fused_rel = np.array(class_map, dtype=np.int64)[scheme.relation]\n"
+        "    try:\n"
+        "        fused_scheme = verify_scheme(fused_rel)\n"
+        "    except NotAScheme as exc:\n"
+        "        raise InternalAssertion(f'fused relation failed verification: {exc}') from exc\n"
+        "    return scheme_module.verify_scheme(fused_rel)\n"
+    )
+    assert _verify_scheme_uses(ast.parse(old)) == [3, 8, 11]
+
+
+def _unit_sweeps(tree, function):
+    """(line, units) of every `.column_positions(...)` call in `function`
+    outside an `if` block that raises, with the source of its units
+    argument ("(1,)" when it takes the default)."""
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    failing = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.If) and any(isinstance(n, ast.Raise)
+                                            for stmt in node.body for n in ast.walk(stmt)):
+            failing |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+    found = []
+    for call in ast.walk(body):
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "column_positions" and id(call) not in failing):
+            units = [kw.value for kw in call.keywords if kw.arg == "units"] + call.args[1:]
+            found.append((call.lineno, ast.unparse(units[0]) if units else "(1,)"))
+    return sorted(found)
+
+
+def test_sigma_images_come_from_the_generators():
+    # sigma_permutations forms the images of Q under the generators of the
+    # fixing group and closes their permutations; the whole group is swept
+    # only in the branch that reports a failing unit
+    tree = ast.parse((SRC / "fusion.py").read_text())
+    sweeps = _unit_sweeps(tree, "sigma_permutations")
+    assert sweeps and {units for _, units in sweeps} == {"subfield.generators"}, sweeps
+
+
+def test_sigma_guard_catches_the_former_sweep():
+    # sigma_permutations as it was before the generators
+    old = (
+        "def sigma_permutations(eigen, subfield):\n"
+        "    found = set()\n"
+        "    for k, perm in zip(subfield.group, eigen.Q.column_positions(eigen.Q, subfield.group)):\n"
+        "        if -1 in perm:\n"
+        "            raise NotPermutation(f'zeta -> zeta^{k} does not map E_j')\n"
+        "        found.add(tuple(perm))\n"
+        "    return tuple(sorted(found))\n"
+    )
+    assert _unit_sweeps(ast.parse(old), "sigma_permutations") == [(3, "subfield.group")]
+    # the sweep inside the failure branch is not counted
+    new = (
+        "def sigma_permutations(eigen, subfield):\n"
+        "    gens = eigen.Q.column_positions(eigen.Q, units=subfield.generators)\n"
+        "    if any(-1 in perm for perm in gens):\n"
+        "        for k, perm in zip(subfield.group, eigen.Q.column_positions(eigen.Q, subfield.group)):\n"
+        "            raise NotPermutation(f'zeta -> zeta^{k}')\n"
+    )
+    assert _unit_sweeps(ast.parse(new), "sigma_permutations") == [(2, "subfield.generators")]
