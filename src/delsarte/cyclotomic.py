@@ -625,14 +625,21 @@ def bounded_matmul(x: np.ndarray, y: np.ndarray, bx=None, by=None) -> np.ndarray
 def rational_lift(rows) -> tuple[np.ndarray, int]:
     """Integer numerators and the least positive common denominator of a
     rational matrix: nested rows of ints and Fractions, or an array of them
-    (a signed integer or boolean array is its own lift)."""
-    if isinstance(rows, np.ndarray):
-        if rows.dtype.kind in "bi":
-            return rows.astype(np.int64, copy=False), 1
-        rows = rows.tolist()
-    rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
-    den = math.lcm(*{v.denominator for row in rows for v in row})
-    return _int_array([[v.numerator * (den // v.denominator) for v in row] for row in rows]), den
+    (a signed integer or boolean array is its own lift).  The numerators are
+    int64 only below 2^62 and Python ints otherwise, as in every kernel
+    result, so a value has one form however it was built."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "bi":
+        ints, den = rows.astype(np.int64, copy=False), 1
+    else:
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+                for row in rows]
+        den = math.lcm(*{v.denominator for row in rows for v in row})
+        ints = _int_array([[v.numerator * (den // v.denominator) for v in row] for row in rows])
+    if ints.dtype != object and _maxabs(ints) >= INT64_BOUND:
+        ints = ints.astype(object)
+    return ints, den
 
 
 def _basis_map(n: int, exponents) -> np.ndarray:

@@ -92,6 +92,21 @@ def test_large_scalings_take_the_python_int_path(n):
     same_form(m.scale_lines(cols=[3, -1]), reference_scaled(m, None, [3, -1]))
 
 
+@pytest.mark.parametrize("value", [2**62 - 1, 2**62, -(2**62), 2**63 - 1])
+def test_one_form_at_the_int64_edge(value):
+    # int64 holds numerators below 2^62 only, whichever way the matrix is built
+    want = np.int64 if abs(value) < 2**62 else object
+    built = (
+        CycMatrix([[value]]),
+        CycMatrix(np.array([[value]], dtype=object)),
+        CycMatrix(np.array([[value]], dtype=np.int64)),
+        CycMatrix.identity(1).scale_lines(rows=[value]),
+    )
+    for m in built:
+        assert m._num.dtype == want
+        same_form(m, built[0])
+
+
 def test_scale_lines_checks_the_vector_lengths():
     m = CycMatrix([[1, 2, 3]])
     with pytest.raises(ValueError, match="shape mismatch"):
