@@ -1086,17 +1086,11 @@ class CycMatrix:
         """Boolean (rows, cols) array, True exactly where the entry is zero."""
         return _zeros(self._num)
 
-    def rational_part(self) -> tuple[np.ndarray, int, tuple[int, int] | None]:
+    def rational_part(self) -> tuple[np.ndarray, int, np.ndarray]:
         """Integer numerators (rows, cols) of the rational parts of the
-        entries over the common denominator, and the (i, j) of the first
-        irrational entry in row-major order (None when every entry is rational)."""
-        irrational = self._irrational()
-        first = tuple(irrational[0].tolist()) if len(irrational) else None
-        return self._num[..., 0], self._den, first
-
-    def _irrational(self) -> np.ndarray:
-        """(i, j) of the irrational entries, in row-major order."""
-        return np.argwhere((self._num[..., 1:] != 0).any(axis=-1))
+        entries over the common denominator, and the boolean (rows, cols)
+        mask of the irrational entries."""
+        return self._num[..., 0], self._den, (self._num[..., 1:] != 0).any(axis=-1)
 
     def signs(self) -> np.ndarray:
         """Exact signs (-1, 0, +1) of the entries, which must all be real.
@@ -1111,7 +1105,7 @@ class CycMatrix:
         """
         head = self._num[..., 0]
         out = (head > 0).astype(np.int64) - (head < 0).astype(np.int64)
-        irrational = self._irrational()
+        irrational = np.argwhere(self.rational_part()[2])  # (i, j), row-major
         if not len(irrational):
             return out
         rows, cols = irrational.T

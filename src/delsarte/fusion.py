@@ -6,7 +6,11 @@ orbits merge idempotents into the minimal K-rational ones F_l, described by
 the column-merged eigenmatrix Qbar = Q O.  The merged row-count criterion
 (Bannai-Muzychuk) decides in both forms whether a partition of classes or of
 idempotents spans a fusion scheme; when it holds for the Galois orbits the
-scheme has a Galois fusion over K, constructed here with full verification.
+scheme has a Galois fusion over K.  A fusion is built from the verified
+parent, not verified again from scratch: the fused scheme from the parent's
+intersection tensor, and the fused eigendata from P O and Q O_E, accepted
+by two exact checks that, with the parent's identities, imply every
+identity of the fused scheme's eigenstructure (``_fused_eigen``).
 
 Fused classes and fused eigenspaces are each numbered canonically by their
 smallest original index, which pins every matrix in the test suite.
@@ -14,7 +18,7 @@ smallest original index, which pins every matrix in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -28,7 +32,7 @@ from .errors import (
     NotClosed,
     NotPermutation,
 )
-from .scheme import EigenData, SchemeData, attach_eigendata, validate_indices
+from .scheme import EigenData, SchemeData, validate_indices
 
 
 @dataclass(frozen=True)
@@ -150,26 +154,12 @@ def _group_rows(matrix: CycMatrix) -> tuple[tuple[int, ...], ...]:
     return _label_cells(matrix.line_labels(0))
 
 
-def sigma_permutations(
+def _generator_permutations(
     eigen: EigenData, subfield: SubfieldSpec
-) -> tuple[tuple[int, ...], ...]:
-    """Permutations of {0..d} induced by Gal(F/K) on the idempotents.
-
-    Computed on the columns of Q: applying zeta -> zeta^k entrywise to E_j
-    permutes the basis exactly when the image column of Q appears among the
-    columns, since the entries of E_j are the entries of column j of Q
-    spread over the relation classes.  Automorphisms with the same action on
-    every entry of Q restrict identically to the splitting field and give
-    the same permutation.
-
-    Only the images of Q under the generators of the fixing group are
-    formed (one blocked product).  Since sigma_ab = sigma_a sigma_b, every
-    unit of the group permutes the columns exactly when the generators do,
-    and the permutations are the closure of the generators' ones under
-    composition.  When a generator fails, the columns are matched against
-    the images under the whole group, so the error names the first failing
-    unit k and idempotent E_j in the group's order.
-    """
+) -> list[tuple[int, ...]]:
+    """The permutations of {0..d} induced by the generators of the fixing
+    group, in the order of ``subfield.generators``: one blocked product of
+    the images of Q under them (see ``sigma_permutations``)."""
     n = eigen.conductor
     if subfield.conductor % n:
         raise ConductorMismatch(
@@ -188,6 +178,12 @@ def sigma_permutations(
             if len(set(perm)) != dp1:
                 raise NotPermutation(f"automorphism {k} does not act bijectively")
         raise InternalAssertion("a generator fails to permute the idempotents, but no unit does")
+    return gens
+
+
+def _composition_closure(gens, dp1: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted permutations of {0..dp1-1} generated by gens under
+    composition, the identity included."""
     found = {tuple(range(dp1))}
     frontier = list(found)
     while frontier:
@@ -200,13 +196,38 @@ def sigma_permutations(
     return tuple(sorted(found))
 
 
+def sigma_permutations(
+    eigen: EigenData, subfield: SubfieldSpec
+) -> tuple[tuple[int, ...], ...]:
+    """Permutations of {0..d} induced by Gal(F/K) on the idempotents.
+
+    Computed on the columns of Q: applying zeta -> zeta^k entrywise to E_j
+    permutes the basis exactly when the image column of Q appears among the
+    columns, since the entries of E_j are the entries of column j of Q
+    spread over the relation classes.  Automorphisms with the same action on
+    every entry of Q restrict identically to the splitting field and give
+    the same permutation.
+
+    Only the images of Q under the generators of the fixing group are
+    formed (one blocked product, ``_generator_permutations``).  Since
+    sigma_ab = sigma_a sigma_b, every unit of the group permutes the columns
+    exactly when the generators do, and the permutations are the closure of
+    the generators' ones under composition.  When a generator fails, the
+    columns are matched against the images under the whole group, so the
+    error names the first failing unit k and idempotent E_j in the group's
+    order.
+    """
+    return _composition_closure(_generator_permutations(eigen, subfield),
+                                eigen.scheme.classes)
+
+
 def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:
     """Orbits, iota, merged idempotents and Qbar = QO for Gal(F/K)."""
-    perms = sigma_permutations(eigen, subfield)
+    gens = _generator_permutations(eigen, subfield)
     dp1 = eigen.scheme.classes
-    # the orbits are the join of the cells {j, sigma(j)}
-    pairs = [(j, perm[j]) for perm in perms for j in range(dp1)]
-    orbits = partition_join(pairs, (), dp1)
+    # the orbits of the group are the join of the cells {j, g(j)} over its
+    # generators g: every permutation is a word in them
+    orbits = partition_join(((j, g[j]) for g in gens for j in range(dp1)), (), dp1)
     if orbits[0] != (0,):
         raise InternalAssertion("E_0 is rational and must sit in its own orbit")
     iota = _cell_labels(orbits, dp1)
@@ -220,7 +241,7 @@ def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:
     return GaloisOrbitData(
         eigen=eigen,
         subfield=subfield,
-        perms=perms,
+        perms=_composition_closure(gens, dp1),
         orbits=orbits,
         iota=iota,
         Qbar=qbar,
@@ -299,8 +320,73 @@ def _fused_scheme(scheme: SchemeData, cells, class_map) -> SchemeData:
     )
 
 
+def _eigen_failure(check: str, detail: str) -> InternalAssertion:
+    return InternalAssertion(f"fused eigendata rejected: {check}: {detail}")
+
+
+def _fused_eigen(
+    eigen: EigenData, fused: SchemeData, cells, eigen_classes, po: CycMatrix, qbar: CycMatrix
+) -> EigenData:
+    """The fused eigenstructure, read off the verified parent.
+
+    With J_L the row classes of PO (``eigen_classes``) and O_E their 0/1
+    partition matrix, P_F is the distinct rows of PO, Q_F the rows of
+    Qbar = Q O_E at the heads of the relation cells, m_L the sum of the
+    parent's multiplicities over J_L, and the dual map sends L to the class
+    of j* for the head j of J_L.  Two exact checks accept it:
+
+    (C1) Qbar is constant on each relation cell;
+    (C2) m_L conj(P_F[L][I]) = v_I Q_F[I][L], the second orthogonality
+         relation, comparing P_F (from P) with Q_F (from Q).
+
+    Together with the parent's verified identities they give every identity
+    ``attach_eigendata`` checks.  The parent has A_i = sum_j P[j][i] E_j and
+    E_j = (1/|X|) sum_i Q[i][j] A_i for its primitive idempotents E_j.  PO
+    is constant on each J_L, so A_I = sum_{i in I} A_i = sum_L P_F[L][I] F_L
+    with F_L = sum_{j in J_L} E_j, and F_L = (1/|X|) sum_i Qbar[i][L] A_i,
+    which by (C1) is (1/|X|) sum_I Q_F[I][L] A_I.  So the e+1 nonzero,
+    mutually orthogonal idempotents F_L, which sum to I, and the e+1
+    linearly independent A_I span one algebra, each basis written in the
+    other by P_F and Q_F / |X|: hence P_F Q_F = |X| I, A_I F_L = P_F[L][I]
+    F_L (the eigenvector identity, in the A_I basis through the fused
+    intersection numbers), and the F_L are the primitive idempotents of the
+    fused scheme.  J_0 = {0}, since a row j of PO equal to the valencies
+    means J E_j = |X| E_j; so Q_F[I][0] = 1.  Row 0 of Q is the parent's
+    multiplicities, so Q_F[0][L] = m_L.  The fused algebra is closed under
+    the adjoint (the transpose map respects the cells, the A_I are real),
+    so F_L^* = sum_{j in J_L} E_{j*} is a primitive idempotent of it, the
+    F_L that holds j* for any j in J_L.  (C2) follows from the above; it
+    fails when the parent's P and Q do not belong together.  A failure
+    raises :class:`InternalAssertion` naming the check.
+    """
+    labels = qbar.line_labels(0)
+    for I, cell in enumerate(cells):
+        split = [i for i in cell if labels[i] != labels[cell[0]]]
+        if split:
+            raise _eigen_failure("C1", f"row {split[0]} of Qbar differs from row "
+                                       f"{cell[0]} in relation cell {I}")
+    p_f = po.select(rows=[cell[0] for cell in eigen_classes])
+    q_f = qbar.select(rows=[cell[0] for cell in cells])
+    mult = [sum(eigen.multiplicities[j] for j in cell) for cell in eigen_classes]
+    from_p = p_f.adjoint().scale_lines(rows=[Fraction(1, v) for v in fused.valencies],
+                                       cols=mult)
+    if from_p != q_f:
+        I, L = map(int, np.argwhere(~(from_p - q_f).zero_mask())[0])
+        raise _eigen_failure("C2", f"m_{L} conj(P_F[{L}][{I}]) != v_{I} Q_F[{I}][{L}]")
+    iota = _cell_labels(eigen_classes, eigen.scheme.classes)
+    return EigenData(
+        scheme=fused,
+        Q=q_f,
+        P=p_f,
+        multiplicities=tuple(mult),
+        dual_map=tuple(iota[eigen.dual_map[cell[0]]] for cell in eigen_classes),
+        conductor=q_f.conductor,
+    )
+
+
 def fuse_by_relation_partition(
-    scheme: SchemeData, eigen: EigenData, partition
+    scheme: SchemeData, eigen: EigenData, partition, *,
+    orbit_data: GaloisOrbitData | None = None,
 ) -> FusionScheme:
     """Fuse relations along a partition, checked by the PO row criterion.
 
@@ -310,12 +396,18 @@ def fuse_by_relation_partition(
     sums of the parent's over the cells, which must not depend on the class
     within a cell and must be symmetric, and the transpose map must respect
     the cells; these conditions hold exactly when the fused grid passes
-    ``verify_scheme``, so the grid is not re-verified.  P_F is read off the
-    distinct rows of PO, and Q_F is read off the second orthogonality
-    relation m_l conj(P_F[l][i]) = v_i Q_F[i][l] (m_l the summed
-    multiplicities of eigen class l, v_i the fused valencies), one rational
-    scaling of the rows and columns of P_F^* (``CycMatrix.scale_lines``), and
-    attached with full eigendata verification.
+    ``verify_scheme``, so the grid is not re-verified.  The fused eigendata
+    is read off the verified parent in the same way (``_fused_eigen``):
+    P_F is the distinct rows of PO, Q_F the rows of Qbar = Q O_E at the
+    relation-cell heads (O_E the 0/1 matrix of the row classes of PO), the
+    multiplicities and the dual map come from the parent's, and two exact
+    checks, Qbar constant on each relation cell and the second
+    orthogonality relation between P_F and Q_F, imply every identity that a
+    full eigendata verification would check.
+
+    ``orbit_data``, where given (``galois_fusion`` passes the parent's),
+    must have the row classes of PO as its orbits; its Qbar is then used
+    as Q O_E, and the result carries it and its subfield.
     """
     cells = _validate_partition(partition, scheme.classes)
     e1 = len(cells)
@@ -328,23 +420,26 @@ def fuse_by_relation_partition(
     # the criterion passed, so this cannot fail
     fused_scheme = _fused_scheme(scheme, cells, class_map)
 
-    p_f = po.select(rows=[cell[0] for cell in eigen_classes])
-    fused_mult = [sum(eigen.multiplicities[j] for j in cell) for cell in eigen_classes]
-    q_f = p_f.adjoint().scale_lines(
-        rows=[Fraction(1, v) for v in fused_scheme.valencies], cols=fused_mult
-    )
-    try:
-        fused_eigen = attach_eigendata(fused_scheme, q_f)
-    except Exception as exc:
-        raise InternalAssertion(f"fused eigendata rejected: {exc}") from exc
+    if orbit_data is None:
+        o_e = _partition_matrix(_cell_labels(eigen_classes, scheme.classes), e1)
+        qbar = eigen.Q * CycMatrix(o_e)
+    elif eigen_classes != orbit_data.orbits:
+        raise InternalAssertion(
+            "PO row classes disagree with the Galois orbits: "
+            f"{eigen_classes} vs {orbit_data.orbits}"
+        )
+    else:
+        qbar = orbit_data.Qbar
     return FusionScheme(
         parent=scheme,
         parent_eigen=eigen,
         partition=cells,
         class_map=class_map,
         fused=fused_scheme,
-        eigen=fused_eigen,
+        eigen=_fused_eigen(eigen, fused_scheme, cells, eigen_classes, po, qbar),
         eigen_classes=eigen_classes,
+        subfield=None if orbit_data is None else orbit_data.subfield,
+        orbit_data=orbit_data,
     )
 
 
@@ -354,26 +449,19 @@ def galois_fusion(
     """The Galois fusion of the scheme with respect to K, if it exists.
 
     Runs the idempotent-side criterion on Qbar; when it passes, the row
-    classes of Qbar give the relation partition, the relation-side fusion is
-    built and cross-checked against the orbit data, and the result is tagged
-    with K.  Raises :class:`NotClosed` when the K-rational idempotents are
-    not Schur-closed.
+    classes of Qbar give the relation partition, and the relation-side
+    fusion is built with the orbit data: the row classes of PO must be the
+    Galois orbits, the fused Q_F is read off the orbit data's Qbar, and the
+    second orthogonality relation checks it against P_F from PO.  The
+    result is tagged with K.  Raises :class:`NotClosed` when the K-rational
+    idempotents are not Schur-closed.
     """
     orbit_data = orbit_merge(eigen, subfield)
     verdict = bannai_muzychuk_idempotent(orbit_data)
     if not verdict.passes:
         raise NotClosed(verdict.distinct_rows, orbit_data.orbit_count)
-    fs = fuse_by_relation_partition(scheme, eigen, verdict.row_classes)
-    if fs.eigen_classes != orbit_data.orbits:
-        raise InternalAssertion(
-            "PO row classes disagree with the Galois orbits: "
-            f"{fs.eigen_classes} vs {orbit_data.orbits}"
-        )
-    if fs.eigen.Q != orbit_data.Qbar.select(rows=[cell[0] for cell in fs.partition]):
-        raise InternalAssertion(
-            "fused eigenmatrix disagrees with the distinct rows of Qbar"
-        )
-    return replace(fs, subfield=subfield, orbit_data=orbit_data)
+    return fuse_by_relation_partition(scheme, eigen, verdict.row_classes,
+                                      orbit_data=orbit_data)
 
 
 def partition_join(p1, p2, dp1: int) -> tuple[tuple[int, ...], ...]:

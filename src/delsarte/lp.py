@@ -303,8 +303,8 @@ def _rational_matrix(source) -> tuple[np.ndarray, int]:
     else:
         raise TypeError(f"cannot pose an LP over {type(source).__name__}")
     ints, den, irrational = matrix.rational_part()
-    if irrational is not None:
-        i, j = irrational
+    if irrational.any():
+        i, j = map(int, np.argwhere(irrational)[0])
         raise IrrationalData(
             f"{what}[{i}][{j}] = {matrix[i, j]} is irrational; fuse over a "
             "rational subfield first (see galois_fusion / orbit_merge)"

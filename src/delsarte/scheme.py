@@ -226,16 +226,21 @@ def validate_indices(indices, top: int, name: str = "T") -> tuple[int, ...]:
     return out
 
 
+def _integer_line(ints: np.ndarray, den: int, irrational: np.ndarray,
+                  least: int) -> tuple[list[int], int | None]:
+    """The entries of a line as integers, from the integer numerators of
+    their rational parts over den and the mask of the irrational ones, and
+    the index of the first entry that is not an integer >= least (None
+    when every entry is one)."""
+    bad = np.flatnonzero((ints % den != 0) | (ints < least * den) | irrational)
+    return (ints // den).tolist(), int(bad[0]) if len(bad) else None
+
+
 def _integer_entries(m: CycMatrix, least: int) -> tuple[list[int], int | None]:
     """The entries of a one-row or one-column matrix as integers, read off
-    its rational part, and the index of the first entry that is not an
-    integer >= least (None when every entry is one)."""
+    its rational part (``_integer_line``)."""
     ints, den, irrational = m.rational_part()
-    ints = ints.ravel()
-    bad = np.flatnonzero((ints % den != 0) | (ints < least * den)).tolist()
-    if irrational is not None:
-        bad.append(sum(irrational))  # (0, j) in a row, (i, 0) in a column
-    return (ints // den).tolist(), min(bad, default=None)
+    return _integer_line(ints.ravel(), den, irrational.ravel(), least)
 
 
 def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
@@ -246,8 +251,9 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     m_j P[j][i] = v_i conj(Q[i][j]) from the positive integer multiplicities
     m_j = Q[0][j] and the scheme's valencies v_i: one rational scaling of the
     rows and columns of Q^* (``CycMatrix.scale_lines``), with no diagonal
-    matrix and no product.  The identities are compared with constant
-    matrices built from integer arrays.  Every invariant is then
+    matrix and no product.  Column 0 and the multiplicities are read off
+    one rational part of Q, and PQ is compared with |X| I built from an
+    integer array.  Every invariant is then
     checked exactly: PQ = |X| I (over a field a square P with this property
     is |X| Q^(-1), so a singular Q fails here), the common-eigenvector
     identity that makes each E_j idempotent and mutually orthogonal, and
@@ -260,13 +266,15 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     size = scheme.size
     if Q.rows != dp1 or Q.cols != dp1:
         raise BadEigenbasis("shape", f"Q must be {dp1}x{dp1}")
-    if Q.select(cols=[0]) != CycMatrix(np.ones((dp1, 1), dtype=np.int64)):
+    # column 0 and row 0 off one rational part: an entry is 1 exactly when
+    # it is rational with numerator den
+    ints, den, irrational = Q.rational_part()
+    if (ints[:, 0] != den).any() or irrational[:, 0].any():
         raise BadEigenbasis("E0", "column 0 of Q must be all ones")
 
-    first_row = Q.select(rows=[0])
-    mult, bad = _integer_entries(first_row, 1)
+    mult, bad = _integer_line(ints[0], den, irrational[0], 1)
     if bad is not None:
-        raise BadEigenbasis("multiplicity", f"Q[0][{bad}] = {first_row[0, bad]}")
+        raise BadEigenbasis("multiplicity", f"Q[0][{bad}] = {Q.select(rows=[0])[0, bad]}")
     if sum(mult) != size:
         raise BadEigenbasis("multiplicity", "multiplicities do not sum to |X|")
 

@@ -21,7 +21,7 @@ from delsarte.designs import (
     rational_orbit_data,
 )
 from delsarte.errors import NotClosed, ValidationError
-from delsarte.fusion import galois_fusion, orbit_merge, sigma_permutations
+from delsarte.fusion import galois_fusion, orbit_merge, partition_join, sigma_permutations
 from delsarte.groups import (
     builtin_group,
     conj_class_scheme,
@@ -78,6 +78,20 @@ def test_orbits_and_iota_match_a_search(name):
         assert data.iota == tuple(
             next(l for l, o in enumerate(expected) if j in o) for j in range(dp1)
         )
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_orbits_from_the_generators_match_the_join_of_all_permutations(name):
+    # orbit_merge joins the cells {j, g(j)} of the generators' permutations
+    # only; the former join took every permutation of the closure
+    eigen = entry(name).eigen
+    dp1 = eigen.scheme.classes
+    for subfield in subfields(eigen.conductor):
+        perms = sigma_permutations(eigen, subfield)
+        pairs = [(j, perm[j]) for perm in perms for j in range(dp1)]
+        data = orbit_merge(eigen, subfield)
+        assert data.orbits == partition_join(pairs, (), dp1), subfield
+        assert data.perms == perms
 
 
 @pytest.mark.parametrize("name", NAMES)

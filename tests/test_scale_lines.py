@@ -8,7 +8,9 @@ vectors with zeros, negatives and 2^62-sized numerators and denominators
 (where the Python-int path runs), at conductors 1, 4, 28 and 60.  P, Q and
 the fused Q_F of the catalog and of the built-in groups must be the
 reference scalings, and seeded corruptions of Q must be rejected by
-``attach_eigendata`` with the invariant and message of the former one.
+``attach_eigendata`` with the invariant and message of the former one,
+including those that reach the E0 column and the multiplicities, which are
+read off one rational part of Q.
 """
 
 import dataclasses
@@ -217,3 +219,31 @@ def test_corruptions_reach_every_invariant():
                for _, scheme, q in _corruptions(load_entry(name).eigen, rng)
                if (got := _failure(attach_eigendata, scheme, q))}
     assert reached == {"E0", "multiplicity", "orthogonality", "eigenvector", "dual_map"}
+
+
+def _rational_part_corruptions(eigen, rng):
+    """(invariant, corrupted Q) for the checks read off Q's rational part:
+    irrational and fractional entries in column 0 and row 0, both at once,
+    and a denominator elsewhere that leaves column 0 all ones."""
+    q, n = eigen.Q, eigen.conductor
+    dp1 = eigen.scheme.classes
+    i, j = (int(v) for v in rng.integers(1, dp1, size=2))
+    zeta = Cyclotomic.zeta(n)
+    # an irrational E0 entry in the last row, after any irrational entry of Q
+    yield "E0", _with_rows(q, {(dp1 - 1, 0): q[dp1 - 1, 0] + zeta})
+    yield "E0", _with_rows(q, {(i, 0): q[i, 0] + Fraction(1, 3)})
+    yield "E0", _with_rows(q, {(i, 0): q[i, 0] - 1, (0, j): q[0, j] + zeta})
+    yield "multiplicity", _with_rows(q, {(0, j): q[0, j] + zeta})
+    yield "multiplicity", _with_rows(q, {(0, j): -q[0, j]})
+    yield "orthogonality", _with_rows(q, {(i, j): q[i, j] + Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_rational_part_corruptions_are_rejected_like_the_former_check(name):
+    eigen = load_entry(name).eigen
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    for _ in range(3):
+        for invariant, q in _rational_part_corruptions(eigen, rng):
+            got = _failure(attach_eigendata, eigen.scheme, q)
+            assert got == _failure(reference_attach_eigendata, eigen.scheme, q)
+            assert got[0] == invariant, (invariant, got)

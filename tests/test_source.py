@@ -642,12 +642,17 @@ def test_numerator_scan_guard_catches_the_former_scale_lines():
     assert _numerator_scans(ast.parse(old)) == [("CycMatrix.scale_lines", 4)]
 
 
+def _name_uses(tree, name):
+    """Line numbers of every name, attribute or import of `name`."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id == name)
+                  or (isinstance(node, ast.Attribute) and node.attr == name)
+                  or (isinstance(node, ast.alias) and node.name == name))
+
+
 def _verify_scheme_uses(tree):
     """Line numbers of every name, attribute or import of verify_scheme."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if (isinstance(node, ast.Name) and node.id == "verify_scheme")
-                  or (isinstance(node, ast.Attribute) and node.attr == "verify_scheme")
-                  or (isinstance(node, ast.alias) and node.name == "verify_scheme"))
+    return _name_uses(tree, "verify_scheme")
 
 
 def test_fusions_are_not_reverified_from_the_grid():
@@ -675,6 +680,28 @@ def test_verify_scheme_guard_catches_the_former_fusion():
     assert _verify_scheme_uses(ast.parse(old)) == [3, 8, 11]
 
 
+def test_fused_eigendata_is_not_reattached():
+    # the fused eigendata is read off the verified parent
+    # (fusion._fused_eigen), whose two checks with the parent's identities
+    # imply every identity attach_eigendata checks
+    assert _name_uses(ast.parse((SRC / "fusion.py").read_text()), "attach_eigendata") == []
+
+
+def test_attach_eigendata_guard_catches_the_former_fusion():
+    # fuse_by_relation_partition as it was before the fused eigendata was
+    # read off the parent
+    old = (
+        "from .scheme import EigenData, SchemeData, attach_eigendata, validate_indices\n"
+        "def fuse_by_relation_partition(scheme, eigen, partition):\n"
+        "    try:\n"
+        "        fused_eigen = attach_eigendata(fused_scheme, q_f)\n"
+        "    except Exception as exc:\n"
+        "        raise InternalAssertion(f'fused eigendata rejected: {exc}') from exc\n"
+        "    return scheme_module.attach_eigendata(fused_scheme, q_f)\n"
+    )
+    assert _name_uses(ast.parse(old), "attach_eigendata") == [1, 4, 7]
+
+
 def _unit_sweeps(tree, function):
     """(line, units) of every `.column_positions(...)` call in `function`
     outside an `if` block that raises, with the source of its units
@@ -697,10 +724,11 @@ def _unit_sweeps(tree, function):
 
 def test_sigma_images_come_from_the_generators():
     # sigma_permutations forms the images of Q under the generators of the
-    # fixing group and closes their permutations; the whole group is swept
-    # only in the branch that reports a failing unit
+    # fixing group (fusion._generator_permutations, which orbit_merge shares)
+    # and closes their permutations; the whole group is swept only in the
+    # branch that reports a failing unit
     tree = ast.parse((SRC / "fusion.py").read_text())
-    sweeps = _unit_sweeps(tree, "sigma_permutations")
+    sweeps = _unit_sweeps(tree, "_generator_permutations")
     assert sweeps and {units for _, units in sweeps} == {"subfield.generators"}, sweeps
 
 
