@@ -128,7 +128,7 @@ def cmd_fusion(args):
     verdict = bannai_muzychuk_idempotent(data)
     q_f = None
     if verdict.passes:
-        fs = fuse_by_relation_partition(scheme, eigen, verdict.row_classes)
+        fs = fuse_by_relation_partition(scheme, eigen, verdict.row_classes, orbit_data=data)
         q_f = fs.Q_F
 
     def payload():

@@ -278,7 +278,7 @@ class Cyclotomic:
         return self + -other
 
     def __rsub__(self, other):
-        return -(self - other)
+        return (-self).__add__(other)  # NotImplemented where __add__ gives it
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -319,6 +319,8 @@ class Cyclotomic:
         return NotImplemented
 
     def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction, Cyclotomic)):
+            return NotImplemented
         return self.inverse() * other
 
     def __pow__(self, k: int):
@@ -484,7 +486,7 @@ class SubfieldSpec:
 
     The named constructors cover the cases used throughout: ``rationals``
     (the full unit group fixes exactly Q), ``real`` (the subgroup generated
-    by -1 and any extras), and ``splitting_field`` (trivial group, K is
+    by -1), and ``splitting_field`` (trivial group, K is
     the whole cyclotomic field).
     """
 
@@ -516,8 +518,8 @@ class SubfieldSpec:
         return cls(conductor, gens)
 
     @classmethod
-    def real(cls, conductor: int, extra=()) -> "SubfieldSpec":
-        return cls(conductor, (conductor - 1, *extra))
+    def real(cls, conductor: int) -> "SubfieldSpec":
+        return cls(conductor, (conductor - 1,))
 
     @classmethod
     def splitting_field(cls, conductor: int) -> "SubfieldSpec":

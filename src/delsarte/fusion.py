@@ -41,7 +41,6 @@ class GaloisOrbitData:
 
     eigen: EigenData
     subfield: SubfieldSpec
-    perms: tuple[tuple[int, ...], ...]
     orbits: tuple[tuple[int, ...], ...]
     iota: tuple[int, ...]
     Qbar: CycMatrix
@@ -241,7 +240,6 @@ def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:
     return GaloisOrbitData(
         eigen=eigen,
         subfield=subfield,
-        perms=_composition_closure(gens, dp1),
         orbits=orbits,
         iota=iota,
         Qbar=qbar,
@@ -331,9 +329,8 @@ def _fused_eigen(
 
     With J_L the row classes of PO (``eigen_classes``) and O_E their 0/1
     partition matrix, P_F is the distinct rows of PO, Q_F the rows of
-    Qbar = Q O_E at the heads of the relation cells, m_L the sum of the
-    parent's multiplicities over J_L, and the dual map sends L to the class
-    of j* for the head j of J_L.  Two exact checks accept it:
+    Qbar = Q O_E at the heads of the relation cells, and m_L the sum of the
+    parent's multiplicities over J_L.  Two exact checks accept it:
 
     (C1) Qbar is constant on each relation cell;
     (C2) m_L conj(P_F[L][I]) = v_I Q_F[I][L], the second orthogonality
@@ -352,12 +349,12 @@ def _fused_eigen(
     intersection numbers), and the F_L are the primitive idempotents of the
     fused scheme.  J_0 = {0}, since a row j of PO equal to the valencies
     means J E_j = |X| E_j; so Q_F[I][0] = 1.  Row 0 of Q is the parent's
-    multiplicities, so Q_F[0][L] = m_L.  The fused algebra is closed under
-    the adjoint (the transpose map respects the cells, the A_I are real),
-    so F_L^* = sum_{j in J_L} E_{j*} is a primitive idempotent of it, the
-    F_L that holds j* for any j in J_L.  (C2) follows from the above; it
-    fails when the parent's P and Q do not belong together.  A failure
-    raises :class:`InternalAssertion` naming the check.
+    multiplicities, so Q_F[0][L] = m_L.  The parent's Q[i'][j] =
+    conj(Q[i][j]), summed over J_L, and (C1), since I' holds i' for each i
+    in I, give Q_F[I'][L] = conj(Q_F[I][L]): each F_L is Hermitian.  (C2)
+    follows from the above; it fails when the parent's P and Q do not
+    belong together.  A failure raises :class:`InternalAssertion` naming
+    the check.
     """
     labels = qbar.line_labels(0)
     for I, cell in enumerate(cells):
@@ -373,13 +370,11 @@ def _fused_eigen(
     if from_p != q_f:
         I, L = map(int, np.argwhere(~(from_p - q_f).zero_mask())[0])
         raise _eigen_failure("C2", f"m_{L} conj(P_F[{L}][{I}]) != v_{I} Q_F[{I}][{L}]")
-    iota = _cell_labels(eigen_classes, eigen.scheme.classes)
     return EigenData(
         scheme=fused,
         Q=q_f,
         P=p_f,
         multiplicities=tuple(mult),
-        dual_map=tuple(iota[eigen.dual_map[cell[0]]] for cell in eigen_classes),
         conductor=q_f.conductor,
     )
 
@@ -400,14 +395,14 @@ def fuse_by_relation_partition(
     is read off the verified parent in the same way (``_fused_eigen``):
     P_F is the distinct rows of PO, Q_F the rows of Qbar = Q O_E at the
     relation-cell heads (O_E the 0/1 matrix of the row classes of PO), the
-    multiplicities and the dual map come from the parent's, and two exact
-    checks, Qbar constant on each relation cell and the second
-    orthogonality relation between P_F and Q_F, imply every identity that a
-    full eigendata verification would check.
+    multiplicities come from the parent's, and two exact checks, Qbar
+    constant on each relation cell and the second orthogonality relation
+    between P_F and Q_F, imply every identity that a full eigendata
+    verification would check.
 
-    ``orbit_data``, where given (``galois_fusion`` passes the parent's),
-    must have the row classes of PO as its orbits; its Qbar is then used
-    as Q O_E, and the result carries it and its subfield.
+    ``orbit_data``, where given (``galois_fusion`` and the CLI pass the
+    parent's), must have the row classes of PO as its orbits; its Qbar is
+    then used as Q O_E, and the result carries it and its subfield.
     """
     cells = _validate_partition(partition, scheme.classes)
     e1 = len(cells)

@@ -199,7 +199,6 @@ class EigenData:
     Q: CycMatrix
     P: CycMatrix
     multiplicities: tuple[int, ...]
-    dual_map: tuple[int, ...]
     conductor: int
 
     @property
@@ -257,8 +256,10 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     checked exactly: PQ = |X| I (over a field a square P with this property
     is |X| Q^(-1), so a singular Q fails here), the common-eigenvector
     identity that makes each E_j idempotent and mutually orthogonal, and
-    existence of the dual map j -> j* with E_{j*} equal to the Hermitian
-    adjoint of E_j.
+    E_j^* = E_j (each E_j is an orthogonal projection), which is
+    Q[i'][j] = conj(Q[i][j]) and ties Q to the transpose map.  The dual
+    idempotent conj(E_j) is E_jhat with jhat = pi_{-1}(j), the permutation
+    of complex conjugation (``fusion.sigma_permutations``, real subfield).
     """
     if not isinstance(Q, CycMatrix):
         Q = CycMatrix(Q)
@@ -280,7 +281,8 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
 
     # Second orthogonality: m_j P[j][i] = v_i conj(Q[i][j]).  With Q[i][0] = 1
     # and m_0 = v_0 = 1 this gives P[0][i] = v_i and P[j][0] = 1 outright.
-    P = Q.adjoint().scale_lines(rows=[Fraction(1, m) for m in mult], cols=scheme.valencies)
+    conj = Q.conjugate()
+    P = conj.transpose().scale_lines(rows=[Fraction(1, m) for m in mult], cols=scheme.valencies)
     if P * Q != CycMatrix(size * np.eye(dp1, dtype=np.int64)):
         raise BadEigenbasis("orthogonality", "PQ != |X| I")
 
@@ -303,18 +305,19 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
             f"P[{j}][{i}] on column {j}",
         )
 
-    # Dual map: E_{j*} = adjoint(E_j), i.e. Q[i][j*] = conj(Q[i'][j]), the
-    # column of Q equal to column j of the conjugate of Q with permuted rows
-    (dual,) = Q.column_positions(Q.select(rows=scheme.transpose_map), [-1])
-    if -1 in dual:
-        raise BadEigenbasis("dual_map", f"adjoint of E_{dual.index(-1)} not in the basis")
+    # E_j^* = E_j: Q[i'][j] = conj(Q[i][j]); the witness is the first
+    # failing column j, then its first failing row i
+    bad = ~(Q.select(rows=scheme.transpose_map) - conj).zero_mask()
+    if bad.any():
+        j, i = map(int, np.argwhere(bad.T)[0])
+        raise BadEigenbasis("hermitian", f"E_{j} is not Hermitian: "
+                            f"Q[{scheme.transpose_map[i]}][{j}] != conj(Q[{i}][{j}])")
 
     return EigenData(
         scheme=scheme,
         Q=Q,
         P=P,
         multiplicities=tuple(mult),
-        dual_map=tuple(dual),
         conductor=Q.conductor,
     )
 

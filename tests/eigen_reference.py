@@ -5,8 +5,10 @@ These are the library's former forms: a diagonal matrix was an object
 array with one ``Fraction`` per cell, and a scaling of rows and columns was
 two dense products with such matrices.  ``reference_attach_eigendata`` is
 the former ``scheme.attach_eigendata``, which read P off Q that way and
-compared the identities with constant matrices built entry by entry; the
-library must reject every corrupted Q with the same invariant and message.
+compared the identities with constant matrices built entry by entry; its
+last step checks E_j^* = E_j one entry Q[i'][j] = conj(Q[i][j]) at a time.
+The library must reject every corrupted Q with the same invariant and
+message.
 """
 
 from __future__ import annotations
@@ -74,15 +76,17 @@ def reference_attach_eigendata(scheme: SchemeData, Q) -> EigenData:
             f"P[{j}][{i}] on column {j}",
         )
 
-    (dual,) = Q.column_positions(Q.select(rows=scheme.transpose_map), [-1])
-    if -1 in dual:
-        raise BadEigenbasis("dual_map", f"adjoint of E_{dual.index(-1)} not in the basis")
+    tmap = scheme.transpose_map
+    for j in range(dp1):
+        for i in range(dp1):
+            if Q[tmap[i], j] != Q[i, j].conjugate():
+                raise BadEigenbasis("hermitian", f"E_{j} is not Hermitian: "
+                                    f"Q[{tmap[i]}][{j}] != conj(Q[{i}][{j}])")
 
     return EigenData(
         scheme=scheme,
         Q=Q,
         P=P,
         multiplicities=tuple(mult),
-        dual_map=tuple(dual),
         conductor=Q.conductor,
     )

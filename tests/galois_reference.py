@@ -8,7 +8,8 @@ the public ``Cyclotomic.terms`` and so independent of the kernel's integer
 form.  The library builds the images of all units from one blocked product
 and matches columns on numerators (``CycMatrix.column_positions``); on
 every input both must give the same permutations, orbits, row classes,
-dual map and Krein data, and raise the same error with the same witness.
+Hermitian check and Krein data, and raise the same error with the same
+witness.
 """
 
 from __future__ import annotations
@@ -108,18 +109,16 @@ def reference_group_rows(matrix: CycMatrix) -> tuple[tuple[int, ...], ...]:
     return _label_cells(column_key(rows, i) for i in range(matrix.rows))
 
 
-def reference_dual_map(scheme, Q: CycMatrix) -> tuple[int, ...]:
-    """j -> j* with Q[i][j*] = conj(Q[i'][j]), one column key at a time."""
-    dp1 = scheme.classes
-    col_keys = {column_key(Q, j): j for j in range(dp1)}
-    want = Q.select(rows=scheme.transpose_map).conjugate()
-    dual = []
-    for j in range(dp1):
-        j_star = col_keys.get(column_key(want, j))
-        if j_star is None:
-            raise BadEigenbasis("dual_map", f"adjoint of E_{j} not in the basis")
-        dual.append(j_star)
-    return tuple(dual)
+def reference_hermitian(scheme, Q: CycMatrix) -> None:
+    """E_j^* = E_j, i.e. Q[i'][j] = conj(Q[i][j]), one column key at a
+    time and, in a failing column, one entry at a time."""
+    tmap = scheme.transpose_map
+    transposed, conj = Q.select(rows=tmap), Q.conjugate()
+    for j in range(scheme.classes):
+        if column_key(transposed, j) != column_key(conj, j):
+            i = next(i for i in range(scheme.classes) if Q[tmap[i], j] != Q[i, j].conjugate())
+            raise BadEigenbasis("hermitian", f"E_{j} is not Hermitian: "
+                                f"Q[{tmap[i]}][{j}] != conj(Q[{i}][{j}])")
 
 
 def reference_krein_parameters(eigen) -> KreinData:

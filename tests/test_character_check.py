@@ -45,14 +45,14 @@ TABLES = {
 
 def outcome(call):
     """("raised", class, invariant, message, args), or ("ok", Q, P,
-    multiplicities, dual map) of returned eigendata (None for a check)."""
+    multiplicities) of returned eigendata (None for a check)."""
     try:
         eigen = call()
     except DelsarteError as err:
         return ("raised", type(err), getattr(err, "invariant", None), str(err), err.args)
     if eigen is None:
         return ("ok", None)
-    return ("ok", eigen.Q, eigen.P, eigen.multiplicities, eigen.dual_map)
+    return ("ok", eigen.Q, eigen.P, eigen.multiplicities)
 
 
 def _rows(table):

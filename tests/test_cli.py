@@ -73,6 +73,24 @@ def test_fusion_x8_passes(capsys):
     ]
 
 
+def test_fusion_builds_the_galois_fusion_from_its_orbit_data(capsys, monkeypatch):
+    # one route to a Galois fusion: the command passes its orbit data, as
+    # galois_fusion does, so Qbar is reused and the row classes of PO are
+    # checked against the orbits
+    import delsarte.cli as cli
+    seen, fuse = [], cli.fuse_by_relation_partition
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("orbit_data"))
+        return fuse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fuse_by_relation_partition", spy)
+    scheme, eigen = entry_paths("x8")
+    code, _ = run_json(capsys, ["fusion", "--scheme", scheme, "--eigen", eigen, "--field", "Q"])
+    assert code == 0 and len(seen) == 1
+    assert seen[0] is not None and seen[0].orbits == ((0,), (1,), (2, 3), (4,))
+
+
 def test_fusion_coxeter_fails_with_exit_1(capsys):
     scheme, eigen = entry_paths("coxeter")
     code, payload = run_json(

@@ -27,7 +27,7 @@ from delsarte.errors import InternalAssertion, NotAFusion, NotClosed
 from delsarte.fusion import fuse_by_relation_partition, galois_fusion
 from delsarte.scheme import attach_eigendata
 
-EIGEN_FIELDS = ("P", "Q", "multiplicities", "dual_map", "conductor")
+EIGEN_FIELDS = ("P", "Q", "multiplicities", "conductor")
 
 
 def subfields(n):

@@ -83,7 +83,6 @@ def test_inconsistent_eigendata_fails_permutation():
         Q=CycMatrix(rows, 4),
         P=eigen.P,
         multiplicities=eigen.multiplicities,
-        dual_map=eigen.dual_map,
         conductor=4,
     )
     with pytest.raises(NotPermutation):

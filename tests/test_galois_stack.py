@@ -7,10 +7,10 @@ matches columns on their numerators over a common denominator, and
 ``galois`` calls and to ``==`` on one-line submatrices: on random matrices
 (conductors 1, 2 and 4 among them, and numerators beyond int64), in blocks
 of one image and in whole stacks, and across conductors and denominators;
-on the permutations, orbits, row classes, dual maps and Krein conductors of
-every catalog entry and of the ladder groups Z_12 ... Z_30 and Dic_3 ...
-Dic_13; on the witnesses of seeded corruptions; and on the traced memory of
-Krein and the Galois fusion.
+on the permutations, orbits, row classes, Hermitian checks and Krein
+conductors of every catalog entry and of the ladder groups Z_12 ... Z_30
+and Dic_3 ... Dic_13; on the witnesses of seeded corruptions; and on the
+traced memory of Krein and the Galois fusion.
 """
 
 import dataclasses
@@ -33,8 +33,8 @@ from delsarte.fusion import _group_rows, galois_fusion, orbit_merge, sigma_permu
 from delsarte.groups import builtin_group, conj_class_scheme, eigendata_from_characters
 from delsarte.scheme import attach_eigendata, krein_parameters
 from galois_reference import (
-    reference_dual_map,
     reference_group_rows,
+    reference_hermitian,
     reference_krein_parameters,
     reference_orbit_merge,
     reference_outside,
@@ -212,14 +212,15 @@ def test_orbits_rows_dual_maps_and_krein_match_the_loops(family, n):
     scheme, eigen = case(family, n)
     rng = random.Random(f"{family}{n}")
     for spec in subfields(eigen.conductor, rng):
-        assert sigma_permutations(eigen, spec) == reference_sigma_permutations(eigen, spec)
         data = orbit_merge(eigen, spec)
         perms, orbits, iota, qbar = reference_orbit_merge(eigen, spec)
-        assert (data.perms, data.orbits, data.iota) == (perms, orbits, iota)
+        assert sigma_permutations(eigen, spec) == perms
+        assert (data.orbits, data.iota) == (orbits, iota)
         assert data.Qbar == qbar
         assert _group_rows(data.Qbar) == reference_group_rows(qbar)
-    assert eigen.dual_map == reference_dual_map(scheme, eigen.Q)
-    assert attach_eigendata(scheme, eigen.Q).dual_map == eigen.dual_map
+    # the last step, named dual map before, is E_j^* = E_j
+    assert reference_hermitian(scheme, eigen.Q) is None
+    assert attach_eigendata(scheme, eigen.Q).P == eigen.P
     kd, want = krein_parameters(eigen), reference_krein_parameters(eigen)
     assert kd.krein_conductor == want.krein_conductor
     if family == "catalog":
@@ -253,17 +254,19 @@ def test_corrupted_q_gives_the_same_permutation_witness(family, n):
 
 @pytest.mark.parametrize("family, n", CASES)
 def test_corrupted_transpose_map_gives_the_same_dual_map_witness(family, n):
+    # the former dual-map witness is now the Hermitian check's: the first
+    # failing column j, then its first failing row i
     scheme, eigen = case(family, n)
     rng = random.Random(f"dual {family}{n}")
     for _ in range(4):
         tail = list(range(1, scheme.classes))
         rng.shuffle(tail)
         bad = dataclasses.replace(scheme, transpose_map=(0, *tail))
-        got, want = outcome(attach_eigendata, bad, eigen.Q), outcome(reference_dual_map, bad, eigen.Q)
-        if isinstance(want, tuple) and isinstance(want[0], str):
-            assert got == want and want[0] == BadEigenbasis.__name__
+        got, want = outcome(attach_eigendata, bad, eigen.Q), outcome(reference_hermitian, bad, eigen.Q)
+        if want is None:
+            assert got.P == eigen.P
         else:
-            assert got.dual_map == want
+            assert got == want and want[0] == BadEigenbasis.__name__
 
 
 @pytest.mark.parametrize("family, n", [c for c in CASES if c[0] == "catalog"]

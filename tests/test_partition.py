@@ -91,7 +91,6 @@ def test_orbits_from_the_generators_match_the_join_of_all_permutations(name):
         pairs = [(j, perm[j]) for perm in perms for j in range(dp1)]
         data = orbit_merge(eigen, subfield)
         assert data.orbits == partition_join(pairs, (), dp1), subfield
-        assert data.perms == perms
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -9,6 +9,7 @@ norm inverse, the conductor checks and byte-identical file round trips.
 
 import json
 import math
+import operator
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -156,3 +157,18 @@ def test_equality_compares_denominators_too():
         assert x != Cyclotomic.from_terms(2 * n, [(2, third)])
     assert Cyclotomic.from_rational(half, 4) != third
     assert Cyclotomic.from_rational(half, 4) == half
+
+
+@pytest.mark.parametrize("other", [None, object()])
+def test_operands_that_are_not_numbers_are_refused_in_either_order(other):
+    # each operator returns NotImplemented, so Python raises the TypeError
+    # that names the operands as written, also for a zero divisor
+    ops = ((operator.add, "+"), (operator.sub, "-"), (operator.mul, "*"),
+           (operator.truediv, "/"))
+    for x in (Cyclotomic.from_rational(0, 4), Cyclotomic.zeta(4)):
+        for left, right in ((other, x), (x, other)):
+            for op, sign in ops:
+                with pytest.raises(TypeError) as got:
+                    op(left, right)
+                names = f"'{type(left).__name__}' and '{type(right).__name__}'"
+                assert str(got.value) == f"unsupported operand type(s) for {sign}: {names}"

@@ -198,7 +198,7 @@ def _corruptions(eigen, rng):
         a = moved[int(rng.integers(len(moved)))]
         tmap = list(scheme.transpose_map)
         tmap[a] = a
-        yield "dual_map", dataclasses.replace(scheme, transpose_map=tuple(tmap)), q
+        yield "hermitian", dataclasses.replace(scheme, transpose_map=tuple(tmap)), q
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -218,7 +218,7 @@ def test_corruptions_reach_every_invariant():
     reached = {got[0] for name in sorted(CATALOG)
                for _, scheme, q in _corruptions(load_entry(name).eigen, rng)
                if (got := _failure(attach_eigendata, scheme, q))}
-    assert reached == {"E0", "multiplicity", "orthogonality", "eigenvector", "dual_map"}
+    assert reached == {"E0", "multiplicity", "orthogonality", "eigenvector", "hermitian"}
 
 
 def _rational_part_corruptions(eigen, rng):

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from eigen_reference import reference_attach_eigendata
 
 from delsarte.catalog import (
     CATALOG,
@@ -216,11 +218,28 @@ def test_random_relation_corruptions_all_rejected():
             verify_scheme(grid)
 
 
-def test_dual_map_is_identity_for_commutative_schemes():
+def test_idempotents_are_hermitian_on_every_catalog_entry():
     # primitive idempotents are orthogonal projections, hence Hermitian
-    for builder in (build_x8, build_y8, build_coxeter):
-        _, eigen = builder()
-        assert eigen.dual_map == tuple(range(eigen.scheme.classes))
+    for name in sorted(CATALOG):
+        eigen = load_entry(name).eigen
+        for j in range(eigen.scheme.classes):
+            assert eigen.idempotent(j).adjoint() == eigen.idempotent(j), (name, j)
+
+
+@pytest.mark.parametrize("name", ["a4", "dic3", "dic5", "dic7", "x8", "y8", "z12"])
+def test_a_symmetric_transpose_map_on_a_non_symmetric_scheme_is_rejected(name):
+    # a column search for E_j^* among the E_j accepted these records: with
+    # the identity map it finds the conjugate columns, a permutation of Q's
+    loaded = load_entry(name)
+    scheme = loaded.scheme
+    assert not scheme.is_symmetric()
+    claimed = dataclasses.replace(scheme, transpose_map=tuple(range(scheme.classes)))
+    with pytest.raises(BadEigenbasis) as got:
+        attach_eigendata(claimed, loaded.eigen.Q)
+    with pytest.raises(BadEigenbasis) as want:
+        reference_attach_eigendata(claimed, loaded.eigen.Q)
+    assert got.value.invariant == "hermitian"
+    assert str(got.value) == str(want.value)
 
 
 def test_idempotents_literal_matrix_identities():
@@ -240,7 +259,7 @@ def test_idempotents_literal_matrix_identities():
         for k, ek in enumerate(es):
             prod = ej * ek
             assert prod == (ej if j == k else ej.scale(0))
-        assert ej.adjoint() == es[eigen.dual_map[j]]
+        assert ej.adjoint() == ej
     for i in range(scheme.classes):
         acc = es[0].scale(eigen.P[0, i])
         for j in range(1, scheme.classes):

@@ -753,3 +753,38 @@ def test_sigma_guard_catches_the_former_sweep():
         "            raise NotPermutation(f'zeta -> zeta^{k}')\n"
     )
     assert _unit_sweeps(ast.parse(new), "sigma_permutations") == [(2, "subfield.generators")]
+
+
+def _dual_map_lines(text):
+    """Line numbers of every line that names dual_map."""
+    return [n for n, line in enumerate(text.splitlines(), 1) if "dual_map" in line]
+
+
+def _attach_column_searches(tree):
+    """Line numbers of every `.column_positions` inside attach_eigendata."""
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "attach_eigendata")
+    return _name_uses(body, "column_positions")
+
+
+def test_no_dual_map_and_no_column_search_in_attach():
+    # each E_j of a commutative scheme is Hermitian, so attach_eigendata
+    # checks Q[i'][j] = conj(Q[i][j]) entry by entry; no column search and
+    # no dual map, which was the identity on every verified scheme
+    found = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+             for n in _dual_map_lines(path.read_text())]
+    assert not found, found
+    assert _attach_column_searches(ast.parse((SRC / "scheme.py").read_text())) == []
+
+
+def test_attach_guard_catches_the_former_dual_map():
+    # the last step of attach_eigendata as it was before the Hermitian check
+    old = (
+        "def attach_eigendata(scheme, Q):\n"
+        "    (dual,) = Q.column_positions(Q.select(rows=scheme.transpose_map), [-1])\n"
+        "    if -1 in dual:\n"
+        "        raise BadEigenbasis('dual_map', f'adjoint of E_{dual.index(-1)} not in the basis')\n"
+        "    return EigenData(scheme=scheme, Q=Q, dual_map=tuple(dual))\n"
+    )
+    assert _attach_column_searches(ast.parse(old)) == [2]
+    assert _dual_map_lines(old) == [4, 5]
