@@ -1,31 +1,19 @@
 """Built-in example schemes.
 
-Each entry bundles a verified scheme with its exact second eigenmatrix (and,
-for group schemes, the underlying group and character table).  The same
-builders that construct the objects in memory also generate the persisted
-JSON catalog shipped under ``delsarte/data``; ``load_entry`` reads those
-files back and re-verifies everything.
-
-Entries:
-
-==========  ================================================================
-x8          8-vertex Cayley scheme on Z4 x Z2 with Gaussian-integer
-            eigenvalues; its rational fusion merges two classes.
-y8          a second, non-isomorphic 8-vertex scheme with the same rational
-            fusion as x8.
-coxeter     the metric scheme of the Coxeter graph (28 vertices, diameter
-            4, eigenvalues in Q(sqrt 2)); admits no proper Galois fusion.
-z12         conjugacy class (translation) scheme of the cyclic group Z12.
-a4          conjugacy class scheme of the alternating group A4.
-dic3/5/7    conjugacy class schemes of the dicyclic groups of order 12,
-            20, 28.
-==========  ================================================================
+``CATALOG`` is one table of entries, each a name, a note and a builder, with
+file names derived from the name.  A builder returns a verified scheme with
+its exact second eigenmatrix or, for a group entry, a ``GroupSchemeBundle``
+that adds the group and its character table.  ``generate_data`` writes
+the JSON catalog shipped under ``delsarte/data`` from the builders;
+``load_entry`` reads those files back and re-verifies everything.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -176,12 +164,6 @@ def build_coxeter() -> tuple[SchemeData, EigenData]:
     return scheme, attach_eigendata(scheme, _coxeter_eigenmatrix())
 
 
-def cycle_scheme(n: int) -> SchemeData:
-    """The distance scheme of the n-cycle: (x, y) in R_i iff y = x +- i."""
-    rel = [[min((x - y) % n, (y - x) % n) for y in range(n)] for x in range(n)]
-    return verify_scheme(rel)
-
-
 # ---------------------------------------------------------------------------
 # Group scheme entries
 # ---------------------------------------------------------------------------
@@ -251,75 +233,43 @@ def build_dicyclic(n: int) -> GroupSchemeBundle:
 # Persisted catalog
 # ---------------------------------------------------------------------------
 
+def _file(kind: str, group_only: bool = False) -> property:
+    """An entry's file of this kind, named after the entry (None for a plain
+    entry when only group entries have one)."""
+    return property(lambda e: f"{e.name}.{kind}.json" if e.group or not group_only else None)
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One named example: file names relative to the catalog directory."""
+    """One named example and its builder, which returns the verified scheme
+    and eigendata, or a ``GroupSchemeBundle`` for a group entry; file names
+    are relative to the catalog directory."""
 
     name: str
-    scheme_file: str
-    eigen_file: str
-    group_file: str | None
-    chars_file: str | None
     note: str
+    builder: Callable[[], tuple[SchemeData, EigenData] | GroupSchemeBundle]
+    group: bool = False
+
+    scheme_file = _file("scheme")
+    eigen_file = _file("eigen")
+    group_file = _file("group", group_only=True)
+    chars_file = _file("chars", group_only=True)
 
 
-CATALOG: dict[str, CatalogEntry] = {
-    entry.name: entry
-    for entry in (
-        CatalogEntry(
-            "x8", "x8.scheme.json", "x8.eigen.json", None, None,
-            "8-vertex Cayley scheme on Z4 x Z2 with Gaussian-integer eigenvalues",
-        ),
-        CatalogEntry(
-            "y8", "y8.scheme.json", "y8.eigen.json", None, None,
-            "second 8-vertex scheme, non-isomorphic to x8 but with the same "
-            "rational fusion",
-        ),
-        CatalogEntry(
-            "coxeter", "coxeter.scheme.json", "coxeter.eigen.json", None, None,
-            "metric scheme of the Coxeter graph; no proper Galois fusion",
-        ),
-        CatalogEntry(
-            "z12", "z12.scheme.json", "z12.eigen.json",
-            "z12.group.json", "z12.chars.json",
-            "conjugacy class scheme of the cyclic group Z12",
-        ),
-        CatalogEntry(
-            "a4", "a4.scheme.json", "a4.eigen.json",
-            "a4.group.json", "a4.chars.json",
-            "conjugacy class scheme of the alternating group A4",
-        ),
-        CatalogEntry(
-            "dic3", "dic3.scheme.json", "dic3.eigen.json",
-            "dic3.group.json", "dic3.chars.json",
-            "conjugacy class scheme of the dicyclic group of order 12",
-        ),
-        CatalogEntry(
-            "dic5", "dic5.scheme.json", "dic5.eigen.json",
-            "dic5.group.json", "dic5.chars.json",
-            "conjugacy class scheme of the dicyclic group of order 20",
-        ),
-        CatalogEntry(
-            "dic7", "dic7.scheme.json", "dic7.eigen.json",
-            "dic7.group.json", "dic7.chars.json",
-            "conjugacy class scheme of the dicyclic group of order 28",
-        ),
-    )
-}
-
-GROUP_BUILDERS = {
-    "z12": build_z12,
-    "a4": build_a4,
-    "dic3": lambda: build_dicyclic(3),
-    "dic5": lambda: build_dicyclic(5),
-    "dic7": lambda: build_dicyclic(7),
-}
-
-PLAIN_BUILDERS = {
-    "x8": build_x8,
-    "y8": build_y8,
-    "coxeter": build_coxeter,
-}
+CATALOG: dict[str, CatalogEntry] = {e.name: e for e in (
+    CatalogEntry("x8", "8-vertex Cayley scheme on Z4 x Z2 with Gaussian-integer eigenvalues",
+                 build_x8),
+    CatalogEntry("y8", "second 8-vertex scheme, non-isomorphic to x8 but with the same "
+                 "rational fusion", build_y8),
+    CatalogEntry("coxeter", "metric scheme of the Coxeter graph; no proper Galois fusion",
+                 build_coxeter),
+    CatalogEntry("z12", "conjugacy class scheme of the cyclic group Z12", build_z12,
+                 group=True),
+    CatalogEntry("a4", "conjugacy class scheme of the alternating group A4", build_a4,
+                 group=True),
+    *(CatalogEntry(f"dic{n}", f"conjugacy class scheme of the dicyclic group of order {4 * n}",
+                   partial(build_dicyclic, n), group=True) for n in (3, 5, 7)),
+)}
 
 
 def data_dir() -> Path:
@@ -340,12 +290,14 @@ def list_entries() -> list[CatalogEntry]:
     return [CATALOG[name] for name in sorted(CATALOG)]
 
 
-def load_entry(name: str, base: Path | None = None) -> LoadedEntry:
+def load_entry(name: str) -> LoadedEntry:
     """Read an entry from disk and re-verify every part of it.
 
-    Group entries additionally check that the stored scheme equals the one
-    derived from the stored group, and that the stored Q equals the one the
-    character table induces.
+    A plain entry's stored Q is attached to its stored scheme.  A group
+    entry's stored scheme must equal the one derived from the stored group,
+    its eigendata come from the stored character table
+    (``eigendata_from_characters``, which attaches them), and the stored Q
+    must equal theirs.
     """
     from . import fileio
 
@@ -354,21 +306,19 @@ def load_entry(name: str, base: Path | None = None) -> LoadedEntry:
     except KeyError:
         raise KeyError(f"unknown catalog entry {name!r}; "
                        f"known: {', '.join(sorted(CATALOG))}") from None
-    base = base or data_dir()
+    base = data_dir()
     scheme = fileio.parse_scheme_file((base / entry.scheme_file).read_text())
     _, q = fileio.parse_eigen_file((base / entry.eigen_file).read_text())
-    eigen = attach_eigendata(scheme, q)
-    group = classes = table = None
-    if entry.group_file:
-        group = fileio.parse_group_file((base / entry.group_file).read_text())
-        derived, found = conj_class_scheme(group)
-        if derived != scheme:
-            raise ValueError(f"{name}: stored scheme disagrees with the group")
-        classes = found
-        table = fileio.parse_character_file((base / entry.chars_file).read_text())
-        from_chars = eigendata_from_characters(group, classes, table, scheme)
-        if from_chars.Q != eigen.Q:
-            raise ValueError(f"{name}: stored Q disagrees with the characters")
+    if not entry.group:
+        return LoadedEntry(entry=entry, scheme=scheme, eigen=attach_eigendata(scheme, q))
+    group = fileio.parse_group_file((base / entry.group_file).read_text())
+    derived, classes = conj_class_scheme(group)
+    if derived != scheme:
+        raise ValueError(f"{name}: stored scheme disagrees with the group")
+    table = fileio.parse_character_file((base / entry.chars_file).read_text())
+    eigen = eigendata_from_characters(group, classes, table, scheme)
+    if eigen.Q != q:
+        raise ValueError(f"{name}: stored Q disagrees with the characters")
     return LoadedEntry(
         entry=entry, scheme=scheme, eigen=eigen,
         group=group, classes=classes, table=table,
@@ -388,16 +338,12 @@ def generate_data(dest: Path | None = None) -> list[Path]:
         path.write_text(text)
         written.append(path)
 
-    for name, builder in PLAIN_BUILDERS.items():
-        entry = CATALOG[name]
-        scheme, eigen = builder()
+    for entry in CATALOG.values():
+        built = entry.builder()
+        scheme, eigen = (built.scheme, built.eigen) if entry.group else built
         put(entry.scheme_file, fileio.dump_scheme(scheme))
         put(entry.eigen_file, fileio.dump_eigen(eigen))
-    for name, builder in GROUP_BUILDERS.items():
-        entry = CATALOG[name]
-        bundle = builder()
-        put(entry.scheme_file, fileio.dump_scheme(bundle.scheme))
-        put(entry.eigen_file, fileio.dump_eigen(bundle.eigen))
-        put(entry.group_file, fileio.dump_group(bundle.group))
-        put(entry.chars_file, fileio.dump_characters(bundle.table))
+        if entry.group:
+            put(entry.group_file, fileio.dump_group(built.group))
+            put(entry.chars_file, fileio.dump_characters(built.table))
     return written

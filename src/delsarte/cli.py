@@ -69,11 +69,11 @@ def _parse_indices(text) -> list[int]:
 
 
 def _subfield(spec_text: str, conductor: int) -> SubfieldSpec:
-    if spec_text in ("Q", "q", "rational", "rationals"):
+    if spec_text == "Q":
         return SubfieldSpec.rationals(conductor)
-    if spec_text in ("real", "R"):
+    if spec_text == "real":
         return SubfieldSpec.real(conductor)
-    if spec_text in ("F", "splitting", "full"):
+    if spec_text == "F":
         return SubfieldSpec.splitting_field(conductor)
     return SubfieldSpec(conductor, _parse_indices(spec_text))
 

@@ -319,19 +319,18 @@ class DesignTransfer:
     target: FusionScheme
     vertex_map: tuple[int, ...]
     class_map: tuple[int, ...]
-    eigen_match: tuple[int, ...]
+    eigen_map: tuple[int, ...]
 
 
 def build_design_transfer(
-    source: FusionScheme, target: FusionScheme, vertex_map=None, eigen_match=None
+    source: FusionScheme, target: FusionScheme, vertex_map=None
 ) -> DesignTransfer:
     """Match two fused schemes through a vertex bijection.
 
     The vertex map (identity by default) must carry the fused relation
     partition of the source onto that of the target; fused eigenspaces are
     then matched by exact comparison of the eigenmatrix columns under the
-    induced class bijection, and a supplied ``eigen_match`` override must
-    agree with that matching.
+    induced class bijection.
     """
     fx, fy = source.fused, target.fused
     if fx.size != fy.size:
@@ -362,18 +361,12 @@ def build_design_transfer(
     (derived,) = target.Q_F.column_positions(moved)
     if -1 in derived:
         raise IncompatibleT(f"fused eigenspace {derived.index(-1)} has no match")
-    if eigen_match is not None:
-        if tuple(eigen_match) != tuple(derived):
-            raise IncompatibleT(
-                f"supplied eigen match {tuple(eigen_match)} contradicts the "
-                f"verified one {tuple(derived)}"
-            )
     return DesignTransfer(
         source=source,
         target=target,
         vertex_map=vm,
         class_map=tuple(class_map),
-        eigen_match=tuple(derived),
+        eigen_map=tuple(derived),
     )
 
 
@@ -393,7 +386,7 @@ def transfer_design(
     if not is_T_design(src.parent, src.parent_eigen, subset, T):
         raise ValueError(f"{tuple(subset)} is not a {T}-design of the source")
     t_prime = tgt.orbit_data.unmerge(
-        transfer.eigen_match[l] for l in src.orbit_data.merge(T)
+        transfer.eigen_map[l] for l in src.orbit_data.merge(T)
     )
     image = tuple(sorted(transfer.vertex_map[c] for c in subset))
     if not is_T_design(tgt.parent, tgt.parent_eigen, image, t_prime):

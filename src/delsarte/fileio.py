@@ -2,9 +2,14 @@
 
 All numeric payloads are exact: rationals are strings "p/q" (with "/q"
 omitted when the denominator is 1) and cyclotomic values are term lists
-[[exponent, "p/q"], ...] over a declared ambient conductor.  Serialization
-is canonical (sorted keys, one matrix row per line), so
-``serialize(parse(f))`` is byte-identical for canonical files.
+[[exponent, "p/q"], ...] over a declared ambient conductor.  Each format
+has a ``parse_*`` reader that verifies what it builds and a ``dump_*``
+writer (``cyclotomic_from_json``/``cyclotomic_to_json`` for a standalone
+value).  Writing is canonical (sorted keys, one matrix row per line), so
+a file a ``dump_*`` wrote, read back and written again, is byte-identical.
+The ``*_to_json`` payloads of design reports, fusions and
+LP results are what the CLI prints under ``--json``; nothing reads them
+back.
 
 Literals are parsed and emitted on the integer form: a "p/q" goes from
 the grammar's match straight to an (exponent, numerator, denominator)

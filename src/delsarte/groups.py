@@ -135,7 +135,6 @@ class ConjClassData:
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-    class_inverse_map: tuple[int, ...]
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -155,12 +154,7 @@ def conjugacy_classes(group: GroupTable) -> ConjClassData:
     x = np.arange(group.order)
     conj = mult[mult[np.asarray(group.inverse, dtype=np.intp)], x[:, None]]
     classes = _label_cells(conj.min(axis=0).tolist())
-    class_of = _cell_labels(classes, group.order)
-    return ConjClassData(
-        classes=classes,
-        class_of=class_of,
-        class_inverse_map=tuple(class_of[group.inverse[c[0]]] for c in classes),
-    )
+    return ConjClassData(classes=classes, class_of=_cell_labels(classes, group.order))
 
 
 def conj_class_scheme(group: GroupTable) -> tuple[SchemeData, ConjClassData]:
@@ -174,16 +168,6 @@ def conj_class_scheme(group: GroupTable) -> tuple[SchemeData, ConjClassData]:
     lookup = np.array(classes.class_of, dtype=np.int64)
     rel = lookup[group.mult[inv, :]]
     return verify_scheme(rel), classes
-
-
-def group_intersection_number(
-    group: GroupTable, classes: ConjClassData, i: int, j: int, k: int
-) -> int:
-    """p[i][j][k] from the class formula |C_i n z C_j^(-1)|, z in C_k."""
-    z = classes.representative(k)
-    cj_inv = {group.inverse[h] for h in classes.classes[j]}
-    z_cj_inv = {group.op(z, h) for h in cj_inv}
-    return len(set(classes.classes[i]) & z_cj_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +291,6 @@ def _attach_characters(group, classes, table, scheme) -> EigenData:
             f"{eigen.multiplicities} != squared degrees {expected}",
         )
     return eigen
-
-
-def character_product_multiplicities(
-    table: CharacterTable, classes: ConjClassData, order: int, i: int, j: int
-) -> tuple[int, ...]:
-    """Multiplicities r with chi_i chi_j = sum_k r[k] chi_k (pointwise).
-
-    r = (chi_i o chi_j) D X^* / |G|: a scaling of the columns, then one
-    kernel product.
-    """
-    x = table.matrix
-    prod = x.select(rows=[i]).schur(x.select(rows=[j])).scale_lines(cols=classes.sizes)
-    r = (prod * x.adjoint()).scale(Fraction(1, order))
-    out, bad = _integer_entries(r, 0)
-    if bad is not None:
-        raise InternalAssertion(
-            f"tensor multiplicity r[{i}][{j}]^{bad} = {r[0, bad]} is not a "
-            "nonnegative integer"
-        )
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -549,23 +513,25 @@ def representation_eigenvectors(
     return u
 
 
-def cyclic_representations(n: int) -> list[Representation]:
-    return [
-        Representation(1, CycMatrix.from_terms(n, [[[(j * k, 1)]] for k in range(n)]))
-        for j in range(n)
-    ]
+def builtin_representations(family: str, *params: int) -> list[Representation]:
+    """One irreducible representation per character row of a built-in family.
 
-
-def dicyclic_representations(n: int) -> list[Representation]:
-    """One irreducible representation per character row of dicyclic(n).
-
-    The linear ones send x^k and y x^k to (-1)^(sx k + sy y) zeta_4n^(e y)
-    (y = 0, 1) for (sx, sy, e) = (0, 0, 0), (0, 1, 0), (1, 0, n), (1, 1, n);
-    the r-th two-dimensional one sends x to diag(zeta_2n^r, zeta_2n^(-r))
-    and y to [[0, 1], [(-1)^r, 0]].
+    An abelian group's (a cyclic group's too) are its characters,
+    rho_j(g) = chi_j(g).  Of dicyclic(n), the linear ones send x^k and
+    y x^k to (-1)^(sx k + sy y) zeta_4n^(e y) (y = 0, 1) for
+    (sx, sy, e) = (0, 0, 0), (0, 1, 0), (1, 0, n), (1, 1, n); the r-th
+    two-dimensional one sends x to diag(zeta_2n^r, zeta_2n^(-r)) and y to
+    [[0, 1], [(-1)^r, 0]].
     """
-    if n < 3 or n % 2 == 0:
-        raise UnsupportedFamily("dicyclic representations need odd n >= 3")
+    if family in ("cyclic", "abelian"):
+        _, classes, table = builtin_group(family, *params)
+        chars = table.matrix.select(cols=classes.class_of)
+        return [Representation(1, chars.select(rows=[j]).transpose()) for j in range(table.count)]
+    if family != "dicyclic":
+        raise UnsupportedFamily(f"unknown family {family!r}")
+    if len(params) != 1 or params[0] < 3 or params[0] % 2 == 0:
+        raise UnsupportedFamily("dicyclic representations need one odd n >= 3")
+    (n,) = params
     m = 4 * n
     two_n = 2 * n
     elements = [divmod(g, two_n) for g in range(m)]
@@ -581,15 +547,3 @@ def dicyclic_representations(n: int) -> list[Representation]:
         ]
         out.append(Representation(2, CycMatrix.from_terms(two_n, cells)))
     return out
-
-
-def builtin_representations(family: str, *params: int) -> list[Representation]:
-    if family == "cyclic":
-        return cyclic_representations(*params)
-    if family == "dicyclic":
-        return dicyclic_representations(*params)
-    if family == "abelian":
-        _, classes, table = abelian_group(*params)
-        chars = table.matrix.select(cols=classes.class_of)
-        return [Representation(1, chars.select(rows=[j]).transpose()) for j in range(table.count)]
-    raise UnsupportedFamily(f"unknown family {family!r}")

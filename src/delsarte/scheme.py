@@ -181,12 +181,6 @@ def verify_scheme(relation) -> SchemeData:
     )
 
 
-def count_intersection(scheme: SchemeData, i: int, j: int, a: int, b: int) -> int:
-    """Brute-force count of |{c : (a,c) in R_i, (c,b) in R_j}| for one pair."""
-    rel = scheme.relation
-    return int(np.count_nonzero((rel[a, :] == i) & (rel[:, b] == j)))
-
-
 # ---------------------------------------------------------------------------
 # Eigenstructure
 # ---------------------------------------------------------------------------
@@ -211,10 +205,6 @@ class EigenData:
         size = self.scheme.size
         gathered = self.Q.select(rows=self.scheme.relation.ravel(), cols=[j])
         return gathered.reshape(size, size).scale(Fraction(1, size))
-
-    def eigenvalue(self, j: int, i: int) -> Cyclotomic:
-        """P[j][i], the eigenvalue of A_i on the j-th eigenspace."""
-        return self.P[j, i]
 
 
 def validate_indices(indices, top: int, name: str = "T") -> tuple[int, ...]:

@@ -20,6 +20,11 @@ The library's broadcast multiplication tables and one-call character
 tables must equal these, its one-product checks must give the same
 block U and the same first failing (a, b), and its associativity test on a
 generating set must give the same verdict as the full check.
+
+Two oracles the library does not carry: ``group_intersection_number``
+counts p_ij^k by the class formula, and
+``character_product_multiplicities`` decomposes a product of two
+characters, the tensor decomposition the Krein parameters must match.
 """
 
 from __future__ import annotations
@@ -31,7 +36,13 @@ from fractions import Fraction
 import numpy as np
 
 from delsarte.cyclotomic import CycMatrix, Cyclotomic
-from delsarte.errors import BadEigenbasis, NotEigen, UnsupportedFamily, ValidationError
+from delsarte.errors import (
+    BadEigenbasis,
+    InternalAssertion,
+    NotEigen,
+    UnsupportedFamily,
+    ValidationError,
+)
 from delsarte.groups import (
     CharacterTable,
     ConjClassData,
@@ -39,7 +50,7 @@ from delsarte.groups import (
     abelian_group,
     conj_class_scheme,
 )
-from delsarte.scheme import EigenData, SchemeData, attach_eigendata
+from delsarte.scheme import EigenData, SchemeData, _integer_entries, attach_eigendata
 
 zeta = Cyclotomic.zeta
 
@@ -300,3 +311,33 @@ def reference_eigendata_from_characters(
             f"{eigen.multiplicities} != squared degrees {expected}",
         )
     return eigen
+
+
+def group_intersection_number(
+    group: GroupTable, classes: ConjClassData, i: int, j: int, k: int
+) -> int:
+    """p[i][j][k] from the class formula |C_i n z C_j^(-1)|, z in C_k."""
+    z = classes.representative(k)
+    cj_inv = {group.inverse[h] for h in classes.classes[j]}
+    z_cj_inv = {group.op(z, h) for h in cj_inv}
+    return len(set(classes.classes[i]) & z_cj_inv)
+
+
+def character_product_multiplicities(
+    table: CharacterTable, classes: ConjClassData, order: int, i: int, j: int
+) -> tuple[int, ...]:
+    """Multiplicities r with chi_i chi_j = sum_k r[k] chi_k (pointwise).
+
+    r = (chi_i o chi_j) D X^* / |G|: a scaling of the columns, then one
+    kernel product.
+    """
+    x = table.matrix
+    prod = x.select(rows=[i]).schur(x.select(rows=[j])).scale_lines(cols=classes.sizes)
+    r = (prod * x.adjoint()).scale(Fraction(1, order))
+    out, bad = _integer_entries(r, 0)
+    if bad is not None:
+        raise InternalAssertion(
+            f"tensor multiplicity r[{i}][{j}]^{bad} = {r[0, bad]} is not a "
+            "nonnegative integer"
+        )
+    return tuple(out)

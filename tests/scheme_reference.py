@@ -7,6 +7,10 @@ and compares every cell of class k with it (axiom iii), then compares
 A_j A_i with A_i A_j (axiom iv).  The library's batched check must report
 the same axiom and witness on every grid, and the same intersection tensor
 on every scheme.
+
+Two small oracles the tests use beside it: ``count_intersection`` counts
+one p_ij^k at one pair of points, and ``cycle_scheme`` builds the distance
+scheme of an n-cycle.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from delsarte.errors import InternalAssertion, NotAScheme
-from delsarte.scheme import SchemeData
+from delsarte.scheme import SchemeData, verify_scheme
 
 
 def reference_verify_scheme(relation) -> SchemeData:
@@ -101,3 +105,15 @@ def reference_verify_scheme(relation) -> SchemeData:
         valencies=valencies,
         intersection=p,
     )
+
+
+def count_intersection(scheme: SchemeData, i: int, j: int, a: int, b: int) -> int:
+    """Brute-force count of |{c : (a,c) in R_i, (c,b) in R_j}| for one pair."""
+    rel = scheme.relation
+    return int(np.count_nonzero((rel[a, :] == i) & (rel[:, b] == j)))
+
+
+def cycle_scheme(n: int) -> SchemeData:
+    """The distance scheme of the n-cycle: (x, y) in R_i iff y = x +- i."""
+    rel = [[min((x - y) % n, (y - x) % n) for y in range(n)] for x in range(n)]
+    return verify_scheme(rel)

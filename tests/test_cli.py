@@ -309,6 +309,19 @@ def test_malformed_index_list_is_a_parse_error(capsys, argv):
     assert "bad index list" in payload["message"]
 
 
+@pytest.mark.parametrize("word", ["rationals", "rational", "q", "R", "splitting", "full"])
+def test_field_takes_no_aliases(capsys, word):
+    # --field takes Q, real, F or a generator list; any other word is read
+    # as a generator list
+    scheme, eigen = entry_paths("x8")
+    code, payload = run_json(
+        capsys, ["fusion", "--scheme", scheme, "--eigen", eigen, "--field", word]
+    )
+    assert code == 1
+    assert payload["error"] == "ParseError"
+    assert "bad index list" in payload["message"]
+
+
 def run_clean(argv):
     """main(argv) exits 0 or 1; on 1 it reports one error line, on stderr or
     as the JSON payload under --json.  Returns the exit code and that line."""

@@ -296,7 +296,7 @@ def test_transfer_x8_to_y8_identity_vertices():
     fy = fused_over_q(build_y8)
     transfer = build_design_transfer(fx, fy)
     assert transfer.class_map == (0, 1, 2, 3)
-    assert transfer.eigen_match == (0, 2, 3, 1)
+    assert transfer.eigen_map == (0, 2, 3, 1)
     image, t_prime = transfer_design(transfer, C_X8, {1, 2, 3})
     assert image == C_X8
     assert t_prime == (3, 4)
@@ -324,13 +324,6 @@ def test_transfer_to_relabeled_copy():
     image, t_prime = transfer_design(transfer, C_X8, {1, 2, 3})
     assert image == tuple(sorted(perm[c] for c in C_X8))
     assert is_T_design(yscheme, yeigen, image, t_prime)
-
-
-def test_transfer_rejects_wrong_eigen_match():
-    fx = fused_over_q(build_x8)
-    fy = fused_over_q(build_y8)
-    with pytest.raises(IncompatibleT):
-        build_design_transfer(fx, fy, eigen_match=(0, 1, 2, 3))
 
 
 def test_transfer_rejects_bad_vertex_map():

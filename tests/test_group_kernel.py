@@ -61,7 +61,8 @@ def _failure(check, *args):
     return None
 
 
-@pytest.mark.parametrize("family, params", CASES, ids=lambda c: str(c))
+@pytest.mark.parametrize("family, params", [("cyclic", (n,)) for n in (1, 2, 5)] + CASES,
+                         ids=lambda c: str(c))
 def test_blocks_equal_the_reference(family, params):
     group, classes, _ = builtin_group(family, *params)
     scheme, _ = conj_class_scheme(group)
@@ -121,7 +122,7 @@ def test_representation_check_memory_is_bounded_on_dic31():
     # whole (|G| f)^2 product held a 70.5 MB traced peak, blocks of rows a
     # about 2.5 MB
     group = builtin_group("dicyclic", 31)[0]
-    rho = next(r for r in groups.dicyclic_representations(31) if r.degree == 2)
+    rho = next(r for r in builtin_representations("dicyclic", 31) if r.degree == 2)
     tracemalloc.start()
     try:
         verify_representation(group, rho)

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from group_reference import character_product_multiplicities, group_intersection_number
+from scheme_reference import cycle_scheme
 
-from delsarte.catalog import CATALOG, build_a4, build_dicyclic, build_z12, cycle_scheme, load_entry
+from delsarte.catalog import CATALOG, build_a4, build_dicyclic, build_z12, load_entry
 from delsarte.cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec
 from delsarte import fusion
 from delsarte import groups as groups_module
@@ -13,13 +15,11 @@ from delsarte.fusion import galois_fusion
 from delsarte.groups import (
     builtin_group,
     builtin_representations,
-    character_product_multiplicities,
     conj_class_scheme,
     conjugacy_classes,
     cyclic_group,
     dicyclic_group,
     eigendata_from_characters,
-    group_intersection_number,
     make_character_table,
     make_group_table,
     rational_class_fusion,
@@ -87,8 +87,10 @@ def test_conjugacy_classes_match_the_discovery_loop(family, n):
     group = load_entry(n).group if family == "catalog" else builtin_group(family, n)[0]
     for g in (group, _relabelled(group, n if family != "catalog" else 7)):
         classes = conjugacy_classes(g)
-        assert (classes.classes, classes.class_of, classes.class_inverse_map) == \
-            reference_conjugacy_classes(g)
+        found, class_of, inverse_classes = reference_conjugacy_classes(g)
+        assert (classes.classes, classes.class_of) == (found, class_of)
+        # the class of the inverses is the transpose relation of the class scheme
+        assert conj_class_scheme(g)[0].transpose_map == inverse_classes
 
 
 def test_dicyclic_presentation_relations():
@@ -331,6 +333,15 @@ def test_cyclic_representation_columns():
         assert u.cols == 1
         for g in range(12):
             assert u[g, 0] == zeta(12, j * g)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("cyclic", (0,)), ("cyclic", (3, 4)), ("dicyclic", (4,)), ("dicyclic", (3, 5)),
+    ("dihedral", (3,)),
+])
+def test_builtin_representations_reject_bad_parameters(family, params):
+    with pytest.raises(UnsupportedFamily):
+        builtin_representations(family, *params)
 
 
 def test_dicyclic_representations_verify():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from eigen_reference import reference_attach_eigendata
+from scheme_reference import count_intersection, cycle_scheme
 
 from delsarte.catalog import (
     CATALOG,
@@ -13,7 +14,6 @@ from delsarte.catalog import (
     build_dicyclic,
     build_x8,
     build_y8,
-    cycle_scheme,
     _x8_eigenmatrix,
     load_entry,
 )
@@ -23,7 +23,6 @@ from delsarte.errors import BadEigenbasis, NotAScheme, NotClosed
 from delsarte.fusion import galois_fusion
 from delsarte.scheme import (
     attach_eigendata,
-    count_intersection,
     krein_parameters,
     verify_scheme,
 )

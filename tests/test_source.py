@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import delsarte
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "delsarte"
 
 
@@ -788,3 +790,76 @@ def test_attach_guard_catches_the_former_dual_map():
     )
     assert _attach_column_searches(ast.parse(old)) == [2]
     assert _dual_map_lines(old) == [4, 5]
+
+
+#: top-level definitions that no library module, ``delsarte.__all__`` or
+#: demo names, each kept for its reason
+KEPT_UNREFERENCED = {
+    "generate_data": "regenerates the JSON catalog from the builders",
+    "load_entry": "reads and re-verifies a catalog entry; the tests and the benchmark use it",
+    "dump_design": "writes the design format that parse_design_file reads",
+    "cyclotomic_to_json": "the README's standalone-value format",
+    "cyclotomic_from_json": "the README's standalone-value format",
+}
+
+DEMOS = SRC.parent.parent / "demos"
+
+
+def _referenced(nodes):
+    """Every name the nodes refer to: names, attributes and imported names."""
+    found = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                found.add(sub.name)
+    return found
+
+
+def _unreferenced_definitions(sources, exported, demos):
+    """module.name of each top-level def or class in ``sources`` (module
+    name -> text) that no module names outside its own definition, that is
+    not exported, that no demo in ``demos`` (texts) names and that is not
+    kept on purpose."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    demo_names = _referenced(ast.parse(text) for text in demos)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            others = [n for t in trees.values() for n in t.body if n is not node]
+            if not (node.name in _referenced(others) or node.name in exported or node.name in demo_names
+                    or node.name in KEPT_UNREFERENCED):
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def _library_sources():
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def _demo_sources():
+    return [path.read_text() for path in sorted(DEMOS.glob("*.py"))]
+
+
+def test_library_defines_only_what_it_runs():
+    # test oracles live in the tests' reference modules, not in src/
+    found = _unreferenced_definitions(_library_sources(), set(delsarte.__all__),
+                                      _demo_sources())
+    assert not found, found
+
+
+def test_unreferenced_guard_catches_the_former_oracle():
+    # scheme.count_intersection as it was, a brute-force count only tests called
+    sources = _library_sources()
+    sources["scheme"] += (
+        "\n\ndef count_intersection(scheme, i, j, a, b):\n"
+        "    rel = scheme.relation\n"
+        "    return int(np.count_nonzero((rel[a, :] == i) & (rel[:, b] == j)))\n"
+    )
+    assert _unreferenced_definitions(sources, set(delsarte.__all__), _demo_sources()) == \
+        ["scheme.count_intersection"]
