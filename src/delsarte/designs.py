@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fusion import FusionScheme, GaloisOrbitData, galois_fusion, orbit_merge
 from .groups import conj_class_scheme, dicyclic_group, eigendata_from_characters
-from .scheme import EigenData, SchemeData, validate_indices
+from .scheme import EigenData, SchemeData, check_eigen_scheme, validate_indices
 
 #: exhaustive enumeration guardrails
 ENUM_VERTEX_CAP = 40
@@ -195,6 +195,7 @@ def design_report(
     orbits, else :class:`OrbitClosureViolation` (impossible for verified
     eigendata).
     """
+    check_eigen_scheme(scheme, eigen)
     v, den = _pair_sums(scheme, w)
     # b = aQ = vQ / den as a 1 x (d+1) matrix: signs and zeros are read off
     # its integer form
@@ -221,6 +222,7 @@ def design_report(
 
 def is_T_design(scheme: SchemeData, eigen: EigenData, w, T) -> bool:
     """True iff b_j = 0 for every j in T (equivalently E_j x = 0)."""
+    check_eigen_scheme(scheme, eigen)
     T = validate_indices(T, scheme.d)
     if not T:
         return True
@@ -267,6 +269,7 @@ def enumerate_T_designs(
     the design-correspondence theorem); ``"cross_check"`` runs both and
     asserts they agree.
     """
+    check_eigen_scheme(scheme, eigen)
     T = validate_indices(T, scheme.d)
     if scheme.size > ENUM_VERTEX_CAP:
         raise TooLarge(f"|X| = {scheme.size} exceeds the exhaustive cap")

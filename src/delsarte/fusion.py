@@ -32,7 +32,7 @@ from .errors import (
     NotClosed,
     NotPermutation,
 )
-from .scheme import EigenData, SchemeData, validate_indices
+from .scheme import EigenData, SchemeData, check_eigen_scheme, validate_indices
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,12 @@ def sigma_permutations(
 
 
 def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:
-    """Orbits, iota, merged idempotents and Qbar = QO for Gal(F/K)."""
+    """Orbits, iota, merged idempotents and Qbar = QO for Gal(F/K).
+
+    Qbar needs no check that it lies in K: ``_generator_permutations`` has
+    checked sigma_g(Q[:, j]) = Q[:, pi_g(j)] exactly for each generator g,
+    and each orbit is closed under pi_g, so sigma_g fixes QO's columns.
+    """
     gens = _generator_permutations(eigen, subfield)
     dp1 = eigen.scheme.classes
     # the orbits of the group are the join of the cells {j, g(j)} over its
@@ -231,12 +236,6 @@ def orbit_merge(eigen: EigenData, subfield: SubfieldSpec) -> GaloisOrbitData:
         raise InternalAssertion("E_0 is rational and must sit in its own orbit")
     iota = _cell_labels(orbits, dp1)
     qbar = eigen.Q * CycMatrix(_partition_matrix(iota, len(orbits)))
-    outside = qbar.embed(subfield.conductor).galois_moved(subfield.generators).any(axis=0)
-    if outside.any():
-        l = int(np.argwhere(outside)[0][1])
-        raise InternalAssertion(
-            f"merged idempotent F_{l} has an entry outside the subfield"
-        )
     return GaloisOrbitData(
         eigen=eigen,
         subfield=subfield,
@@ -404,6 +403,7 @@ def fuse_by_relation_partition(
     parent's), must have the row classes of PO as its orbits; its Qbar is
     then used as Q O_E, and the result carries it and its subfield.
     """
+    check_eigen_scheme(scheme, eigen)
     cells = _validate_partition(partition, scheme.classes)
     e1 = len(cells)
     class_map = _cell_labels(cells, scheme.classes)
@@ -451,6 +451,7 @@ def galois_fusion(
     result is tagged with K.  Raises :class:`NotClosed` when the K-rational
     idempotents are not Schur-closed.
     """
+    check_eigen_scheme(scheme, eigen)
     orbit_data = orbit_merge(eigen, subfield)
     verdict = bannai_muzychuk_idempotent(orbit_data)
     if not verdict.passes:
@@ -490,6 +491,7 @@ def common_fusion(
     the join realizes the intersection of the two Bose-Mesner algebras and
     is verified outright (a failure would be reported as NotAFusion).
     """
+    check_eigen_scheme(scheme, eigen)
     fuse_by_relation_partition(scheme, eigen, partition1)
     fuse_by_relation_partition(scheme, eigen, partition2)
     joined = partition_join(partition1, partition2, scheme.classes)

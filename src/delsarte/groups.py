@@ -8,6 +8,10 @@ eigenmatrix.  Built-in families: cyclic, products of cyclics, and dicyclic
 groups of order 4n for odd n, with their character tables and irreducible
 representations.
 
+Identities over all pairs of elements are checked for the elements of a
+generating set only (``_generating_set``): associativity by Light's test,
+and a representation's rho(a) rho(b) = rho(ab), one product per generator.
+
 Class ordering is by first-occurring element; for the dicyclic builtins the
 element order x^0..x^(2n-1), yx^0..yx^(2n-1) then yields classes
 C_0 = {1}, C_k = {x^k, x^(2n-k)} for k < n, C_n = {x^n},
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, bounded_matmul, euler_phi, units_mod
+from .cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, bounded_matmul, units_mod
 from .errors import (
     BadEigenbasis,
     DelsarteError,
@@ -44,6 +48,7 @@ from .scheme import (
     _integer_entries,
     _integer_grid,
     attach_eigendata,
+    check_eigen_scheme,
     verify_scheme,
 )
 
@@ -60,21 +65,6 @@ class GroupTable:
 
     def op(self, a: int, b: int) -> int:
         return int(self.mult[a, b])
-
-    def power(self, g: int, m: int) -> int:
-        if m < 0:
-            return self.power(self.inverse[g], -m)
-        out = 0
-        for _ in range(m):
-            out = int(self.mult[out, g])
-        return out
-
-    def element_order(self, g: int) -> int:
-        out, n = int(self.mult[0, g]), 1
-        while out != 0:
-            out = int(self.mult[out, g])
-            n += 1
-        return n
 
 
 def make_group_table(mult) -> GroupTable:
@@ -100,6 +90,24 @@ def make_group_table(mult) -> GroupTable:
     return GroupTable(order=order, mult=table, inverse=tuple(inverse.tolist()))
 
 
+def _generating_set(table: np.ndarray) -> list[int]:
+    """A generating set of the table: each element is the least one outside
+    the closure of 0 and the ones before under all pairwise products (no
+    associativity assumed).  In a group each at least doubles that closure,
+    a subgroup, so there are at most log2 |G| + 1; 1 comes first."""
+    inside = np.zeros(table.shape[0], dtype=bool)
+    inside[0] = True
+    out = []
+    while not inside.all():
+        out.append(g := int(np.argmin(inside)))
+        inside[g] = True
+        count = 0
+        while (size := np.count_nonzero(inside)) != count:
+            count = size
+            inside[table[inside][:, inside]] = True
+    return out
+
+
 def _associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:
     """The first (x, g, y) with (xg)y != x(gy), or None, by Light's test.
 
@@ -107,25 +115,13 @@ def _associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:
     closed under products ((x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
     x((ab)y)), so they are every element once they include a set that
     generates the table under its product.  The g checked, in order, are
-    such a set: each is the least element outside the closure of 0 and the
-    ones before under all pairwise products (no associativity assumed).  In
-    a group each at least doubles that closure, a subgroup, so at most
-    log2 |G| + 1 are checked, each by one |G| x |G| comparison.
+    ``_generating_set``'s, each by one |G| x |G| comparison.
     """
-    inside = np.zeros(table.shape[0], dtype=bool)
-    inside[0] = True
-    for g in range(table.shape[0]):
-        if inside[g]:
-            continue
+    for g in _generating_set(table):
         bad = np.argwhere(table[table[:, g]] != table[:, table[g]])
         if len(bad):
             x, y = map(int, bad[0])
             return x, g, y
-        inside[g] = True
-        count = 0
-        while (size := np.count_nonzero(inside)) != count:
-            count = size
-            inside[table[inside][:, inside]] = True
     return None
 
 
@@ -385,11 +381,13 @@ def builtin_group(family: str, *params: int):
 def rational_classes(group: GroupTable, classes: ConjClassData):
     """Partition of class indices closing each class under g -> g^m,
     gcd(m, order(g)) = 1: the join of the cells {class(g^m)}, one per class
-    (m = 1 puts g's own class in its cell)."""
-    cells = [
-        [classes.class_of[group.power(g, m)] for m in units_mod(group.element_order(g))]
-        for g in map(classes.representative, range(len(classes.classes)))
-    ]
+    (m = 1 puts g's own class in its cell); g^0..g^(o-1) are one walk."""
+    cells = []
+    for g in map(classes.representative, range(len(classes.classes))):
+        powers = [0]
+        while (x := int(group.mult[powers[-1], g])) != 0:
+            powers.append(x)
+        cells.append([classes.class_of[powers[m]] for m in units_mod(len(powers))])
     return partition_join(cells, (), len(cells))
 
 
@@ -402,6 +400,7 @@ def rational_class_fusion(
     """Fuse along rational conjugacy classes: the Galois fusion over Q,
     built once, whose relation partition must be the rational classes
     (asserted; equal partitions give the same fused relation)."""
+    check_eigen_scheme(scheme, eigen)
     partition = rational_classes(group, classes)
     galois = galois_fusion(scheme, eigen, SubfieldSpec.rationals(eigen.conductor))
     if galois.partition != partition:
@@ -426,12 +425,6 @@ class Representation:
     U: CycMatrix
 
 
-#: numerators of the product rho(a) rho(b) per block of rows a, 512 kB in
-#: int64 (a block holds at least one a): the traced peak of the check grows
-#: as |G| f^2 phi, not as its square
-REPRESENTATION_BLOCK_NUMERATORS = 1 << 16
-
-
 def verify_representation(
     group: GroupTable, rho: Representation, character_row=None
 ) -> CycMatrix:
@@ -439,14 +432,15 @@ def verify_representation(
     against ``character_row`` (one value per element) when given; returns the
     traces as a |G| x 1 column.
 
-    The homomorphism check is one product per block of rows a: L = U as
-    (|G| f) x f has row (a, r) = row r of rho(a), its rearrangement R
-    (f x |G| f) has column (b, c) = column c of rho(b), so entry
-    ((a, r), (b, c)) of L R is (rho(a) rho(b))[r, c]; it is compared with the
-    same rearrangement of the rows mult[a, b] of U.  A block takes the rows
-    of L of as many a as keep its product within
-    REPRESENTATION_BLOCK_NUMERATORS numerators, and the blocks run in order
-    of a, so a failure names the first (a, b) in lexicographic order.
+    The homomorphism is checked for a in ``_generating_set`` and every b.
+    That suffices: the a for which it holds for all b include 0 and are
+    closed under left multiplication by each generator g, since
+    rho(ga) rho(b) = rho(g) rho(ab) = rho(gab), so they are the whole group.
+    Each a is one product rho(a) R, with R = U rearranged as f x (|G| f)
+    (column (b, c) is column c of rho(b)), against the same rearrangement of
+    the rows mult[a, b] of U.  A failure names the first failing generator
+    a and its least b; 1 comes first, so that is the lexicographically
+    first failing pair whenever some rho(1) rho(b) fails.
     """
     f, order, u = rho.degree, group.order, rho.U
     if (u.rows, u.cols) != (order, f * f):
@@ -454,26 +448,20 @@ def verify_representation(
     if u.select(rows=[0]) != CycMatrix.identity(f).reshape(1, f * f):
         raise ValidationError("identity must map to the identity matrix")
     g, s = np.arange(order), np.arange(f)
-    right = (
-        u.reshape(order * f, f)
-        .select(rows=(f * g[None, :] + s[:, None]).ravel())
-        .reshape(f, order * f)
-    )
-    per = max(1, REPRESENTATION_BLOCK_NUMERATORS // (order * f * f * euler_phi(u.conductor)))
-    for start in range(0, order, per):
-        rows = g[start:start + per]
-        m = len(rows)
-        a, r, b = np.ix_(np.arange(m), s, g)
-        expected = (
-            u.select(rows=group.mult[rows].ravel())
-            .reshape(m * order * f, f)
-            .select(rows=((order * a + b) * f + r).ravel())
-            .reshape(m * f, order * f)
-        )
-        bad = ~(u.select(rows=rows).reshape(m * f, f) * right - expected).zero_mask()
+    # row (b, r) of a |G| x f^2 block as (|G| f) x f is row r of its b-th
+    # matrix; taken in (r, b) order they make the f x (|G| f) rearrangement
+    order_rb = (f * g[None, :] + s[:, None]).ravel()
+
+    def rearranged(m):
+        return m.reshape(order * f, f).select(rows=order_rb).reshape(f, order * f)
+
+    right = rearranged(u)
+    for a in _generating_set(group.mult):
+        expected = rearranged(u.select(rows=group.mult[a]))
+        bad = ~(u.select(rows=[a]).reshape(f, f) * right - expected).zero_mask()
         if bad.any():
-            a, b = map(int, np.argwhere(bad.reshape(m, f, order, f).any(axis=(1, 3)))[0])
-            raise ValidationError(f"rho({start + a}) rho({b}) != rho({start + a}*{b})")
+            b = int(np.argmax(bad.reshape(f, order, f).any(axis=(0, 2))))
+            raise ValidationError(f"rho({a}) rho({b}) != rho({a}*{b})")
     traces = u.select(cols=s * (f + 1)) * CycMatrix(np.ones((f, 1), dtype=np.int64))
     if character_row is not None:
         wrong = ~(traces - CycMatrix([[v] for v in character_row])).zero_mask()

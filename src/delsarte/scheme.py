@@ -207,6 +207,13 @@ class EigenData:
         return gathered.reshape(size, size).scale(Fraction(1, size))
 
 
+def check_eigen_scheme(scheme: SchemeData, eigen: EigenData) -> None:
+    """ValidationError unless ``eigen`` was attached to ``scheme``: the same
+    object, or an equal scheme (the same relation grid)."""
+    if scheme is not eigen.scheme and scheme != eigen.scheme:
+        raise ValidationError("the eigendata belong to another scheme")
+
+
 def validate_indices(indices, top: int, name: str = "T") -> tuple[int, ...]:
     """The sorted distinct indices; ValidationError unless all lie in 1..top."""
     out = tuple(sorted(set(indices)))

@@ -1,9 +1,10 @@
 """The group side against its former loops (tests/group_reference.py).
 
 A representation is its |G| x f^2 block U (row g = vec rho(g)), checked by
-one stacked product; the reference holds one image per element and checks
-|G|^2 products in lexicographic order.  Both must give the same U on every
-built-in family, and the same first failure on corrupted blocks.  The
+one f x (|G| f) product per element of a generating set; the reference
+holds one image per element and checks |G|^2 products in lexicographic
+order.  Both must give the same U on every built-in family and the same
+verdict on corrupted blocks, where the pair named must really fail.  The
 broadcast multiplication tables and the character tables built in one
 call must equal the former loops, and associativity checked on a generating
 set (Light's test) must give the verdict of the full check on all triples.
@@ -28,6 +29,7 @@ from group_reference import (
 )
 
 from delsarte import groups
+from delsarte.catalog import alternating_group_4
 from delsarte.cyclotomic import CycMatrix, Cyclotomic
 from delsarte.errors import NotEigen, ValidationError
 from delsarte.groups import (
@@ -88,39 +90,60 @@ def _corrupt(u: CycMatrix, rng) -> CycMatrix:
                                             ("dicyclic", (3,)), ("dicyclic", (5,))])
 def test_corrupted_blocks_fail_at_the_reference_pair(family, params):
     group = builtin_group(family, *params)[0]
-    rng = np.random.default_rng(7)
     messages = []
-    for rho in builtin_representations(family, *params):
-        for _ in range(3):
-            bad = Representation(rho.degree, _corrupt(rho.U, rng))
-            got = _failure(verify_representation, group, bad)
-            assert got is not None
-            assert got == _failure(reference_verify_representation, group, _images(bad))
-            messages.append(got[1])
-    assert any(m.startswith("rho(") for m in messages)
-
-
-@pytest.mark.parametrize("budget", [1, 5000])
-def test_corrupted_blocks_fail_at_the_reference_pair_across_blocks(budget, monkeypatch):
-    # blocks of one row a each (budget 1), and of a few rows a (on dic5 at
-    # 5000 numerators: 12 rows for f = 1, 3 for f = 2): the first failing
-    # (a, b) is still the reference's
-    monkeypatch.setattr(groups, "REPRESENTATION_BLOCK_NUMERATORS", budget)
-    for family, params in [("cyclic", (12,)), ("dicyclic", (5,))]:
-        group = builtin_group(family, *params)[0]
-        rng = np.random.default_rng(11)
+    for seed in (7, 11):
+        rng = np.random.default_rng(seed)
         for rho in builtin_representations(family, *params):
             for _ in range(3):
                 bad = Representation(rho.degree, _corrupt(rho.U, rng))
                 got = _failure(verify_representation, group, bad)
                 assert got is not None
                 assert got == _failure(reference_verify_representation, group, _images(bad))
+                messages.append(got[1])
+    assert any(m.startswith("rho(") for m in messages)
+
+
+SMALL_REPRESENTATIONS = [
+    (family, params, j)
+    for family, params in [("cyclic", (12,)), ("abelian", (4, 2)),
+                           ("dicyclic", (3,)), ("dicyclic", (5,))]
+    for j in range(len(builtin_representations(family, *params)))
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_REPRESENTATIONS), st.data())
+def test_row_corruptions_are_rejected_at_a_failing_generator_pair(case, data):
+    # one, two or three rows of U, each with one entry moved by a root of
+    # unity: rejected exactly when the reference rejects, at a pair (a, b)
+    # that really fails, with a a generator
+    family, params, j = case
+    group = builtin_group(family, *params)[0]
+    rho = builtin_representations(family, *params)[j]
+    u, n = rho.U, rho.U.conductor
+    rows = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3,
+                              unique=True))
+    delta = [[0] * u.cols for _ in range(u.rows)]
+    for g in rows:
+        c = data.draw(st.integers(0, u.cols - 1))
+        delta[g][c] = Cyclotomic.zeta(n, data.draw(st.integers(0, n - 1)))
+    bad = Representation(rho.degree, u + CycMatrix(delta, n))
+    images = _images(bad)
+    got = _failure(verify_representation, group, bad)
+    expected = _failure(reference_verify_representation, group, images)
+    assert (got is None) == (expected is None)
+    if got is None or not got[1].startswith("rho("):
+        assert got == expected
+        return
+    a, b = map(int, got[1].split(" != ")[0].replace("rho(", "").replace(")", "").split())
+    assert images.images[a] * images.images[b] != images.images[group.op(a, b)]
+    assert a in groups._generating_set(group.mult)
 
 
 def test_representation_check_memory_is_bounded_on_dic31():
     # a two-dimensional representation of Dic_31 (|G| = 124, phi = 60): the
     # whole (|G| f)^2 product held a 70.5 MB traced peak, blocks of rows a
-    # about 2.5 MB
+    # about 2.6 MB, one f x (|G| f) product per generator under 1 MB
     group = builtin_group("dicyclic", 31)[0]
     rho = next(r for r in builtin_representations("dicyclic", 31) if r.degree == 2)
     tracemalloc.start()
@@ -129,7 +152,63 @@ def test_representation_check_memory_is_bounded_on_dic31():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20, peak
+    assert peak <= 2 * 2**20, peak
+
+
+def test_representation_check_makes_one_product_per_generator(monkeypatch):
+    # on Dic_31 the generating set is [1, 62]: two homomorphism products,
+    # each f x f by f x (|G| f), beside the one product that forms the traces
+    # (the products a product makes of its own are not counted)
+    group = builtin_group("dicyclic", 31)[0]
+    gens = groups._generating_set(group.mult)
+    assert gens == [1, 62]
+    shapes, inside = [], []
+    mul = CycMatrix.__mul__
+
+    def counted(x, y):
+        if not inside:
+            shapes.append((x.rows, x.cols, y.cols))
+        inside.append(True)
+        try:
+            return mul(x, y)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CycMatrix, "__mul__", counted)
+    for rho in builtin_representations("dicyclic", 31):
+        shapes.clear()
+        verify_representation(group, rho)
+        f = rho.degree
+        assert shapes == [(f, f, group.order * f)] * len(gens) + [(group.order, f, 1)]
+
+
+def _builtin_groups_up_to(order):
+    yield from (cyclic_group(n)[0] for n in range(1, order + 1))
+    yield from (dicyclic_group(n)[0] for n in range(3, order // 4 + 1, 2))
+
+    def factors(top, least):
+        for m in range(least, top + 1):
+            yield (m,)
+            yield from ((m,) + rest for rest in factors(top // m, m))
+
+    yield from (abelian_group(*orders)[0] for orders in factors(order, 2) if len(orders) > 1)
+    yield alternating_group_4()[0]
+
+
+def test_generating_sets_of_the_builtin_groups_are_small_and_generate():
+    for group in _builtin_groups_up_to(60):
+        gens = groups._generating_set(group.mult)
+        assert len(gens) <= group.order.bit_length()
+        assert gens == sorted(gens) and gens[:1] == ([1] if group.order > 1 else [])
+        # words in the generators, multiplied on the right, reach every element
+        reached, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                if (y := group.op(x, g)) not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        assert len(reached) == group.order
 
 
 def test_traces_and_class_sums_fail_like_the_reference():

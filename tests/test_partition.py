@@ -118,10 +118,13 @@ def reference_rational_classes(group, classes):
     linked = [set() for _ in classes.classes]
     for i, cls in enumerate(classes.classes):
         for g in cls:
-            o = group.element_order(g)
+            powers = [0, g]  # g^0, g^1, ..., g^o, the identity 0 again
+            while powers[-1] != 0:
+                powers.append(group.op(powers[-1], g))
+            o = len(powers) - 1
             for m in range(1, o + 1):
                 if math.gcd(m, o) == 1:
-                    j = classes.class_of[group.power(g, m)]
+                    j = classes.class_of[powers[m]]
                     linked[i].add(j)
                     linked[j].add(i)
     return search_components(lambda i: linked[i], len(linked))
