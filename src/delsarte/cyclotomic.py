@@ -14,8 +14,8 @@ once against rows phi..2phi-2 of the power table (``_convolve``); a Galois
 automorphism, an embedding or a list of (exponent, coefficient) terms is one
 integer matrix gathered from the same table by ``_basis_map``, its only
 reader, and applied by one ``bounded_matmul``; the images of a matrix under
-a list of automorphisms are products with their stacked matrices, a bounded
-block of them at a time, which keep the matrix's denominator; an integer
+a list of automorphisms are one such product per automorphism, made one at a
+time (none for the identity), which keep the matrix's denominator; an integer
 combination of rows (``left_lifted``) and its exact zero test
 (``left_zero_mask``) are one ``bounded_matmul`` too; a rational scaling of
 rows and columns is one broadcast multiply of the numerators
@@ -695,21 +695,6 @@ def _embedding(n: int, m: int):
     return _basis_map(m, np.arange(euler_phi(n)) * (m // n))
 
 
-#: numerators per block of stacked Galois images, 64 kB in int64 (a block
-#: holds at least one image): the stack adds no more to the traced peak of a
-#: Galois fusion or of Krein than one image at a time did
-GALOIS_BLOCK_NUMERATORS = 1 << 13
-
-
-@lru_cache(maxsize=64)
-def _galois_stack(n: int, units: tuple[int, ...]) -> np.ndarray:
-    """The tables of sigma_k for the units k, stacked (len(units), phi, phi)."""
-    eye = np.eye(euler_phi(n), dtype=np.int64)
-    stack = np.stack([eye if (t := _galois_matrix(n, k)) is None else t for k in units])
-    stack.setflags(write=False)
-    return stack
-
-
 def _keys(lines: np.ndarray) -> list:
     """Hashable keys of the rows of a 2-d integer array, equal exactly when
     the rows are, whatever the dtype: the int64 bytes of a row that fits,
@@ -1019,26 +1004,17 @@ class CycMatrix:
         return num.reshape(num.shape[:-2] + (-1,))
 
     def _galois_lines(self, units, axis: int):
-        """The images sigma_k(self) for the units k, in order, as blocks of
-        arrays (len(block), lines, numerators) laid out as in ``_lines``,
-        over self's denominator: sigma_k maps the integer span of the power
-        basis onto itself, so an image keeps the denominator of its lowest
-        terms.
-
-        A block is one product of the numerators with the stacked tables of
-        its units; its images, and its stack of phi x phi tables, hold at most
-        GALOIS_BLOCK_NUMERATORS integers unless one image or one table alone
-        is larger.  The product is one ``bounded_matmul``, under its rule.
-        """
-        n, phi = self.conductor, self._num.shape[2]
-        lines = self._lines(self._num, axis)
-        flat = lines.reshape(-1, phi)
-        units = [k % n for k in units]
-        per = max(1, GALOIS_BLOCK_NUMERATORS // max(flat.size, phi * phi))
-        for start in range(0, len(units), per):
-            block = tuple(units[start:start + per])
-            images = bounded_matmul(flat, _galois_stack(n, block), self._bound, _table_bound(n))
-            yield images.reshape((len(block),) + lines.shape)
+        """The images sigma_k(self) for the units k, in order, one at a time,
+        each laid out (lines, numerators) as in ``_lines`` over self's
+        denominator, which sigma_k keeps: it maps the integer span of the
+        power basis onto itself.  An image is one ``bounded_matmul`` with the
+        cached table of sigma_k; the identity is the numerators themselves."""
+        n = self.conductor
+        for k in units:
+            table = _galois_matrix(n, k % n)
+            image = self._num if table is None else bounded_matmul(
+                self._num, table, self._bound, _table_bound(n))
+            yield self._lines(image, axis)
 
     def column_positions(self, other, units=(1,)) -> list[list[int]]:
         """For each unit k in order, the index among self's columns of each
@@ -1046,9 +1022,9 @@ class CycMatrix:
         the last copy where self repeats it.
 
         The conductors meet at their lcm and the denominators at theirs.  The
-        images come from one blocked product (``_galois_lines``) and keep
-        other's denominator, so numerators are compared exactly, each side
-        rescaled only where its denominator differs from the lcm.
+        images come one unit at a time (``_galois_lines``) and keep other's
+        denominator, so numerators are compared exactly, each side rescaled
+        only where its denominator differs from the lcm.
         """
         a, b = self._common(other)
         den = math.lcm(a._den, b._den)
@@ -1057,10 +1033,10 @@ class CycMatrix:
             own = _scaled(own, den // a._den, a._bound)
         where = {key: j for j, key in enumerate(_keys(own))}
         out = []
-        for images in b._galois_lines(units, 1):
+        for lines in b._galois_lines(units, 1):
             if den != b._den:
-                images = _scaled(images, den // b._den)
-            out += [[where.get(key, -1) for key in _keys(lines)] for lines in images]
+                lines = _scaled(lines, den // b._den)
+            out.append([where.get(key, -1) for key in _keys(lines)])
         return out
 
     def line_labels(self, axis: int) -> list[int]:
@@ -1074,9 +1050,8 @@ class CycMatrix:
     def galois_moved(self, units) -> np.ndarray:
         """Boolean (len(units), rows, cols) array, True exactly where sigma_k
         moves the entry, for each unit k in order."""
-        shape = (-1,) + self._num.shape
-        return np.concatenate([(images.reshape(shape) != self._num).any(axis=-1)
-                               for images in self._galois_lines(units, 0)])
+        return np.stack([(image.reshape(self._num.shape) != self._num).any(axis=-1)
+                         for image in self._galois_lines(units, 0)])
 
     def distinct_columns(self) -> tuple["CycMatrix", np.ndarray]:
         """The distinct columns, in order of first occurrence, and for each
@@ -1099,7 +1074,7 @@ class CycMatrix:
 
         Zero and rational entries are decided by the sign of their integer
         numerator (the denominator is positive), with no Galois work.  The
-        irrational entries must be fixed by complex conjugation, one stacked
+        irrational entries must be fixed by complex conjugation, one Galois
         image; their signs come from a float64 estimate with a proven error
         bound where it settles them (``_filtered_signs``, on the entries
         whose own numerators are below 2^62 in absolute value, whatever the

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fusion import FusionScheme, GaloisOrbitData, galois_fusion, orbit_merge
 from .groups import conj_class_scheme, dicyclic_group, eigendata_from_characters
-from .scheme import EigenData, SchemeData, check_eigen_scheme, validate_indices
+from .scheme import EigenData, SchemeData, as_index, check_eigen_scheme, validate_indices
 
 #: exhaustive enumeration guardrails
 ENUM_VERTEX_CAP = 40
@@ -42,9 +42,11 @@ ENUM_CHUNK_PAIRS = 1 << 18
 
 def _marks(size: int, indices) -> list[int]:
     """1 at every listed vertex and 0 elsewhere (a repeated index counts
-    once); every index must lie in 0..size-1."""
+    once); every index must be an integer (``as_index``) in 0..size-1."""
     marks = [0] * size
     for i in indices:
+        if type(i) is not int:  # a bool, a numpy integer or no integer at all
+            i = as_index(i, "a vertex index")
         if not 0 <= i < size:
             raise ValidationError(f"vertex index {i} outside 0..{size - 1}")
         marks[i] = 1

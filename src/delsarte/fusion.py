@@ -157,8 +157,9 @@ def _generator_permutations(
     eigen: EigenData, subfield: SubfieldSpec
 ) -> list[tuple[int, ...]]:
     """The permutations of {0..d} induced by the generators of the fixing
-    group, in the order of ``subfield.generators``: one blocked product of
-    the images of Q under them (see ``sigma_permutations``)."""
+    group, in the order of ``subfield.generators``: one image of Q per
+    generator (see ``sigma_permutations``); the branch that names a failing
+    unit sweeps the whole group, one image at a time."""
     n = eigen.conductor
     if subfield.conductor % n:
         raise ConductorMismatch(
@@ -208,7 +209,7 @@ def sigma_permutations(
     the same permutation.
 
     Only the images of Q under the generators of the fixing group are
-    formed (one blocked product, ``_generator_permutations``).  Since
+    formed (one image per generator, ``_generator_permutations``).  Since
     sigma_ab = sigma_a sigma_b, every unit of the group permutes the columns
     exactly when the generators do, and the permutations are the closure of
     the generators' ones under composition.  When a generator fails, the

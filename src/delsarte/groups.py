@@ -445,6 +445,9 @@ def verify_representation(
     f, order, u = rho.degree, group.order, rho.U
     if (u.rows, u.cols) != (order, f * f):
         raise ValidationError("U needs one row of f^2 entries per group element")
+    if character_row is not None and len(character_row) != order:
+        raise ValidationError(
+            f"character row has {len(character_row)} values for {order} group elements")
     if u.select(rows=[0]) != CycMatrix.identity(f).reshape(1, f * f):
         raise ValidationError("identity must map to the identity matrix")
     g, s = np.arange(order), np.arange(f)

@@ -14,6 +14,7 @@ to end.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -214,9 +215,21 @@ def check_eigen_scheme(scheme: SchemeData, eigen: EigenData) -> None:
         raise ValidationError("the eigendata belong to another scheme")
 
 
+def as_index(value, what: str) -> int:
+    """value as an int by ``operator.index`` (numpy integers pass);
+    ValidationError for a bool, as in ``_integer_grid``, or a non-integer."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, not {value!r}")
+
+
 def validate_indices(indices, top: int, name: str = "T") -> tuple[int, ...]:
-    """The sorted distinct indices; ValidationError unless all lie in 1..top."""
-    out = tuple(sorted(set(indices)))
+    """The sorted distinct indices; ValidationError unless each is an
+    integer (``as_index``) in 1..top."""
+    out = tuple(sorted({as_index(j, f"an index of {name}") for j in indices}))
     if any(j < 1 or j > top for j in out):
         raise ValidationError(f"{name} must be a subset of 1..{top}: {out}")
     return out
@@ -348,11 +361,11 @@ def krein_parameters(eigen: EigenData) -> KreinData:
     q[i][j][k] = (1/|X|) sum_m P[k][m] Q[m][i] Q[m][j].  The whole tensor
     comes from two contractions on the integer form: the Schur products
     W[m][(i, j)] = Q[m][i] Q[m][j], then P W / |X|.  Realness, signs and the
-    Galois-fixing group are decided on the distinct columns of that array,
-    by one blocked stack of their images under all the automorphisms;
-    nonnegativity by the integer sign of rational entries, and by a float64
-    estimate under a proven error bound, or interval evaluation where that
-    does not settle it, for the irrational ones.
+    Galois-fixing group are decided on its distinct columns, by images under
+    every unit of those that hold an irrational entry (a rational one is real
+    and fixed by every sigma_k); nonnegativity by the integer sign of rational
+    entries, and by a float64 estimate under a proven error bound, or
+    interval evaluation where that does not settle it, for the irrational ones.
     """
     Q, P = eigen.Q, eigen.P
     dp1 = eigen.scheme.classes
@@ -364,11 +377,14 @@ def krein_parameters(eigen: EigenData) -> KreinData:
         return mask.reshape(dp1, dp1, dp1).transpose(1, 2, 0)
 
     # K[:, t] = distinct[:, inverse[t]]; moved[u] marks where sigma_k, k the
-    # u-th unit, moves an entry of distinct
+    # u-th unit, moves an entry of distinct (only an irrational one can move)
     n = eigen.conductor
     units = units_mod(n)
     distinct, inverse = K.distinct_columns()
-    moved = distinct.galois_moved(units)
+    irrational = np.flatnonzero(distinct.rational_part()[2].any(axis=0))
+    moved = np.zeros((len(units), dp1, distinct.cols), dtype=bool)
+    if len(irrational):
+        moved[..., irrational] = distinct.select(cols=irrational).galois_moved(units)
     nonreal = moved[units.index(-1 % n)]
     real = distinct if not nonreal.any() else distinct.schur(
         CycMatrix((~nonreal).astype(np.int64)))

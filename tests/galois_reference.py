@@ -1,12 +1,13 @@
 """The Galois action one automorphism at a time: the tests' reference for
-the stacked images in ``fusion`` and ``scheme``.
+the images in ``fusion`` and ``scheme``.
 
 These are the library's former loops, kept verbatim apart from their
 names and their column key: one ``galois`` call per unit k, and rows and
 columns compared by ``column_key``, the terms of each entry, read through
 the public ``Cyclotomic.terms`` and so independent of the kernel's integer
-form.  The library builds the images of all units from one blocked product
-and matches columns on numerators (``CycMatrix.column_positions``); on
+form.  The library builds the images of the generators of a fixing group,
+and Krein those of its irrational columns alone, one product per unit, and
+matches columns on numerators (``CycMatrix.column_positions``); on
 every input both must give the same permutations, orbits, row classes,
 Hermitian check and Krein data, and raise the same error with the same
 witness.

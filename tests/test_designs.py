@@ -37,6 +37,7 @@ from delsarte.designs import (
 )
 from delsarte.errors import IncompatibleT, TooLarge, ValidationError, ZeroVector
 from delsarte.fusion import galois_fusion, orbit_merge
+from delsarte.scheme import validate_indices
 
 # the running example subset: vertices {1, 2, 5, 6} when numbered from 1
 C_X8 = (0, 1, 4, 5)
@@ -108,6 +109,32 @@ def test_subset_indices_are_range_checked(index):
     scheme, eigen = build_x8()
     with pytest.raises(ValidationError):
         design_report(scheme, eigen, [index])
+
+
+NOT_INTEGERS = {
+    "is_T_design": lambda s, e: is_T_design(s, e, [0, 1], [1.5]),
+    "enumerate_T_designs": lambda s, e: enumerate_T_designs(s, e, [1.5], 1, 2),
+    "validate_indices": lambda s, e: validate_indices(["1"], s.d),
+    "validate_indices bool": lambda s, e: validate_indices([True], s.d),
+    "inner_distribution": lambda s, e: inner_distribution(s, [1.0, 2]),
+    "from_indices": lambda s, e: WeightedSubset.from_indices(8, [2.5]),
+    "from_indices bool": lambda s, e: WeightedSubset.from_indices(8, [np.True_]),
+    "merge": lambda s, e: rational_orbit_data(e).merge([1.5]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NOT_INTEGERS))
+def test_indices_must_be_integers(call):
+    # a float, a string or a bool is refused, not rounded or compared away
+    scheme, eigen = build_x8()
+    with pytest.raises(ValidationError, match="must be an integer"):
+        NOT_INTEGERS[call](scheme, eigen)
+
+
+def test_numpy_integer_indices_pass():
+    scheme, eigen = build_x8()
+    assert validate_indices([np.int64(2), 1, np.int32(2)], scheme.d) == (1, 2)
+    assert inner_distribution(scheme, np.array(C_X8)) == inner_distribution(scheme, C_X8)
 
 
 # ---------------------------------------------------------------------------

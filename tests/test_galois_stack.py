@@ -1,16 +1,18 @@
-"""Stacked Galois images against the per-unit loops (tests/galois_reference.py).
+"""Galois images one unit at a time against the per-unit loops
+(tests/galois_reference.py).
 
-``CycMatrix`` builds the images of a matrix under a list of units from one
-blocked product with the stacked tables of sigma_k; ``column_positions``
-matches columns on their numerators over a common denominator, and
-``line_labels`` labels equal lines.  These tests pin that to per-unit
-``galois`` calls and to ``==`` on one-line submatrices: on random matrices
-(conductors 1, 2 and 4 among them, and numerators beyond int64), in blocks
-of one image and in whole stacks, and across conductors and denominators;
-on the permutations, orbits, row classes, Hermitian checks and Krein
-conductors of every catalog entry and of the ladder groups Z_12 ... Z_30
-and Dic_3 ... Dic_13; on the witnesses of seeded corruptions; and on the
-traced memory of Krein and the Galois fusion.
+``CycMatrix`` builds the images of a matrix under a list of units one at a
+time, each one product with the cached table of sigma_k;
+``column_positions`` matches columns on their numerators over a common
+denominator, and ``line_labels`` labels equal lines.  These tests pin that
+to per-unit ``galois`` calls and to ``==`` on one-line submatrices: on
+random matrices (conductors 1, 2 and 4 among them, and numerators beyond
+int64), as drawn and scaled by 2^13, and across conductors and denominators; on the permutations,
+orbits, row classes, Hermitian checks and Krein conductors of every catalog
+entry, of the ladder groups Z_12 ... Z_30 and Dic_3 ... Dic_13, and of
+direct products of schemes whose Krein tensors hold irrational entries; on
+the witnesses of seeded corruptions; on Krein making no Galois image for a
+rational tensor; and on the traced memory of Krein and the Galois fusion.
 """
 
 import dataclasses
@@ -25,13 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsarte import cyclotomic
 from delsarte.catalog import CATALOG, load_entry
 from delsarte.cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec, euler_phi, units_mod
 from delsarte.errors import BadEigenbasis, DelsarteError
 from delsarte.fusion import _group_rows, galois_fusion, orbit_merge, sigma_permutations
 from delsarte.groups import builtin_group, conj_class_scheme, eigendata_from_characters
-from delsarte.scheme import attach_eigendata, krein_parameters
+from delsarte.scheme import attach_eigendata, krein_parameters, verify_scheme
 from galois_reference import (
     reference_group_rows,
     reference_hermitian,
@@ -42,8 +43,10 @@ from galois_reference import (
 )
 
 CONDUCTORS = (1, 2, 4, 5, 8, 12, 20)
-BLOCKS = (1, cyclotomic.GALOIS_BLOCK_NUMERATORS)
 BIG = 2**63 + 1  # scales a numerator past int64
+#: factors applied to a whole drawn matrix: as drawn, and with every numerator
+#: 2^13 times larger, nearer the int64 bound of the Galois products
+SCALES = (1, 8192)
 
 
 @st.composite
@@ -90,15 +93,14 @@ def last_or_missing(matches):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-@pytest.mark.parametrize("block", BLOCKS)
-def test_stacked_images_match_one_galois_call_per_unit(block, data):
+@pytest.mark.parametrize("scale", SCALES)
+def test_stacked_images_match_one_galois_call_per_unit(scale, data):
     n = data.draw(st.sampled_from(CONDUCTORS))
-    m = data.draw(matrices(n))
+    m = data.draw(matrices(n)) * scale
     units = data.draw(unit_lists(n))
-    with mock.patch.object(cyclotomic, "GALOIS_BLOCK_NUMERATORS", block):
-        positions = {0: m.transpose().column_positions(m.transpose(), units),
-                     1: m.column_positions(m, units)}
-        moved = m.galois_moved(units)
+    positions = {0: m.transpose().column_positions(m.transpose(), units),
+                 1: m.column_positions(m, units)}
+    moved = m.galois_moved(units)
     assert [len(p) for p in positions.values()] == [len(units)] * 2
     for u, k in enumerate(units):
         image = m.galois(k)
@@ -155,8 +157,7 @@ def test_galois_blocks_follow_the_overflow_rule():
     units = units_mod(12)
     ys = CycMatrix([[y.galois(k)[i, 0] for k in units] for i in range(3)])
     m = CycMatrix([[v.galois(k)[i, 0] for v in (x, y) for k in units] for i in range(3)])
-    with mock.patch.object(cyclotomic, "GALOIS_BLOCK_NUMERATORS", 1):
-        positions = m.column_positions(m, units)
+    positions = m.column_positions(m, units)
     assert positions == [m.column_positions(m.galois(k))[0] for k in units]
     assert positions == [[t + units.index(k * u % 12) for t in (0, 4) for u in units]
                          for k in units]
@@ -181,6 +182,24 @@ def test_positions_give_minus_one_and_the_last_copy():
 LADDER = tuple(("cyclic", n) for n in (12, 16, 20, 30)) + tuple(
     ("dicyclic", n) for n in (3, 5, 7, 9, 11, 13))
 CASES = tuple(("catalog", name) for name in sorted(CATALOG)) + LADDER
+#: direct products of schemes, the factors named as in ``case``; their Krein
+#: tensors hold irrational entries, as among the catalog only coxeter's does
+PRODUCTS = {
+    "coxeter-z3": (("catalog", "coxeter"), ("cyclic", 3)),  # 84 points, 15 classes, n = 24
+    "x8-coxeter": (("catalog", "x8"), ("catalog", "coxeter")),  # 224 points, 25 classes, n = 8
+}
+PRODUCT_CASES = tuple(("product", name) for name in PRODUCTS)
+
+
+def direct_product(first, second):
+    """The direct product of two schemes: relation (i1, i2) is i1 (d2 + 1) + i2
+    on pairs of points, with Q = Q1 (x) Q2, attached with full verification."""
+    (s1, e1), (s2, e2) = case(*first), case(*second)
+    relation = s1.relation[:, None, :, None] * s2.classes + s2.relation[None, :, None, :]
+    size = s1.size * s2.size
+    scheme = verify_scheme(relation.reshape(size, size))
+    Q = CycMatrix([[a * b for a in r1 for b in r2] for r1 in e1.Q.entries for r2 in e2.Q.entries])
+    return scheme, attach_eigendata(scheme, Q)
 
 
 @functools.cache
@@ -188,6 +207,8 @@ def case(family, n):
     if family == "catalog":
         loaded = load_entry(n)
         return loaded.scheme, loaded.eigen
+    if family == "product":
+        return direct_product(*PRODUCTS[n])
     group, classes, table = builtin_group(family, n)
     scheme, classes = conj_class_scheme(group)
     return scheme, eigendata_from_characters(group, classes, table, scheme)
@@ -207,7 +228,7 @@ def outcome(f, *args):
         return type(err).__name__, str(err)
 
 
-@pytest.mark.parametrize("family, n", CASES)
+@pytest.mark.parametrize("family, n", CASES + PRODUCT_CASES)
 def test_orbits_rows_dual_maps_and_krein_match_the_loops(family, n):
     scheme, eigen = case(family, n)
     rng = random.Random(f"{family}{n}")
@@ -223,8 +244,22 @@ def test_orbits_rows_dual_maps_and_krein_match_the_loops(family, n):
     assert attach_eigendata(scheme, eigen.Q).P == eigen.P
     kd, want = krein_parameters(eigen), reference_krein_parameters(eigen)
     assert kd.krein_conductor == want.krein_conductor
-    if family == "catalog":
+    if family in ("catalog", "product"):
         assert kd.q == want.q
+    if family == "product":  # irrational columns reach the sweep
+        assert kd.tensor.rational_part()[2].any()
+
+
+@pytest.mark.parametrize("family, n", [("catalog", "z12"), ("catalog", "a4"), ("catalog", "x8"),
+                                       ("catalog", "dic7"), ("dicyclic", 13)])
+def test_rational_krein_tensors_make_no_galois_image(family, n):
+    # a rational entry is real and fixed by every sigma_k, so a tensor with
+    # no irrational entry is decided with no Galois image
+    _, eigen = case(family, n)
+    want = reference_krein_parameters(eigen)
+    with mock.patch.object(CycMatrix, "galois_moved", side_effect=AssertionError):
+        kd = krein_parameters(eigen)
+    assert (kd.krein_conductor, kd.tensor) == (want.krein_conductor, want.tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +305,8 @@ def test_corrupted_transpose_map_gives_the_same_dual_map_witness(family, n):
 
 
 @pytest.mark.parametrize("family, n", [c for c in CASES if c[0] == "catalog"]
-                         + [("cyclic", 12), ("dicyclic", 5), ("dicyclic", 7)])
+                         + [("cyclic", 12), ("dicyclic", 5), ("dicyclic", 7)]
+                         + list(PRODUCT_CASES))
 def test_corrupted_p_gives_the_same_krein_witness(family, n):
     _, eigen = case(family, n)
     rng = random.Random(f"krein {family}{n}")

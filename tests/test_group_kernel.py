@@ -140,6 +140,14 @@ def test_row_corruptions_are_rejected_at_a_failing_generator_pair(case, data):
     assert a in groups._generating_set(group.mult)
 
 
+@pytest.mark.parametrize("length", [3, 5])
+def test_a_character_row_of_another_length_is_refused(length):
+    group = cyclic_group(4)[0]
+    rho = builtin_representations("cyclic", 4)[1]
+    with pytest.raises(ValidationError, match=f"{length} values for 4 group elements"):
+        verify_representation(group, rho, [1] * length)
+
+
 def test_representation_check_memory_is_bounded_on_dic31():
     # a two-dimensional representation of Dic_31 (|G| = 124, phi = 60): the
     # whole (|G| f)^2 product held a 70.5 MB traced peak, blocks of rows a

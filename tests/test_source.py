@@ -190,8 +190,8 @@ def _per_unit_galois(tree):
 
 def test_galois_images_come_from_one_stack():
     # outside cyclotomic.py the images of a matrix under a list of units come
-    # from CycMatrix.column_positions and .galois_moved, one blocked product,
-    # not from one galois call per unit
+    # from CycMatrix.column_positions and .galois_moved, which make them one
+    # at a time from the cached tables, not from one galois call per unit
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "cyclotomic.py":
