@@ -19,17 +19,18 @@ time (none for the identity), which keep the matrix's denominator; an integer
 combination of rows (``left_lifted``) and its exact zero test
 (``left_zero_mask``) are one ``bounded_matmul`` too; a rational scaling of
 rows and columns is one broadcast multiply of the numerators
-(``scale_lines``); lines are compared on numerators by ``column_positions``
-and ``line_labels`` only.  So every exact product runs in ``bounded_matmul``
-or ``_convolve``, under one rule: a cheap bound on every partial sum is
-computed from the largest entries, each taken as at least 1 (max|A| max|B|
-times the inner dimension, and for a convolution also phi and the reduction
-factor); int64 is used only when it is below 2^62, and Python integers
-(``dtype=object``) otherwise, so overflow can never wrap silently.  The
-largest entries are scanned once: a ``CycMatrix`` keeps the largest absolute
-value of its numerators (``_bound``, found on first need), every basis table
-of a conductor shares one bound (``_table_bound``), and the kernel routines
-take the bounds their callers hold.
+(``scale_lines``); columns are compared on numerators by
+``column_positions`` and rows by ``line_labels`` only.  So every exact
+product runs in ``bounded_matmul`` or ``_convolve``, under one rule: a cheap
+bound on every partial sum is computed from the largest entries, each taken
+as at least 1 (max|A| max|B| times the inner dimension, and for a
+convolution also phi and the reduction factor); int64 is used only when it
+is below 2^62, and Python integers (``dtype=object``) otherwise, so
+overflow can never wrap silently.  The largest entries are scanned once: a
+``CycMatrix`` keeps the largest absolute value of its numerators
+(``_bound``, found on first need), every basis table of a conductor shares
+one bound (``_table_bound``), and the kernel routines take the bounds their
+callers hold.
 A scalar inverse goes through the norm: x^(-1) = prod_{k != 1} sigma_k(x) /
 N(x), where N(x) = prod_k sigma_k(x) is rational.  The ``Cyclotomic``
 entries of a matrix are built, all at once, when one is first read.
@@ -1039,25 +1040,18 @@ class CycMatrix:
             out.append([where.get(key, -1) for key in _keys(lines)])
         return out
 
-    def line_labels(self, axis: int) -> list[int]:
-        """First-occurrence labels of the rows (axis 0) or columns (axis 1):
-        a line gets the number of distinct lines before its first copy, so
-        equal lines share one label."""
+    def line_labels(self) -> list[int]:
+        """First-occurrence labels of the rows: a row gets the number of
+        distinct rows before its first copy, so equal rows share one label."""
         first: dict = {}
         return [first.setdefault(key, len(first))
-                for key in _keys(self._lines(self._num, axis))]
+                for key in _keys(self._lines(self._num, 0))]
 
     def galois_moved(self, units) -> np.ndarray:
         """Boolean (len(units), rows, cols) array, True exactly where sigma_k
         moves the entry, for each unit k in order."""
         return np.stack([(image.reshape(self._num.shape) != self._num).any(axis=-1)
                          for image in self._galois_lines(units, 0)])
-
-    def distinct_columns(self) -> tuple["CycMatrix", np.ndarray]:
-        """The distinct columns, in order of first occurrence, and for each
-        column of self the index of its copy among them."""
-        inverse = np.array(self.line_labels(1), dtype=np.intp)
-        return self.select(cols=np.unique(inverse, return_index=True)[1]), inverse
 
     def zero_mask(self) -> np.ndarray:
         """Boolean (rows, cols) array, True exactly where the entry is zero."""
@@ -1089,13 +1083,10 @@ class CycMatrix:
         part = self._num[rows, cols]
         if CycMatrix._from_array(self.conductor, part[:, None]).galois_moved([-1]).any():
             raise ValueError("matrix has a non-real entry; sign undefined")
-        if part.dtype != object:
-            found = _filtered_signs(self.conductor, part)
-        else:
-            found = np.zeros(len(part), dtype=np.int64)
-            small = (np.abs(part) < INT64_BOUND).all(axis=1)
-            if small.any():
-                found[small] = _filtered_signs(self.conductor, part[small].astype(np.int64))
+        found = np.zeros(len(part), dtype=np.int64)
+        small = (np.abs(part) < INT64_BOUND).all(axis=1)
+        if small.any():
+            found[small] = _filtered_signs(self.conductor, part[small].astype(np.int64))
         for k in np.flatnonzero(found == 0).tolist():
             found[k] = _interval_sign(self.conductor, part[k].tolist())
         out[rows, cols] = found

@@ -137,18 +137,13 @@ def _pair_counts(scheme: SchemeData, idx: np.ndarray) -> np.ndarray:
     return counts.reshape(m, scheme.classes)
 
 
-def _class_sums(scheme: SchemeData, support, u, rows) -> np.ndarray:
-    """c[y][i] = sum of u_z over the z in the support with (y, z) in R_i,
-    for the vertices y in rows (exact, in u's dtype)."""
-    rel = scheme.relation[rows[:, None], support]
-    return (rel[:, None, :] == np.arange(scheme.classes)[:, None]) @ u
-
-
 def _pair_sums(scheme: SchemeData, w) -> tuple[np.ndarray, int]:
     """v_i = u^T A_i u and den = u^T u for the integer lift u of the weights,
-    as pair sums over the support only: the inner distribution is v / den."""
+    as pair sums over the support only (exact, in u's dtype): the inner
+    distribution is v / den."""
     support, u = _lifted(scheme, w)
-    return u @ _class_sums(scheme, support, u, support), int(u @ u)
+    rel = scheme.relation[support[:, None], support]
+    return u @ ((rel[:, None, :] == np.arange(scheme.classes)[:, None]) @ u), int(u @ u)
 
 
 def _distribution(v: np.ndarray, den: int) -> tuple[Fraction, ...]:
@@ -238,17 +233,15 @@ def is_T_design_via_merges(orbit_data: GaloisOrbitData, w, T) -> bool:
 
     Since the eigenspaces are orthogonal, F_l x = 0 forces E_j x = 0 for
     every j in the l-th orbit, so this decides whether C is a design for the
-    whole Galois closure of T.
+    whole Galois closure of T.  F_l is an orthogonal projection, so F_l x = 0
+    iff u^T F_l u = (1/|X|) sum_i v_i Qbar[i][l] vanishes, for the integer
+    lift u of x and its pair sums v: one zero test on the merged dual row.
     """
-    scheme = orbit_data.eigen.scheme
-    merged = orbit_data.merge(validate_indices(T, scheme.d))
-    support, u = _lifted(scheme, w)
+    merged = orbit_data.merge(T)
+    v, _ = _pair_sums(orbit_data.eigen.scheme, w)
     if not merged:
         return True
-    # (F_l x)_y = (1/|X|) sum_i c[y][i] Qbar[i][l], up to a positive scale,
-    # for the class sums c of every vertex y
-    c = _class_sums(scheme, support, u, np.arange(scheme.size))
-    return bool(orbit_data.Qbar.left_zero_mask(c, merged).all())
+    return bool(orbit_data.Qbar.left_zero_mask(v[None, :], merged).all())
 
 
 # ---------------------------------------------------------------------------

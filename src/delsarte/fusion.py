@@ -150,7 +150,7 @@ def _label_cells(labels) -> tuple[tuple[int, ...], ...]:
 
 
 def _group_rows(matrix: CycMatrix) -> tuple[tuple[int, ...], ...]:
-    return _label_cells(matrix.line_labels(0))
+    return _label_cells(matrix.line_labels())
 
 
 def _generator_permutations(
@@ -356,7 +356,7 @@ def _fused_eigen(
     belong together.  A failure raises :class:`InternalAssertion` naming
     the check.
     """
-    labels = qbar.line_labels(0)
+    labels = qbar.line_labels()
     for I, cell in enumerate(cells):
         split = [i for i in cell if labels[i] != labels[cell[0]]]
         if split:

@@ -360,12 +360,12 @@ def krein_parameters(eigen: EigenData) -> KreinData:
     Entrywise, E_i o E_j has A_m-coefficient Q[m][i] Q[m][j] / |X|^2, so
     q[i][j][k] = (1/|X|) sum_m P[k][m] Q[m][i] Q[m][j].  The whole tensor
     comes from two contractions on the integer form: the Schur products
-    W[m][(i, j)] = Q[m][i] Q[m][j], then P W / |X|.  Realness, signs and the
-    Galois-fixing group are decided on its distinct columns, by images under
-    every unit of those that hold an irrational entry (a rational one is real
-    and fixed by every sigma_k); nonnegativity by the integer sign of rational
-    entries, and by a float64 estimate under a proven error bound, or
-    interval evaluation where that does not settle it, for the irrational ones.
+    W[m][(i, j)] = Q[m][i] Q[m][j], then P W / |X|.  Realness and the
+    Galois-fixing group are decided by images under every unit of the columns
+    that hold an irrational entry (a rational one is real and fixed by every
+    sigma_k); nonnegativity by the integer sign of rational entries, and by a
+    float64 estimate under a proven error bound, or interval evaluation where
+    that does not settle it, for the irrational ones.
     """
     Q, P = eigen.Q, eigen.P
     dp1 = eigen.scheme.classes
@@ -376,20 +376,17 @@ def krein_parameters(eigen: EigenData) -> KreinData:
     def by_ijk(mask):
         return mask.reshape(dp1, dp1, dp1).transpose(1, 2, 0)
 
-    # K[:, t] = distinct[:, inverse[t]]; moved[u] marks where sigma_k, k the
-    # u-th unit, moves an entry of distinct (only an irrational one can move)
+    # moved[u] marks where sigma_k, k the u-th unit, moves an entry of K
+    # (only an irrational one can move)
     n = eigen.conductor
     units = units_mod(n)
-    distinct, inverse = K.distinct_columns()
-    irrational = np.flatnonzero(distinct.rational_part()[2].any(axis=0))
-    moved = np.zeros((len(units), dp1, distinct.cols), dtype=bool)
+    irrational = np.flatnonzero(K.rational_part()[2].any(axis=0))
+    moved = np.zeros((len(units), dp1, K.cols), dtype=bool)
     if len(irrational):
-        moved[..., irrational] = distinct.select(cols=irrational).galois_moved(units)
+        moved[..., irrational] = K.select(cols=irrational).galois_moved(units)
     nonreal = moved[units.index(-1 % n)]
-    real = distinct if not nonreal.any() else distinct.schur(
-        CycMatrix((~nonreal).astype(np.int64)))
-    nonreal = nonreal[:, inverse]
-    bad = by_ijk(nonreal | (real.signs()[:, inverse] < 0))
+    real = K if not nonreal.any() else K.schur(CycMatrix((~nonreal).astype(np.int64)))
+    bad = by_ijk(nonreal | (real.signs() < 0))
     if bad.any():
         i, j, k = map(int, np.argwhere(bad)[0])
         q_ijk = K[k, i * dp1 + j]

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import tracemalloc
@@ -6,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delsarte import cyclotomic, designs
@@ -189,6 +190,35 @@ def test_report_orbit_closure_random_subsets():
         t = set(report.T)
         for orbit in orbits:
             assert set(orbit) <= t or not (set(orbit) & t)
+
+
+@functools.cache
+def _loaded(name):
+    entry = load_entry(name)
+    return entry.scheme, entry.eigen, rational_orbit_data(entry.eigen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(CATALOG)), weighted=st.booleans(), spheres=st.booleans(),
+       data=st.data())
+def test_merged_test_decides_the_galois_closure(name, weighted, spheres, data):
+    # the design correspondence: F_l x = 0 for every l in iota(T) iff x is a
+    # T'-design, T' the union of the Galois orbits that meet T.  x is drawn
+    # vertex by vertex, or constant on the relations to one vertex y (then
+    # E_j x is a multiple of E_j e_y, and designs are frequent)
+    scheme, eigen, od = _loaded(name)
+    values = st.sampled_from([0, 1, 2, Fraction(1, 3)] if weighted else [0, 1])
+    if spheres:
+        y = data.draw(st.integers(0, scheme.size - 1))
+        c = data.draw(st.lists(values, min_size=scheme.classes, max_size=scheme.classes))
+        weights = [c[i] for i in scheme.relation[y].tolist()]
+    else:
+        weights = data.draw(st.lists(values, min_size=scheme.size, max_size=scheme.size))
+    assume(any(weights))
+    w = WeightedSubset.from_weights(weights) if weighted else \
+        [x for x, v in enumerate(weights) if v]
+    T = data.draw(st.sets(st.integers(1, scheme.d), min_size=1))
+    assert is_T_design_via_merges(od, w, T) == is_T_design(scheme, eigen, w, od.closure(T))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 ``CycMatrix`` builds the images of a matrix under a list of units one at a
 time, each one product with the cached table of sigma_k;
 ``column_positions`` matches columns on their numerators over a common
-denominator, and ``line_labels`` labels equal lines.  These tests pin that
+denominator, and ``line_labels`` labels equal rows.  These tests pin that
 to per-unit ``galois`` calls and to ``==`` on one-line submatrices: on
 random matrices (conductors 1, 2 and 4 among them, and numerators beyond
 int64), as drawn and scaled by 2^13, and across conductors and denominators; on the permutations,
@@ -12,7 +12,8 @@ orbits, row classes, Hermitian checks and Krein conductors of every catalog
 entry, of the ladder groups Z_12 ... Z_30 and Dic_3 ... Dic_13, and of
 direct products of schemes whose Krein tensors hold irrational entries; on
 the witnesses of seeded corruptions; on Krein making no Galois image for a
-rational tensor; and on the traced memory of Krein and the Galois fusion.
+rational tensor, and labelling no lines; and on the traced memory of Krein
+and the Galois fusion.
 """
 
 import dataclasses
@@ -133,15 +134,11 @@ def test_positions_compare_values_across_conductors_and_denominators(data):
 def test_distinct_columns_and_subfield_check_match_the_loops(data):
     n = data.draw(st.sampled_from(CONDUCTORS))
     m = data.draw(matrices(n))
-    distinct, inverse = m.distinct_columns()
-    assert distinct.select(cols=inverse) == m
-    assert inverse.tolist() == m.line_labels(1)
-    assert distinct.line_labels(1) == list(range(distinct.cols))
-    for axis in (0, 1):
-        # first-occurrence labels: equal lines share the label of the first copy
-        labels = m.line_labels(axis)
+    # first-occurrence labels: equal lines share the label of the first copy;
+    # rows directly, columns as the rows of the transpose
+    for lines, axis in ((m, 0), (m.transpose(), 1)):
         firsts = [found[0] for found in equal_lines(m, m, axis)]
-        assert labels == [sorted(set(firsts)).index(f) for f in firsts]
+        assert lines.line_labels() == [sorted(set(firsts)).index(f) for f in firsts]
     spec = SubfieldSpec(n, data.draw(unit_lists(n)))
     assert m.galois_moved(spec.generators).any(axis=0).tolist() == \
         reference_outside(m, spec).tolist()
@@ -258,6 +255,17 @@ def test_rational_krein_tensors_make_no_galois_image(family, n):
     _, eigen = case(family, n)
     want = reference_krein_parameters(eigen)
     with mock.patch.object(CycMatrix, "galois_moved", side_effect=AssertionError):
+        kd = krein_parameters(eigen)
+    assert (kd.krein_conductor, kd.tensor) == (want.krein_conductor, want.tensor)
+
+
+@pytest.mark.parametrize("family, n", CASES + PRODUCT_CASES)
+def test_krein_labels_no_lines(family, n):
+    # realness, signs and the fixing group are decided on K itself, with no
+    # labels of equal columns
+    _, eigen = case(family, n)
+    want = reference_krein_parameters(eigen)
+    with mock.patch.object(CycMatrix, "line_labels", side_effect=AssertionError):
         kd = krein_parameters(eigen)
     assert (kd.krein_conductor, kd.tensor) == (want.krein_conductor, want.tensor)
 

@@ -150,8 +150,8 @@ def test_keys_and_masks_are_exact():
     # and of different conductors: (2/4, 0) over Q is row 0 of m over Q(zeta_8)
     assert m.transpose().column_positions(CycMatrix([[Fraction(2, 4)], [0]])) == [[0]]
     # labels compare the lines of one matrix
-    assert m.line_labels(0) == [0, 1]
-    assert CycMatrix([[1, 2], [1, 2]]).line_labels(0) == [0, 0]
+    assert m.line_labels() == [0, 1]
+    assert CycMatrix([[1, 2], [1, 2]]).line_labels() == [0, 0]
     assert m.zero_mask().tolist() == [[False, True], [False, False]]
     with pytest.raises(ValueError):
         m.signs()  # zeta_8 / 3 is not real

@@ -1,6 +1,7 @@
 """Source-level checks on the library itself."""
 
 import ast
+import collections
 from pathlib import Path
 
 import delsarte
@@ -580,10 +581,10 @@ def _matmuls(tree):
 
 
 #: where a module other than cyclotomic.py may write a product with `@`: the
-#: integer class and pair sums of a subset, in the dtype WeightedSubset._lift
-#: picks from their bound, and the 0/1 stacks of verify_scheme in float64,
-#: exact below 2^53.  Every other exact product is a kernel call.
-MATMUL_SITES = {"designs.py": {"_class_sums", "_pair_sums"}, "scheme.py": {"verify_scheme"}}
+#: integer pair sums of a subset, in the dtype WeightedSubset._lift picks
+#: from their bound, and the 0/1 stacks of verify_scheme in float64, exact
+#: below 2^53.  Every other exact product is a kernel call.
+MATMUL_SITES = {"designs.py": {"_pair_sums"}, "scheme.py": {"verify_scheme"}}
 
 
 def test_products_go_through_the_kernel():
@@ -824,17 +825,19 @@ def _unreferenced_definitions(sources, exported, demos):
     name -> text) that no module names outside its own definition, that is
     not exported, that no demo in ``demos`` (texts) names and that is not
     kept on purpose."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
+    nodes = [(module, node) for module, text in sources.items() for node in ast.parse(text).body]
+    names = [_referenced([node]) for _, node in nodes]
+    # counts[name]: the top-level statements that name it, each once
+    counts = collections.Counter(name for found in names for name in found)
     demo_names = _referenced(ast.parse(text) for text in demos)
     out = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            others = [n for t in trees.values() for n in t.body if n is not node]
-            if not (node.name in _referenced(others) or node.name in exported or node.name in demo_names
-                    or node.name in KEPT_UNREFERENCED):
-                out.append(f"{module}.{node.name}")
+    for (module, node), found in zip(nodes, names):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        named_elsewhere = counts[node.name] > (node.name in found)
+        if not (named_elsewhere or node.name in exported or node.name in demo_names
+                or node.name in KEPT_UNREFERENCED):
+            out.append(f"{module}.{node.name}")
     return out
 
 
