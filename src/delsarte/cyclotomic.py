@@ -412,6 +412,15 @@ def _cos_floats(n: int) -> np.ndarray:
     return t
 
 
+@lru_cache(maxsize=None)
+def _zeta_powers(n: int) -> np.ndarray:
+    """exp(2 pi i e / n) for e < phi(n) in complex128: the power basis at
+    the embedding zeta_n -> exp(2 pi i / n), for guesses only."""
+    z = np.exp(2j * np.pi * np.arange(euler_phi(n)) / n)
+    z.setflags(write=False)
+    return z
+
+
 def _filtered_signs(n: int, c: np.ndarray) -> np.ndarray:
     """Signs (-1 or +1) of the real values x_k = sum_e c[k, e] zeta_n^e for
     an int64 array c (k x phi) of nonzero real values, and 0 where float64
@@ -1066,23 +1075,35 @@ class CycMatrix:
     def signs(self) -> np.ndarray:
         """Exact signs (-1, 0, +1) of the entries, which must all be real.
 
+        The irrational entries must be fixed by complex conjugation, one
+        Galois image of those entries alone; ``_real_signs`` then decides
+        every entry.
+        """
+        where = np.nonzero(self.rational_part()[2])  # irrational (i, j), row-major
+        if len(where[0]) and CycMatrix._from_array(
+                self.conductor, self._num[where][:, None]).galois_moved([-1]).any():
+            raise ValueError("matrix has a non-real entry; sign undefined")
+        return self._real_signs(where)
+
+    def _real_signs(self, where=None) -> np.ndarray:
+        """``signs`` with no realness check, for a matrix whose entries the
+        caller knows are real; ``where``, when given, is the caller's
+        ``np.nonzero`` of the irrational entries.
+
         Zero and rational entries are decided by the sign of their integer
         numerator (the denominator is positive), with no Galois work.  The
-        irrational entries must be fixed by complex conjugation, one Galois
-        image; their signs come from a float64 estimate with a proven error
-        bound where it settles them (``_filtered_signs``, on the entries
-        whose own numerators are below 2^62 in absolute value, whatever the
-        dtype of the whole matrix), and from interval evaluation otherwise.
+        signs of the irrational entries come from a float64 estimate with a
+        proven error bound where it settles them (``_filtered_signs``, on
+        the entries whose own numerators are below 2^62 in absolute value,
+        whatever the dtype of the whole matrix), and from interval
+        evaluation otherwise.
         """
         head = self._num[..., 0]
         out = (head > 0).astype(np.int64) - (head < 0).astype(np.int64)
-        irrational = np.argwhere(self.rational_part()[2])  # (i, j), row-major
-        if not len(irrational):
+        rows, cols = np.nonzero(self.rational_part()[2]) if where is None else where
+        if not len(rows):
             return out
-        rows, cols = irrational.T
         part = self._num[rows, cols]
-        if CycMatrix._from_array(self.conductor, part[:, None]).galois_moved([-1]).any():
-            raise ValueError("matrix has a non-real entry; sign undefined")
         found = np.zeros(len(part), dtype=np.int64)
         small = (np.abs(part) < INT64_BOUND).all(axis=1)
         if small.any():
@@ -1169,6 +1190,23 @@ class CycMatrix:
         matrix built: an entry of a combination is zero exactly where its
         numerators are, whatever the (positive) denominators."""
         return _zeros(self._left_product(ints, cols))
+
+    def rational_guess(self, other, grid: int):
+        """A rational matrix X / grid, X integer, guessed for self * other:
+        the product in complex128 under zeta_n -> exp(2 pi i / n), each
+        entry rounded to the nearest multiple of 1 / grid.  None where an
+        entry is not within 2^-10 / grid of a real multiple, or is 2^53 or
+        more multiples from 0, or where numerators are Python ints.  Only a
+        guess: the caller certifies it exactly."""
+        a, b = self._common(other)
+        if a._num.dtype == object or b._num.dtype == object:
+            return None
+        z = _zeta_powers(a.conductor)
+        g = ((a._num @ z) @ (b._num @ z)) * (grid / (a._den * b._den))
+        x = np.rint(g.real)
+        if not ((np.abs(g - x) <= 2.0**-10) & (np.abs(x) < 2.0**53)).all():
+            return None
+        return CycMatrix._from_array(1, x.astype(np.int64)[..., None], grid)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):

@@ -49,7 +49,6 @@ from .scheme import (
     _integer_grid,
     attach_eigendata,
     check_eigen_scheme,
-    verify_scheme,
 )
 
 @dataclass(frozen=True)
@@ -156,14 +155,32 @@ def conjugacy_classes(group: GroupTable) -> ConjClassData:
 def conj_class_scheme(group: GroupTable) -> tuple[SchemeData, ConjClassData]:
     """The scheme with (g, h) in R_i iff g^(-1) h lies in class C_i.
 
-    The relation grid is verified against all four axioms, which in
-    particular confirms the scheme is commutative.
+    The scheme is read off the verified group, not re-verified from its
+    grid: left translation (g, h) -> (xg, xh) and conjugation
+    (g, h) -> (x^(-1) g x, x^(-1) h x) preserve every relation, so
+    p[i][j][k] = #{z in C_i : z^(-1) g_k in C_j} at one representative g_k
+    of each class, all counted by one offset ``bincount``; it is symmetric
+    in i and j because class sums are central.  R_k's transpose is the
+    class of g_k^(-1), and its valency |C_k|.
     """
     classes = conjugacy_classes(group)
-    inv = np.array(group.inverse, dtype=np.int64)
+    dp1 = len(classes.classes)
+    inv = np.array(group.inverse, dtype=np.intp)
     lookup = np.array(classes.class_of, dtype=np.int64)
     rel = lookup[group.mult[inv, :]]
-    return verify_scheme(rel), classes
+    reps = np.array([cell[0] for cell in classes.classes], dtype=np.intp)
+    # cell (z, k): i = class of z, j = class of z^(-1) g_k, counted at (i, j, k)
+    offsets = (lookup[:, None] * dp1 + rel[:, reps]) * dp1 + np.arange(dp1)
+    p = np.bincount(offsets.ravel(), minlength=dp1**3).reshape(dp1, dp1, dp1)
+    scheme = SchemeData(
+        size=group.order,
+        classes=dp1,
+        relation=rel,
+        transpose_map=tuple(lookup[inv[reps]].tolist()),
+        valencies=classes.sizes,
+        intersection=p.astype(np.int64, copy=False),
+    )
+    return scheme, classes
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ to end.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -354,39 +355,70 @@ class KreinData:
         return tuple(rows[i:i + dp1] for i in range(0, len(rows), dp1))
 
 
+@lru_cache(maxsize=64)
+def _unordered_pairs(dp1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unordered pairs i <= j of 0..dp1-1 as two index arrays, row by
+    row, and for each ordered pair (i, j), in row-major order, the index of
+    its unordered pair."""
+    first, second = np.triu_indices(dp1)
+    pair = np.zeros((dp1, dp1), dtype=np.intp)
+    pair[first, second] = pair[second, first] = np.arange(len(first))
+    for a in (first, second, pair):
+        a.setflags(write=False)
+    return first, second, pair.ravel()
+
+
 def krein_parameters(eigen: EigenData) -> KreinData:
     """Expand E_i o E_j in the idempotent basis to recover q[i][j][k].
 
     Entrywise, E_i o E_j has A_m-coefficient Q[m][i] Q[m][j] / |X|^2, so
-    q[i][j][k] = (1/|X|) sum_m P[k][m] Q[m][i] Q[m][j].  The whole tensor
-    comes from two contractions on the integer form: the Schur products
-    W[m][(i, j)] = Q[m][i] Q[m][j], then P W / |X|.  Realness and the
-    Galois-fixing group are decided by images under every unit of the columns
-    that hold an irrational entry (a rational one is real and fixed by every
-    sigma_k); nonnegativity by the integer sign of rational entries, and by a
-    float64 estimate under a proven error bound, or interval evaluation where
-    that does not settle it, for the irrational ones.
+    q[i][j][k] = (1/|X|) sum_m P[k][m] Q[m][i] Q[m][j], that is K = P W / |X|
+    with the Schur products W[m][(i, j)] = Q[m][i] Q[m][j].  Since
+    q[i][j][k] = q[j][i][k], W is formed at the unordered pairs i <= j only,
+    and K gathered back to every (i, j).
+
+    The tensor is first guessed: P W / |X| in complex128, rounded to the
+    grid 1 / L with L = |X| lcm(m_j) (``CycMatrix.rational_guess``).  A
+    rational guess K^ is accepted only if Q K^ = W exactly, one integer by
+    cyclotomic product; since ``attach_eigendata`` proved PQ = |X| I, Q is
+    invertible and K^ is then P W / |X|, whatever produced it.  An accepted
+    tensor is held over Q (conductor 1): it is real, fixed by every sigma_k
+    (so the Krein conductor is 1), and its signs are integer signs.
+    Everywhere else (a guess off the grid or not real, numerators beyond
+    int64, a failed certificate) K is P W / |X| on the integer form.
+    Realness and the Galois-fixing group are then decided by images under
+    every unit of its columns that hold an irrational entry (a rational one
+    is real and fixed by every sigma_k); nonnegativity by the integer sign
+    of rational entries, and by a float64 estimate under a proven error
+    bound, or interval evaluation where that does not settle it, for the
+    irrational ones.  A rejection names the first bad (i, j, k).
     """
     Q, P = eigen.Q, eigen.P
-    dp1 = eigen.scheme.classes
+    dp1, size, n = eigen.scheme.classes, eigen.scheme.size, eigen.conductor
     idx = np.arange(dp1)
-    w = Q.select(cols=np.repeat(idx, dp1)).schur(Q.select(cols=np.tile(idx, dp1)))
-    K = (P * w).scale(Fraction(1, eigen.scheme.size))  # K[k][(i, j)] = q[i][j][k]
+    first, second, pair = _unordered_pairs(dp1)
+    w = Q.select(cols=first).schur(Q.select(cols=second))
+    scaled = P.scale(Fraction(1, size))
+    half = scaled.rational_guess(w, size * math.lcm(*eigen.multiplicities))
+
+    # moved[u] marks where sigma_k, k the u-th unit, moves an entry (only an
+    # irrational one can move, so none of a certified tensor)
+    units = units_mod(n)
+    moved = np.zeros((len(units), dp1, len(first)), dtype=bool)
+    if half is None or Q * half != w:
+        half = scaled * w
+        irrational = np.flatnonzero(half.rational_part()[2].any(axis=0))
+        if len(irrational):
+            moved[..., irrational] = half.select(cols=irrational).galois_moved(units)
+    K, moved = half.select(cols=pair), moved[..., pair]  # K[k][(i, j)] = q[i][j][k]
 
     def by_ijk(mask):
         return mask.reshape(dp1, dp1, dp1).transpose(1, 2, 0)
 
-    # moved[u] marks where sigma_k, k the u-th unit, moves an entry of K
-    # (only an irrational one can move)
-    n = eigen.conductor
-    units = units_mod(n)
-    irrational = np.flatnonzero(K.rational_part()[2].any(axis=0))
-    moved = np.zeros((len(units), dp1, K.cols), dtype=bool)
-    if len(irrational):
-        moved[..., irrational] = K.select(cols=irrational).galois_moved(units)
+    # the sweep decided realness, so the signs need no second conjugation
     nonreal = moved[units.index(-1 % n)]
     real = K if not nonreal.any() else K.schur(CycMatrix((~nonreal).astype(np.int64)))
-    bad = by_ijk(nonreal | (real.signs() < 0))
+    bad = by_ijk(nonreal | (real._real_signs() < 0))
     if bad.any():
         i, j, k = map(int, np.argwhere(bad)[0])
         q_ijk = K[k, i * dp1 + j]
