@@ -43,10 +43,13 @@ terms from one ``np.gcd`` over the numerators; ``texts`` and
 
 Real values additionally support exact sign determination: an exact zero
 test first, then a float64 estimate of the real embedding that is accepted
-only where it clears a proven error bound, and otherwise adaptive-precision
-interval evaluation via ``mpmath.iv``, under a lock because the working
-precision ``mpmath.iv.prec`` is global to the process.  ``mpmath`` is
-imported with the first irrational sign, not with this module.
+only where it clears a proven error bound, and otherwise an integer sum
+against a fixed-point cosine table of doubling precision (``_cos_bounds``),
+whose enclosures bound the error exactly.  The float64 estimate reads the
+same table at 53 bits.  Each table is built once from ``mpmath.iv``, under a
+lock because the working precision ``mpmath.iv.prec`` is global to the
+process; deciding a sign takes no lock.  ``mpmath`` is imported with the
+first irrational sign, not with this module.
 """
 
 from __future__ import annotations
@@ -374,40 +377,46 @@ class Cyclotomic:
 # Exact sign of real values
 # ---------------------------------------------------------------------------
 
-#: mpmath.iv.prec is global to the process; every change of it, and every
-#: evaluation at the changed precision, happens under this lock
+#: mpmath.iv.prec is global to the process; only the table builder
+#: (``_cos_bounds``) sets it, and reads its enclosures, under this lock
 _IV_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=None)
-def _cos_table(n: int, prec: int):
-    """cos(2 pi j / n) as intervals; called under _IV_LOCK with iv.prec == prec."""
-    import mpmath
-
-    two_pi = 2 * mpmath.iv.pi
-    return tuple(mpmath.iv.cos(two_pi * j / n) for j in range(n))
-
-
-@lru_cache(maxsize=None)
-def _cos_floats(n: int) -> np.ndarray:
-    """t_e = cos(2 pi e / n) for e < phi(n) as float64, each within 2^-52
-    of the true value: the midpoint of the cached 64-bit interval, rounded
-    once, its distance from both endpoints checked exactly."""
+def _cos_bounds(n: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integers lo_e and widths w_e <= 2, for e < phi(n), with |lo_e| <= 2^p
+    and lo_e <= 2^p cos(2 pi e / n) <= lo_e + w_e: the floor and the ceiling
+    of 2^p times the exact ends of one ``mpmath.iv`` enclosure of the cosine
+    at p + 8 bits.  ``mpmath`` is imported here, with the first irrational sign.
+    """
     import mpmath
 
     with _IV_LOCK:
         old = mpmath.iv.prec
-        mpmath.iv.prec = 64
+        mpmath.iv.prec = p + 8
         try:
-            table = _cos_table(n, 64)[:euler_phi(n)]
+            two_pi = 2 * mpmath.iv.pi
+            ends = [mpmath.iv.cos(two_pi * e / n)._mpi_ for e in range(euler_phi(n))]
         finally:
             mpmath.iv.prec = old
-    ends = [[(-1) ** s * Fraction(m) * Fraction(2) ** e for s, m, e, _ in x._mpi_]
-            for x in table]
-    t = np.array([float((lo + hi) / 2) for lo, hi in ends])
-    if any(max(abs(Fraction(v) - lo), abs(Fraction(v) - hi)) > Fraction(1, 2**52)
-           for v, (lo, hi) in zip(t.tolist(), ends)):
+
+    def floor(sign, man, exp, _):  # floor(2^p (-1)^sign man 2^exp)
+        return ((-man if sign else man) << max(exp + p, 0)) >> max(-exp - p, 0)
+
+    lo = tuple(floor(*a) for a, _ in ends)
+    hi = (-floor(1 - s, m, e, bc) for _, (s, m, e, bc) in ends)  # ceil(y) = -floor(-y)
+    width = tuple(h - low for h, low in zip(hi, lo))
+    if max(width) > 2 or max(map(abs, lo)) > 1 << p:
         raise InternalAssertion(f"cosine table at conductor {n} is too coarse")
+    return lo, width
+
+
+@lru_cache(maxsize=None)
+def _cos_floats(n: int) -> np.ndarray:
+    """t_e = lo_e 2^-53 for e < phi(n), from the p = 53 row of ``_cos_bounds``:
+    exact in float64, since |lo_e| <= 2^53, and within w_e 2^-53 <= 2^-52 of
+    cos(2 pi e / n)."""
+    t = np.array(_cos_bounds(n, 53)[0], dtype=np.float64) * 2.0**-53
     t.setflags(write=False)
     return t
 
@@ -449,36 +458,24 @@ def _filtered_signs(n: int, c: np.ndarray) -> np.ndarray:
 
 
 def _interval_sign(n: int, num) -> int:
-    """Sign of the nonzero real value sum_e num[e] zeta_n^e for integer
+    """Sign of the nonzero real value x = sum_e num[e] zeta_n^e for integer
     numerators (a positive common denominator does not change the sign).
 
-    The real embedding zeta_n -> exp(2 pi i / n) is evaluated with interval
-    arithmetic, doubling the working precision until the interval excludes
-    zero.  The value must be real and nonzero, or this never terminates
-    below the precision cap.
+    x = sum_e num[e] cos(2 pi e / n), since x is real, so with the table of
+    ``_cos_bounds`` at precision p, 2^p x is within E = sum_e |num[e]| w_e of
+    S = sum_e num[e] lo_e.  The sign of S is returned once |S| > E, and p
+    doubles otherwise: integer sums only, under no lock and with no mpmath
+    precision set once the tables are built.  The value must be real and
+    nonzero, or this never terminates below the precision cap.
     """
-    import mpmath
-
-    prec = 64
-    while prec <= 1 << 20:
-        with _IV_LOCK:
-            old = mpmath.iv.prec
-            mpmath.iv.prec = prec
-            try:
-                cos = _cos_table(n, prec)
-                total = mpmath.iv.mpf(0)
-                for e, c in enumerate(num):
-                    if c:
-                        total += mpmath.iv.mpf(c) * cos[e]
-                positive, negative = bool(total > 0), bool(total < 0)
-            finally:
-                mpmath.iv.prec = old
-        if positive:
-            return 1
-        if negative:
-            return -1
-        prec *= 2
-    raise ArithmeticError(f"sign undecided at precision {prec} (conductor {n})")
+    p = 64
+    while p <= 1 << 20:
+        lo, width = _cos_bounds(n, p)
+        s = sum(c * low for c, low in zip(num, lo))
+        if abs(s) > sum(abs(c) * w for c, w in zip(num, width)):
+            return 1 if s > 0 else -1
+        p *= 2
+    raise ArithmeticError(f"sign undecided at precision {p} (conductor {n})")
 
 
 def exact_sign(x: Cyclotomic) -> int:

@@ -33,7 +33,6 @@ from .groups import conj_class_scheme, dicyclic_group, eigendata_from_characters
 from .scheme import EigenData, SchemeData, as_index, check_eigen_scheme, validate_indices
 
 #: exhaustive enumeration guardrails
-ENUM_VERTEX_CAP = 40
 ENUM_SUBSET_CAP = 2_000_000
 #: vertex pairs gathered per enumeration chunk (m subsets of size r hold
 #: m * r^2 pairs, about 2 MB of int64), so memory stays flat in the count
@@ -266,8 +265,6 @@ def enumerate_T_designs(
     """
     check_eigen_scheme(scheme, eigen)
     T = validate_indices(T, scheme.d)
-    if scheme.size > ENUM_VERTEX_CAP:
-        raise TooLarge(f"|X| = {scheme.size} exceeds the exhaustive cap")
     total = sum(
         math.comb(scheme.size, r)
         for r in range(max(min_size, 1), min(max_size, scheme.size) + 1)

@@ -256,8 +256,18 @@ def test_coxeter_designs_close_up():
 
 def test_enumeration_caps():
     scheme, eigen = build_coxeter()
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="candidate subsets exceed the enumeration cap"):
         enumerate_T_designs(scheme, eigen, {1}, 1, 28)
+
+
+@pytest.mark.parametrize("n, top", [(11, 3), (13, 3), (45, 2)])
+def test_enumeration_past_forty_vertices(n, top):
+    # |X| = 44, 52 and 180: the candidate count alone bounds the work
+    bundle = build_dicyclic(n)
+    scheme, eigen = bundle.scheme, bundle.eigen
+    direct = enumerate_T_designs(scheme, eigen, {1}, 1, top)
+    assert direct == enumerate_T_designs(scheme, eigen, {1}, 1, top, "fused")
+    assert direct and all(is_T_design(scheme, eigen, c, {1}) for c in direct)
 
 
 def test_enumeration_lexicographic_order():

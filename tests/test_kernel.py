@@ -483,7 +483,7 @@ def test_exact_sign_is_thread_safe(monkeypatch):
     assert sorted(results) == [0, 1, 2, 3]
     assert all(run == want for runs in results.values() for run in runs)
     assert seen == [97]  # every change was undone, in order
-    # every worker evaluated intervals under the lock
+    # every worker reached the fixed-point path, which holds no lock
     assert set(workers_ids.values()) <= set(interval_threads)
 
 

@@ -645,6 +645,54 @@ def test_numerator_scan_guard_catches_the_former_scale_lines():
     assert _numerator_scans(ast.parse(old)) == [("CycMatrix.scale_lines", 4)]
 
 
+def _mpmath_uses(tree):
+    """(scope, line) of every import of mpmath and every use of the name
+    (see ``_scoped``)."""
+    return _scoped(tree, lambda node: (isinstance(node, ast.Name) and node.id == "mpmath")
+                   or (isinstance(node, ast.Import)
+                       and any(a.name.split(".")[0] == "mpmath" for a in node.names))
+                   or (isinstance(node, ast.ImportFrom)
+                       and (node.module or "").split(".")[0] == "mpmath"))
+
+
+def test_only_the_table_builder_names_mpmath():
+    # signs are integer sums against cached fixed-point tables; mpmath, and
+    # the lock on its global precision, belong to the builder of a table
+    found, builder = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for scope, line in _mpmath_uses(ast.parse(path.read_text())):
+            if (path.name, scope) == ("cyclotomic.py", "_cos_bounds"):
+                builder.add(line)
+            else:
+                found.append(f"{path.name}:{line} in {scope or 'module'}")
+    assert not found, found
+    assert builder
+
+
+def test_mpmath_guard_catches_the_former_interval_loop():
+    old = (
+        "def _interval_sign(n: int, num) -> int:\n"
+        "    import mpmath\n"
+        "    prec = 64\n"
+        "    while prec <= 1 << 20:\n"
+        "        with _IV_LOCK:\n"
+        "            old = mpmath.iv.prec\n"
+        "            mpmath.iv.prec = prec\n"
+        "            try:\n"
+        "                cos = _cos_table(n, prec)\n"
+        "                total = mpmath.iv.mpf(0)\n"
+        "                for e, c in enumerate(num):\n"
+        "                    if c:\n"
+        "                        total += mpmath.iv.mpf(c) * cos[e]\n"
+        "                positive, negative = bool(total > 0), bool(total < 0)\n"
+        "            finally:\n"
+        "                mpmath.iv.prec = old\n"
+    )
+    assert _mpmath_uses(ast.parse(old)) == [("_interval_sign", line)
+                                            for line in (2, 6, 7, 10, 13, 16)]
+    assert _mpmath_uses(ast.parse("from mpmath import iv\n")) == [("", 1)]
+
+
 def _name_uses(tree, name):
     """Line numbers of every name, attribute or import of `name`."""
     return sorted(node.lineno for node in ast.walk(tree)
