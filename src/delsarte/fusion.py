@@ -32,7 +32,7 @@ from .errors import (
     NotClosed,
     NotPermutation,
 )
-from .scheme import EigenData, SchemeData, check_eigen_scheme, validate_indices
+from .scheme import EigenData, SchemeData, check_eigen_scheme, index_upto, validate_indices
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,9 @@ class GaloisOrbitData:
 
     def merged_idempotent(self, l: int) -> CycMatrix:
         """F_l = sum of E_j over the l-th orbit, as a dense matrix: entry
-        Qbar[i][l]/|X| wherever (x, y) is in R_i, one gather of Qbar's rows."""
+        Qbar[i][l]/|X| wherever (x, y) is in R_i, one gather of Qbar's rows.
+        ValidationError unless l is an integer in 0..e (``index_upto``)."""
+        l = index_upto(l, len(self.orbits) - 1, "an orbit index")
         size = self.eigen.scheme.size
         gathered = self.Qbar.select(rows=self.eigen.scheme.relation.ravel(), cols=[l])
         return gathered.reshape(size, size).scale(Fraction(1, size))
@@ -337,9 +339,10 @@ def _fused_eigen(
          relation, comparing P_F (from P) with Q_F (from Q).
 
     Together with the parent's verified identities they give every identity
-    ``attach_eigendata`` checks.  The parent has A_i = sum_j P[j][i] E_j and
-    E_j = (1/|X|) sum_i Q[i][j] A_i for its primitive idempotents E_j.  PO
-    is constant on each J_L, so A_I = sum_{i in I} A_i = sum_L P_F[L][I] F_L
+    ``attach_eigendata`` proves, by its certificate or one by one.  The
+    parent has A_i = sum_j P[j][i] E_j and E_j = (1/|X|) sum_i Q[i][j] A_i
+    for its primitive idempotents E_j.  PO is constant on each J_L, so
+    A_I = sum_{i in I} A_i = sum_L P_F[L][I] F_L
     with F_L = sum_{j in J_L} E_j, and F_L = (1/|X|) sum_i Qbar[i][L] A_i,
     which by (C1) is (1/|X|) sum_I Q_F[I][L] A_I.  So the e+1 nonzero,
     mutually orthogonal idempotents F_L, which sum to I, and the e+1

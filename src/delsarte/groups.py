@@ -268,12 +268,15 @@ def eigendata_from_characters(
     On the table's own class scheme (|X| = |G| and v_i = |C_i|), the table
     needs no orthogonality product of its own.  With m_j = f_j^2 read off
     Q's first row, attach's P = diag(1/m) Q^* diag(v) gives
-    (PQ)[j][k] = (f_k / f_j) (X D X^*)[j][k], so its check PQ = |X| I is the
-    row orthogonality X D X^* = |G| I of ``verify_character_table``.  So
-    after the cheap checks of shape and trivial row, a valid table makes
-    only attach's products; where anything raises, the full check runs
-    first, so a bad table reports today's error, invariant and witness.  On
-    any other scheme the full check runs first, as before.
+    (PQ)[j][k] = (f_k / f_j) (X D X^*)[j][k], so the PQ = |X| I that attach
+    proves is the row orthogonality X D X^* = |G| I of
+    ``verify_character_table``.  Attach proves it from its generic-element
+    certificate on the class scheme, with no product P Q, or by the product
+    where the certificate fails.  So after the cheap checks of shape and
+    trivial row, a valid table makes only attach's products; where anything
+    raises, the full check runs first, so a bad table reports today's
+    error, invariant and witness.  On any other scheme the full check runs
+    first, as before.
     """
     _check_table_form(table, classes)
     own = scheme is None or (

@@ -7,9 +7,12 @@ A_i A_j as one float64 stack per i (exact: 0/1 products have integer partial
 sums of at most |X| < 2^53), and records the intersection tensor.
 Eigenstructure is always supplied (a second eigenmatrix Q) and verified,
 never solved for: ``attach_eigendata`` derives P from the second
-orthogonality relation, confirms PQ = |X| I (so P = |X| Q^(-1)) and every
+orthogonality relation and proves PQ = |X| I (so P = |X| Q^(-1)) and every
 other structural identity exactly, so results stay in exact arithmetic end
-to end.
+to end.  A valid Q is accepted by four checks on one generic element
+B = sum_i c_i B_i of the intersection algebra, with no product of two
+cyclotomic matrices but one entrywise scaling; anything else runs the
+identities one by one, so the verdict and its witness never depend on c.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycMatrix, Cyclotomic, fixed_field_conductor, units_mod
+from .cyclotomic import (
+    CycMatrix,
+    Cyclotomic,
+    bounded_matmul,
+    fixed_field_conductor,
+    units_mod,
+)
 from .errors import (
     BadEigenbasis,
     InternalAssertion,
@@ -203,7 +212,9 @@ class EigenData:
 
     def idempotent(self, j: int) -> CycMatrix:
         """The primitive idempotent E_j as a dense |X| x |X| matrix: entry
-        Q[i][j]/|X| wherever (x, y) is in R_i, one gather of Q's rows."""
+        Q[i][j]/|X| wherever (x, y) is in R_i, one gather of Q's rows.
+        ValidationError unless j is an integer in 0..d (``index_upto``)."""
+        j = index_upto(j, self.d, "an idempotent index")
         size = self.scheme.size
         gathered = self.Q.select(rows=self.scheme.relation.ravel(), cols=[j])
         return gathered.reshape(size, size).scale(Fraction(1, size))
@@ -225,6 +236,14 @@ def as_index(value, what: str) -> int:
         except TypeError:
             pass
     raise ValidationError(f"{what} must be an integer, not {value!r}")
+
+
+def index_upto(value, top: int, what: str) -> int:
+    """value as an int (``as_index``); ValidationError unless it is in 0..top."""
+    j = as_index(value, what)
+    if not 0 <= j <= top:
+        raise ValidationError(f"{what} must be in 0..{top}: {j}")
+    return j
 
 
 def validate_indices(indices, top: int, name: str = "T") -> tuple[int, ...]:
@@ -253,6 +272,83 @@ def _integer_entries(m: CycMatrix, least: int) -> tuple[list[int], int | None]:
     return _integer_line(ints.ravel(), den, irrational.ravel(), least)
 
 
+#: the weights c_i of the generic element lie in [-WEIGHT_BOUND, WEIGHT_BOUND)
+WEIGHT_BOUND = 1 << 20
+
+
+@lru_cache(maxsize=64)
+def _generic_weights(count: int) -> np.ndarray:
+    """Read-only int64 weights c_0 .. c_{count-1} in [-2^20, 2^20): the top
+    21 bits of a 64-bit linear congruential sequence from a fixed seed
+    (Knuth's MMIX multiplier and increment), so every run picks the same
+    element and no global random state is touched."""
+    x, out = 1, []
+    for _ in range(count):
+        x = (6364136223846793005 * x + 1442695040888963407) % (1 << 64)
+        out.append((x >> 43) - WEIGHT_BOUND)
+    c = np.array(out, dtype=np.int64)
+    c.setflags(write=False)
+    return c
+
+
+def _generic_certificate(scheme: SchemeData, Q: CycMatrix, conj: CycMatrix,
+                         inverse: list[Fraction]) -> bool:
+    """True when Q passes the four checks of one generic element (see
+    ``attach_eigendata``): (r) Q 1 = |X| e_0, (h) Q[i'][j] = conj(Q[i][j]),
+    (a) B Q = Q diag(mu) with mu_j = (BQ)[0][j] / m_j, and (b) the mu_j
+    pairwise distinct.  ``inverse`` holds the 1 / m_j."""
+    dp1, size = scheme.classes, scheme.size
+    column = np.zeros((dp1, 1), dtype=np.int64)
+    column[0] = size
+    if Q * CycMatrix(np.ones((dp1, 1), dtype=np.int64)) != CycMatrix(column):
+        return False
+    if Q.select(rows=scheme.transpose_map) != conj:
+        return False
+    # B[m][l] = sum_i c_i p[i][l][m], exact (|B| <= 2^20 |X|, in int64 below 2^62)
+    p = scheme.intersection.reshape(dp1, dp1 * dp1)
+    B = bounded_matmul(_generic_weights(dp1)[None], p, WEIGHT_BOUND, size).reshape(dp1, dp1).T
+    BQ = Q.left_lifted(B, 1)
+    mu = BQ.select(rows=[0]).scale_lines(cols=inverse)
+    if len(set(mu.transpose().line_labels())) != dp1:
+        return False
+    return Q.schur(mu.select(rows=np.zeros(dp1, dtype=np.intp))) == BQ
+
+
+def _full_identities(scheme: SchemeData, Q: CycMatrix, P: CycMatrix, conj: CycMatrix) -> None:
+    """Check PQ = |X| I, then the common-eigenvector identity, then
+    E_j^* = E_j, and raise BadEigenbasis at the first that fails."""
+    dp1, size = scheme.classes, scheme.size
+    if P * Q != CycMatrix(size * np.eye(dp1, dtype=np.int64)):
+        raise BadEigenbasis("orthogonality", "PQ != |X| I")
+
+    # Common-eigenvector identity: B_i Qcol_j = P[j][i] Qcol_j where
+    # (B_i)[m][l] = p[i][l][m].  Together with PQ = |X| I this forces
+    # E_j E_k = delta_{jk} E_j, sum E_j = I, and A_i = sum_j P[j][i] E_j.
+    # One i at a time, B_i Q against Q with column j scaled by P[j][i], so
+    # at most (d+1)^2 entries are held; bad[i][j] marks a failure
+    Pt = P.transpose()
+    bad = np.zeros((dp1, dp1), dtype=bool)
+    for i in range(dp1):
+        lhs = Q.left_rational(scheme.intersection[i].T)
+        rhs = Q.schur(Pt.select(rows=np.full(dp1, i)))
+        bad[i] = ~(lhs - rhs).zero_mask().all(axis=0)
+    if bad.any():
+        j, i = map(int, np.argwhere(bad.T)[0])
+        raise BadEigenbasis(
+            "eigenvector",
+            f"intersection matrix B_{i} does not act as "
+            f"P[{j}][{i}] on column {j}",
+        )
+
+    # E_j^* = E_j: Q[i'][j] = conj(Q[i][j]); the witness is the first
+    # failing column j, then its first failing row i
+    bad = ~(Q.select(rows=scheme.transpose_map) - conj).zero_mask()
+    if bad.any():
+        j, i = map(int, np.argwhere(bad.T)[0])
+        raise BadEigenbasis("hermitian", f"E_{j} is not Hermitian: "
+                            f"Q[{scheme.transpose_map[i]}][{j}] != conj(Q[{i}][{j}])")
+
+
 def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     """Attach and exhaustively verify a second eigenmatrix Q.
 
@@ -262,13 +358,45 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
     m_j = Q[0][j] and the scheme's valencies v_i: one rational scaling of the
     rows and columns of Q^* (``CycMatrix.scale_lines``), with no diagonal
     matrix and no product.  Column 0 and the multiplicities are read off
-    one rational part of Q, and PQ is compared with |X| I built from an
-    integer array.  Every invariant is then
-    checked exactly: PQ = |X| I (over a field a square P with this property
-    is |X| Q^(-1), so a singular Q fails here), the common-eigenvector
-    identity that makes each E_j idempotent and mutually orthogonal, and
-    E_j^* = E_j (each E_j is an orthogonal projection), which is
-    Q[i'][j] = conj(Q[i][j]) and ties Q to the transpose map.  The dual
+    one rational part of Q.  Every invariant is then proved exactly: PQ =
+    |X| I (over a field a square P with this property is |X| Q^(-1), so a
+    singular Q fails), the common-eigenvector identity
+    B_i Q_j = P[j][i] Q_j, with (B_i)[m][l] = p[i][l][m] and Q_j column j
+    of Q, that makes each E_j idempotent and the E_j mutually orthogonal,
+    and E_j^* = E_j (each E_j is an orthogonal projection), which is
+    Q[i'][j] = conj(Q[i][j]) and ties Q to the transpose map.
+
+    Q is accepted by one generic element B = sum_i c_i B_i, one integer
+    matrix for fixed integer weights c_i (``_generic_weights``), when four
+    checks hold (``_generic_certificate``):
+
+    (r) Q 1 = |X| e_0, the row sums;
+    (a) B Q = Q diag(mu), with mu_j = (BQ)[0][j] / m_j: one integer product
+        and one entrywise scaling of Q;
+    (b) the mu_j are pairwise distinct (the line labels of mu);
+    (h) Q[i'][j] = conj(Q[i][j]).
+
+    On a verified commutative scheme these imply every identity above.  By
+    (a) and (b) the columns of Q, nonzero since Q[0][j] = m_j, are
+    eigenvectors of B with pairwise distinct eigenvalues, so they are
+    linearly independent and each spans a simple eigenline of B.  Each B_i
+    commutes with B (the B_i are the regular representation of the
+    commutative Bose-Mesner algebra), so it maps each eigenline into
+    itself: B_i Q_j = lambda_ij Q_j.  Row 0 of B_i is v_i e_{i'}, so
+    lambda_ij m_j = v_i Q[i'][j], which by (h) is v_i conj(Q[i][j]) =
+    m_j P[j][i]: the eigenvector identity.  It gives A_i E_j = P[j][i] E_j,
+    so E_j E_k = ((PQ)[j][k] / |X|) E_j = ((PQ)[k][j] / |X|) E_k.  The E_j
+    are linearly independent (as the columns of Q are), so PQ is zero off
+    the diagonal, and (r), which is sum_j E_j = I, gives
+    E_j = E_j sum_k E_k = E_j^2 = ((PQ)[j][j] / |X|) E_j, so
+    (PQ)[j][j] = |X|.  So the accepted path forms no P Q and no product of
+    two cyclotomic matrices but the scaling in (a).
+
+    If any of (r), (a), (b) or (h) fails, the identities run one by one
+    (``_full_identities``): PQ = |X| I, the eigenvector identity for one
+    B_i at a time, then E_j^* = E_j; the first that fails raises
+    :class:`BadEigenbasis` with its first (j, i) witness.  So the verdict
+    and the witness never depend on c, which affects only speed.  The dual
     idempotent conj(E_j) is E_jhat with jhat = pi_{-1}(j), the permutation
     of complex conjugation (``fusion.sigma_permutations``, real subfield).
     """
@@ -292,37 +420,11 @@ def attach_eigendata(scheme: SchemeData, Q) -> EigenData:
 
     # Second orthogonality: m_j P[j][i] = v_i conj(Q[i][j]).  With Q[i][0] = 1
     # and m_0 = v_0 = 1 this gives P[0][i] = v_i and P[j][0] = 1 outright.
+    inverse = [Fraction(1, m) for m in mult]
     conj = Q.conjugate()
-    P = conj.transpose().scale_lines(rows=[Fraction(1, m) for m in mult], cols=scheme.valencies)
-    if P * Q != CycMatrix(size * np.eye(dp1, dtype=np.int64)):
-        raise BadEigenbasis("orthogonality", "PQ != |X| I")
-
-    # Common-eigenvector identity: B_i Qcol_j = P[j][i] Qcol_j where
-    # (B_i)[m][l] = p[i][l][m].  Together with PQ = |X| I this forces
-    # E_j E_k = delta_{jk} E_j, sum E_j = I, and A_i = sum_j P[j][i] E_j.
-    # Rows of both sides are indexed by (i, m), columns by j.
-    p = scheme.intersection.transpose(0, 2, 1).reshape(dp1 * dp1, dp1)
-    idx = np.arange(dp1)
-    lhs = Q.left_rational(p)
-    rhs = P.transpose().select(rows=np.repeat(idx, dp1)).schur(
-        Q.select(rows=np.tile(idx, dp1))
-    )
-    bad = ~(lhs - rhs).zero_mask().reshape(dp1, dp1, dp1).all(axis=1)  # (i, j)
-    if bad.any():
-        j, i = map(int, np.argwhere(bad.T)[0])
-        raise BadEigenbasis(
-            "eigenvector",
-            f"intersection matrix B_{i} does not act as "
-            f"P[{j}][{i}] on column {j}",
-        )
-
-    # E_j^* = E_j: Q[i'][j] = conj(Q[i][j]); the witness is the first
-    # failing column j, then its first failing row i
-    bad = ~(Q.select(rows=scheme.transpose_map) - conj).zero_mask()
-    if bad.any():
-        j, i = map(int, np.argwhere(bad.T)[0])
-        raise BadEigenbasis("hermitian", f"E_{j} is not Hermitian: "
-                            f"Q[{scheme.transpose_map[i]}][{j}] != conj(Q[{i}][{j}])")
+    P = conj.transpose().scale_lines(rows=inverse, cols=scheme.valencies)
+    if not _generic_certificate(scheme, Q, conj, inverse):
+        _full_identities(scheme, Q, P, conj)
 
     return EigenData(
         scheme=scheme,
@@ -380,8 +482,9 @@ def krein_parameters(eigen: EigenData) -> KreinData:
     The tensor is first guessed: P W / |X| in complex128, rounded to the
     grid 1 / L with L = |X| lcm(m_j) (``CycMatrix.rational_guess``).  A
     rational guess K^ is accepted only if Q K^ = W exactly, one integer by
-    cyclotomic product; since ``attach_eigendata`` proved PQ = |X| I, Q is
-    invertible and K^ is then P W / |X|, whatever produced it.  An accepted
+    cyclotomic product; ``attach_eigendata`` proved PQ = |X| I (from its
+    generic-element certificate, or by the product where that fails), so Q
+    is invertible and K^ is then P W / |X|, whatever produced it.  An accepted
     tensor is held over Q (conductor 1): it is real, fixed by every sigma_k
     (so the Krein conductor is 1), and its signs are integer signs.
     Everywhere else (a guess off the grid or not real, numerators beyond
