@@ -41,15 +41,13 @@ reads each entry's nonzero coefficients back as such triples, in lowest
 terms from one ``np.gcd`` over the numerators; ``texts`` and
 ``Cyclotomic.__str__`` print from them.  Neither builds a ``Fraction``.
 
-Real values additionally support exact sign determination: an exact zero
-test first, then a float64 estimate of the real embedding that is accepted
-only where it clears a proven error bound, and otherwise an integer sum
-against a fixed-point cosine table of doubling precision (``_cos_bounds``),
-whose enclosures bound the error exactly.  The float64 estimate reads the
-same table at 53 bits.  Each table is built once from ``mpmath.iv``, under a
-lock because the working precision ``mpmath.iv.prec`` is global to the
-process; deciding a sign takes no lock.  ``mpmath`` is imported with the
-first irrational sign, not with this module.
+Real values additionally support exact sign determination: a rational
+entry has the sign of its integer numerator, and an irrational one the sign
+of an integer sum against a fixed-point cosine table of doubling precision
+(``_cos_bounds``), whose enclosures bound the error exactly.  Each table is
+built once from ``mpmath.iv``, under a lock because the working precision
+``mpmath.iv.prec`` is global to the process; deciding a sign takes no lock.
+``mpmath`` is imported with the first irrational sign, not with this module.
 """
 
 from __future__ import annotations
@@ -412,49 +410,12 @@ def _cos_bounds(n: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _cos_floats(n: int) -> np.ndarray:
-    """t_e = lo_e 2^-53 for e < phi(n), from the p = 53 row of ``_cos_bounds``:
-    exact in float64, since |lo_e| <= 2^53, and within w_e 2^-53 <= 2^-52 of
-    cos(2 pi e / n)."""
-    t = np.array(_cos_bounds(n, 53)[0], dtype=np.float64) * 2.0**-53
-    t.setflags(write=False)
-    return t
-
-
-@lru_cache(maxsize=None)
 def _zeta_powers(n: int) -> np.ndarray:
     """exp(2 pi i e / n) for e < phi(n) in complex128: the power basis at
     the embedding zeta_n -> exp(2 pi i / n), for guesses only."""
     z = np.exp(2j * np.pi * np.arange(euler_phi(n)) / n)
     z.setflags(write=False)
     return z
-
-
-def _filtered_signs(n: int, c: np.ndarray) -> np.ndarray:
-    """Signs (-1 or +1) of the real values x_k = sum_e c[k, e] zeta_n^e for
-    an int64 array c (k x phi) of nonzero real values, and 0 where float64
-    cannot settle the sign.
-
-    x_k = sum_e c_e cos(2 pi e / n), since x_k is real.  With f_e = fl(c_e),
-    t_e within 2^-52 of cos(2 pi e / n) (``_cos_floats``) and est the float64
-    product f @ t, the error splits into three terms: |c_e - f_e| <= u |f_e|
-    for rounding to nearest (u = 2^-53; Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., eq. (2.5)), the table error 2^-52 |f_e|,
-    and gamma_phi sum_e |f_e t_e| for the dot product in any summation
-    order, FMA or not (Higham, section 3.1, eq. (3.5)), where
-    gamma_phi = phi u / (1 - phi u) and |t_e| <= 1 + 2^-52.  So
-    |x - est| <= (2^-53 + 2^-52 + gamma_phi (1 + 2^-52)) sum_e |f_e|, which
-    is below half of B = 2 (2^-52 + 2^-53 + gamma_phi) sum_e |f_e|; the
-    factor 2 also covers the rounding in computing B itself, since every
-    nonzero |f_e| >= 1 and nothing underflows.  Where |est| > B, x has the
-    sign of est; the other entries are left at 0 for ``_interval_sign``.
-    """
-    phi, u = c.shape[1], 2.0**-53
-    gamma = phi * u / (1 - phi * u)
-    f = c.astype(np.float64)
-    est = f @ _cos_floats(n)
-    bound = 2 * (2.0**-52 + 2.0**-53 + gamma) * np.abs(f).sum(axis=1)
-    return np.where(np.abs(est) > bound, np.sign(est), 0).astype(np.int64)
 
 
 def _interval_sign(n: int, num) -> int:
@@ -1083,31 +1044,22 @@ class CycMatrix:
         return self._real_signs(where)
 
     def _real_signs(self, where=None) -> np.ndarray:
-        """``signs`` with no realness check, for a matrix whose entries the
+        """``signs`` with no realness check, for irrational entries the
         caller knows are real; ``where``, when given, is the caller's
-        ``np.nonzero`` of the irrational entries.
+        ``np.nonzero`` of the irrational entries it wants decided (the
+        others keep the sign of their rational numerator).
 
-        Zero and rational entries are decided by the sign of their integer
-        numerator (the denominator is positive), with no Galois work.  The
-        signs of the irrational entries come from a float64 estimate with a
-        proven error bound where it settles them (``_filtered_signs``, on
-        the entries whose own numerators are below 2^62 in absolute value,
-        whatever the dtype of the whole matrix), and from interval
-        evaluation otherwise.
+        Every entry first gets the sign of its rational numerator (the
+        denominator is positive), with no Galois work; each irrational entry
+        is then decided by ``_interval_sign`` on its numerators, an integer
+        sum against the cosine table, int64 or Python int alike.
         """
         head = self._num[..., 0]
         out = (head > 0).astype(np.int64) - (head < 0).astype(np.int64)
         rows, cols = np.nonzero(self.rational_part()[2]) if where is None else where
-        if not len(rows):
-            return out
-        part = self._num[rows, cols]
-        found = np.zeros(len(part), dtype=np.int64)
-        small = (np.abs(part) < INT64_BOUND).all(axis=1)
-        if small.any():
-            found[small] = _filtered_signs(self.conductor, part[small].astype(np.int64))
-        for k in np.flatnonzero(found == 0).tolist():
-            found[k] = _interval_sign(self.conductor, part[k].tolist())
-        out[rows, cols] = found
+        if len(rows):
+            out[rows, cols] = [_interval_sign(self.conductor, line)
+                               for line in self._num[rows, cols].tolist()]
         return out
 
     # -- comparison and arithmetic on the integer form -----------------------

@@ -165,7 +165,7 @@ def dual_distribution(eigen: EigenData, a) -> CycMatrix:
     """
     dp1 = eigen.scheme.classes
     if len(a) != dp1:
-        raise ValueError(f"inner distribution must have length {dp1}")
+        raise ValidationError(f"inner distribution must have length {dp1}")
     return eigen.Q.left_rational([a])
 
 
@@ -284,7 +284,7 @@ def enumerate_T_designs(
             fs.fused, fs.eigen, fs.orbit_data.merge(T), min_size, max_size, "direct"
         )
     if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
+        raise ValidationError(f"unknown method {method!r}")
 
     # b_j = 0 iff counts . Q[:, j] = 0, one exact zero test per chunk
     found = []
@@ -329,10 +329,10 @@ def build_design_transfer(
     """
     fx, fy = source.fused, target.fused
     if fx.size != fy.size:
-        raise ValueError("fused schemes live on different vertex counts")
+        raise ValidationError("fused schemes live on different vertex counts")
     vm = tuple(vertex_map) if vertex_map is not None else tuple(range(fx.size))
     if sorted(vm) != list(range(fx.size)):
-        raise ValueError("vertex map is not a bijection")
+        raise ValidationError("vertex map is not a bijection")
     if fx.classes != fy.classes:
         raise IncompatibleT("fused schemes have different class counts")
 
@@ -376,10 +376,10 @@ def transfer_design(
     """
     src, tgt = transfer.source, transfer.target
     if src.orbit_data is None or tgt.orbit_data is None:
-        raise ValueError("design transfer needs Galois fusions (orbit data)")
+        raise ValidationError("design transfer needs Galois fusions (orbit data)")
     T = validate_indices(T, src.parent.d)
     if not is_T_design(src.parent, src.parent_eigen, subset, T):
-        raise ValueError(f"{tuple(subset)} is not a {T}-design of the source")
+        raise ValidationError(f"{tuple(subset)} is not a {T}-design of the source")
     t_prime = tgt.orbit_data.unmerge(
         transfer.eigen_map[l] for l in src.orbit_data.merge(T)
     )

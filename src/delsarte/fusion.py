@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -31,6 +32,7 @@ from .errors import (
     NotAFusion,
     NotClosed,
     NotPermutation,
+    ValidationError,
 )
 from .scheme import EigenData, SchemeData, check_eigen_scheme, index_upto, validate_indices
 
@@ -113,11 +115,14 @@ class FusionScheme:
     def Q_F(self) -> CycMatrix:
         return self.eigen.Q
 
+    @cached_property
+    def _eigen_labels(self) -> tuple[int, ...]:
+        return _cell_labels(self.eigen_classes, self.parent.classes)
+
     def eigen_iota(self, j: int) -> int:
-        """Fused eigenspace index containing original eigenspace j."""
-        if not 0 <= j < self.parent.classes:
-            raise IndexError(j)
-        return _cell_labels(self.eigen_classes, self.parent.classes)[j]
+        """Fused eigenspace index containing original eigenspace j.
+        ValidationError unless j is an integer in 0..d (``index_upto``)."""
+        return self._eigen_labels[index_upto(j, self.parent.d, "an eigenspace index")]
 
 
 def _partition_matrix(labels, cells: int) -> np.ndarray:
@@ -262,9 +267,9 @@ def bannai_muzychuk_idempotent(orbit_data: GaloisOrbitData) -> BMVerdict:
 def _validate_partition(cells, dp1: int) -> tuple[tuple[int, ...], ...]:
     cells = _canonical_cells(cells)
     if sorted(chain.from_iterable(cells)) != list(range(dp1)):
-        raise ValueError(f"not a partition of 0..{dp1 - 1}: {cells}")
+        raise ValidationError(f"not a partition of 0..{dp1 - 1}: {cells}")
     if cells[0] != (0,):
-        raise ValueError("class 0 (the identity relation) must be a singleton cell")
+        raise ValidationError("class 0 (the identity relation) must be a singleton cell")
     return cells
 
 

@@ -492,9 +492,9 @@ def krein_parameters(eigen: EigenData) -> KreinData:
     Realness and the Galois-fixing group are then decided by images under
     every unit of its columns that hold an irrational entry (a rational one
     is real and fixed by every sigma_k); nonnegativity by the integer sign
-    of rational entries, and by a float64 estimate under a proven error
-    bound, or interval evaluation where that does not settle it, for the
-    irrational ones.  A rejection names the first bad (i, j, k).
+    of rational entries, and by an integer sum against the cosine table
+    (``CycMatrix._real_signs``) for the irrational real ones.  A rejection
+    names the first bad (i, j, k).
     """
     Q, P = eigen.Q, eigen.P
     dp1, size, n = eigen.scheme.classes, eigen.scheme.size, eigen.conductor
@@ -520,8 +520,8 @@ def krein_parameters(eigen: EigenData) -> KreinData:
 
     # the sweep decided realness, so the signs need no second conjugation
     nonreal = moved[units.index(-1 % n)]
-    real = K if not nonreal.any() else K.schur(CycMatrix((~nonreal).astype(np.int64)))
-    bad = by_ijk(nonreal | (real._real_signs() < 0))
+    signs = K._real_signs(np.nonzero(K.rational_part()[2] & ~nonreal))
+    bad = by_ijk(nonreal | (signs < 0))
     if bad.any():
         i, j, k = map(int, np.argwhere(bad)[0])
         q_ijk = K[k, i * dp1 + j]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -36,8 +37,14 @@ from delsarte.designs import (
     rational_orbit_data,
     transfer_design,
 )
-from delsarte.errors import IncompatibleT, TooLarge, ValidationError, ZeroVector
-from delsarte.fusion import galois_fusion, orbit_merge
+from delsarte.errors import (
+    DelsarteError,
+    IncompatibleT,
+    TooLarge,
+    ValidationError,
+    ZeroVector,
+)
+from delsarte.fusion import fuse_by_relation_partition, galois_fusion, orbit_merge
 from delsarte.scheme import validate_indices
 
 # the running example subset: vertices {1, 2, 5, 6} when numbered from 1
@@ -404,6 +411,29 @@ def test_transfer_rejects_bad_vertex_map():
     assert transfer.class_map == (0, 1, 2, 3)
 
 
+def test_caller_input_errors_are_validation_errors():
+    # bad arguments are domain errors (DelsarteError), and still ValueErrors
+    scheme, eigen = build_x8()
+    fx, fy = fused_over_q(build_x8), fused_over_q(build_y8)
+    plain = fuse_by_relation_partition(scheme, eigen, [(0,), (1,), (2, 3), (4,)])
+    transfer = build_design_transfer(fx, fy)
+    z12 = load_entry("z12").eigen
+    calls = [
+        lambda: fuse_by_relation_partition(scheme, eigen, [(0,), (1,), (2,)]),
+        lambda: fuse_by_relation_partition(scheme, eigen, [(0, 1), (2, 3), (4,)]),
+        lambda: dual_distribution(eigen, [1, 0]),
+        lambda: build_design_transfer(fx, designs.rational_fusion(z12)),
+        lambda: build_design_transfer(fx, fy, vertex_map=[0] * 8),
+        lambda: transfer_design(dataclasses.replace(transfer, source=plain), C_X8, {1}),
+        lambda: transfer_design(transfer, (0, 1), {1, 2, 3}),
+        lambda: enumerate_T_designs(scheme, eigen, (), 1, 2, "exhaustive"),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as caught:
+            call()
+        assert isinstance(caught.value, DelsarteError) and isinstance(caught.value, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # dicyclic subgroups
 # ---------------------------------------------------------------------------
@@ -494,7 +524,7 @@ def test_subgroups_against_brute_force_membership():
 def test_macwilliams_nonnegativity_exact_signs(monkeypatch):
     # real, nonnegative dual distributions with the full exact-sign check,
     # including irrational entries (kappa values of Dic_5), which the
-    # float64 filter decides
+    # integer cosine table decides
     bundle = build_dicyclic(5)
     rng = random.Random(53)
     saw_irrational = False
@@ -510,8 +540,8 @@ def test_macwilliams_nonnegativity_exact_signs(monkeypatch):
     report = design_report(bundle.scheme, bundle.eigen, w)
     assert report.b[0] == sum(report.a)
     # z12 weights x, y, y on the vertices 0, 5, 7 with x^2 - 3 y^2 = 1: two
-    # b_j are proportional to (x - y sqrt 3)^2, positive but far too close
-    # to zero for the filter, so the interval sign path decides them
+    # b_j are proportional to (x - y sqrt 3)^2, positive but close to zero;
+    # every irrational b_j takes one integer sign, and no other entry does
     calls = []
     interval_sign = cyclotomic._interval_sign
     monkeypatch.setattr(cyclotomic, "_interval_sign",
@@ -523,7 +553,8 @@ def test_macwilliams_nonnegativity_exact_signs(monkeypatch):
     weights[0], weights[5], weights[7] = x, y, y
     w = WeightedSubset.from_weights(weights)
     report = design_report(eigen.scheme, eigen, w)
-    assert calls == [12, 12]
+    irrational = sum(not v.is_rational() for v in report.b)
+    assert irrational >= 2 and calls == [12] * irrational
     assert report.T == () and report.b[0] == sum(report.a)
     assert dual_distribution(eigen, inner_distribution(eigen.scheme, w)) == report.dual
 

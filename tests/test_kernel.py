@@ -432,8 +432,8 @@ def test_exact_sign_is_thread_safe(monkeypatch):
               for plane in krein_parameters(load_entry(name).eigen).q
               for row in plane for v in row]
     assert any(not v.is_rational() for v in values)
-    # x - y sqrt 2 with x^2 - 2 y^2 = +-1 is about 1 / (2x): too close to
-    # zero for the float64 filter, so these go to intervals
+    # x - y sqrt 2 with x^2 - 2 y^2 = +-1 is about 1 / (2x): near zero, so
+    # the larger ones need integer sums beyond the first 64-bit table
     x, y = 1, 1
     while x < 2**60:
         if x > 2**30:

@@ -151,9 +151,10 @@ def test_class_map_and_eigen_iota_are_the_label_maps():
             assert all(fs.class_map[i] == c for i in cell)
         for l, cell in enumerate(fs.eigen_classes):
             assert all(fs.eigen_iota(j) == l for j in cell)
-        # a bare tuple lookup would wrap -1 to the last label
-        for j in (-1, fs.parent.classes):
-            with pytest.raises(IndexError):
+        # a bare tuple lookup would wrap -1 to the last label, read True as
+        # label 1 and raise a bare TypeError for 1.5
+        for j in (-1, fs.parent.classes, True, 1.5):
+            with pytest.raises(ValidationError):
                 fs.eigen_iota(j)
 
 

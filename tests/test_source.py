@@ -693,6 +693,47 @@ def test_mpmath_guard_catches_the_former_interval_loop():
     assert _mpmath_uses(ast.parse("from mpmath import iv\n")) == [("", 1)]
 
 
+#: numpy and builtin names of floating-point types
+FLOAT_NAMES = {"float", "float16", "float32", "float64", "float128", "double",
+               "longdouble", "floating", "complex64", "complex128", "complexfloating"}
+
+
+def _float_uses(tree):
+    """(scope, line) of every float or complex literal and every name or
+    attribute of a floating-point type (see ``_scoped``)."""
+    return _scoped(tree, lambda node: (isinstance(node, ast.Constant)
+                                       and isinstance(node.value, (float, complex)))
+                   or (isinstance(node, ast.Name) and node.id in FLOAT_NAMES)
+                   or (isinstance(node, ast.Attribute) and node.attr in FLOAT_NAMES))
+
+
+def test_floats_only_guess():
+    # every sign is an integer sum against the cosine table; floating point
+    # in cyclotomic.py only guesses a Krein tensor that is then certified
+    # exactly (the power basis at zeta_n and the rounded product)
+    tree = ast.parse((SRC / "cyclotomic.py").read_text())
+    guesses = {"_zeta_powers", "CycMatrix.rational_guess"}
+    uses = _float_uses(tree)
+    found = [f"cyclotomic.py:{line} in {scope or 'module'}"
+             for scope, line in uses if scope not in guesses]
+    assert not found, found
+    assert {scope for scope, _ in uses} == guesses
+
+
+def test_float_guard_catches_the_former_filter():
+    old = (
+        "def _filtered_signs(n: int, c: np.ndarray) -> np.ndarray:\n"
+        "    phi, u = c.shape[1], 2.0**-53\n"
+        "    gamma = phi * u / (1 - phi * u)\n"
+        "    f = c.astype(np.float64)\n"
+        "    est = f @ _cos_floats(n)\n"
+        "    bound = 2 * (2.0**-52 + 2.0**-53 + gamma) * np.abs(f).sum(axis=1)\n"
+        "    return np.where(np.abs(est) > bound, np.sign(est), 0).astype(np.int64)\n"
+    )
+    assert sorted({line for _, line in _float_uses(ast.parse(old))}) == [2, 4, 6]
+    assert {scope for scope, _ in _float_uses(ast.parse(old))} == {"_filtered_signs"}
+
+
 def _name_uses(tree, name):
     """Line numbers of every name, attribute or import of `name`."""
     return sorted(node.lineno for node in ast.walk(tree)
