@@ -411,27 +411,40 @@ def test_transfer_rejects_bad_vertex_map():
     assert transfer.class_map == (0, 1, 2, 3)
 
 
-def test_caller_input_errors_are_validation_errors():
-    # bad arguments are domain errors (DelsarteError), and still ValueErrors
+@functools.cache
+def _bad_input_setup():
     scheme, eigen = build_x8()
     fx, fy = fused_over_q(build_x8), fused_over_q(build_y8)
     plain = fuse_by_relation_partition(scheme, eigen, [(0,), (1,), (2, 3), (4,)])
-    transfer = build_design_transfer(fx, fy)
-    z12 = load_entry("z12").eigen
-    calls = [
-        lambda: fuse_by_relation_partition(scheme, eigen, [(0,), (1,), (2,)]),
-        lambda: fuse_by_relation_partition(scheme, eigen, [(0, 1), (2, 3), (4,)]),
-        lambda: dual_distribution(eigen, [1, 0]),
-        lambda: build_design_transfer(fx, designs.rational_fusion(z12)),
-        lambda: build_design_transfer(fx, fy, vertex_map=[0] * 8),
-        lambda: transfer_design(dataclasses.replace(transfer, source=plain), C_X8, {1}),
-        lambda: transfer_design(transfer, (0, 1), {1, 2, 3}),
-        lambda: enumerate_T_designs(scheme, eigen, (), 1, 2, "exhaustive"),
-    ]
-    for call in calls:
-        with pytest.raises(ValidationError) as caught:
-            call()
-        assert isinstance(caught.value, DelsarteError) and isinstance(caught.value, ValueError)
+    return scheme, eigen, fx, fy, plain, build_design_transfer(fx, fy)
+
+
+BAD_INPUTS = {
+    "partition_misses_a_relation": lambda scheme, eigen, fx, fy, plain, transfer:
+        fuse_by_relation_partition(scheme, eigen, [(0,), (1,), (2,)]),
+    "partition_merges_the_diagonal": lambda scheme, eigen, fx, fy, plain, transfer:
+        fuse_by_relation_partition(scheme, eigen, [(0, 1), (2, 3), (4,)]),
+    "dual_distribution_length": lambda scheme, eigen, fx, fy, plain, transfer:
+        dual_distribution(eigen, [1, 0]),
+    "transfer_vertex_count": lambda scheme, eigen, fx, fy, plain, transfer:
+        build_design_transfer(fx, designs.rational_fusion(load_entry("z12").eigen)),
+    "transfer_not_a_bijection": lambda scheme, eigen, fx, fy, plain, transfer:
+        build_design_transfer(fx, fy, vertex_map=[0] * 8),
+    "transfer_without_orbit_data": lambda scheme, eigen, fx, fy, plain, transfer:
+        transfer_design(dataclasses.replace(transfer, source=plain), C_X8, {1}),
+    "transfer_of_a_non_design": lambda scheme, eigen, fx, fy, plain, transfer:
+        transfer_design(transfer, (0, 1), {1, 2, 3}),
+    "enumeration_method": lambda scheme, eigen, fx, fy, plain, transfer:
+        enumerate_T_designs(scheme, eigen, (), 1, 2, "exhaustive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_caller_input_errors_are_validation_errors(case):
+    # bad arguments are domain errors (DelsarteError), and still ValueErrors
+    with pytest.raises(ValidationError) as caught:
+        BAD_INPUTS[case](*_bad_input_setup())
+    assert isinstance(caught.value, DelsarteError) and isinstance(caught.value, ValueError)
 
 
 # ---------------------------------------------------------------------------
