@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cyclotomic import CycMatrix, Cyclotomic
-from .errors import InternalAssertion
+from .errors import InternalAssertion, ValidationError
 from .groups import (
     CharacterTable,
     ConjClassData,
@@ -314,11 +314,11 @@ def load_entry(name: str) -> LoadedEntry:
     group = fileio.parse_group_file((base / entry.group_file).read_text())
     derived, classes = conj_class_scheme(group)
     if derived != scheme:
-        raise ValueError(f"{name}: stored scheme disagrees with the group")
+        raise ValidationError(f"{name}: stored scheme disagrees with the group")
     table = fileio.parse_character_file((base / entry.chars_file).read_text())
     eigen = eigendata_from_characters(group, classes, table, scheme)
     if eigen.Q != q:
-        raise ValueError(f"{name}: stored Q disagrees with the characters")
+        raise ValidationError(f"{name}: stored Q disagrees with the characters")
     return LoadedEntry(
         entry=entry, scheme=scheme, eigen=eigen,
         group=group, classes=classes, table=table,

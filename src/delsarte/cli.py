@@ -407,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True)
     p.add_argument("--eigen", required=True)
     p.add_argument("--S", default="", help="forbidden relation indices")
-    p.add_argument("--fuse", choices=["rational"])
+    p.add_argument("--fuse", choices=["rational"],
+                   help="pose the LP on the Galois fusion over Q; this forbids the "
+                        "whole rational class of each listed relation")
 
     cat = sub.add_parser("catalog", help="built-in example schemes")
     cat_sub = cat.add_subparsers(dest="subcommand", required=True)

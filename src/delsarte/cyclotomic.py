@@ -7,7 +7,10 @@ polynomial, over one positive denominator, in lowest terms.  A matrix
 one common denominator; a scalar (``Cyclotomic``) is one cell of that form,
 and its operations run the same array functions on its numerator vector.
 Two values are equal iff they agree after embedding into the lcm of their
-conductors; mixed-conductor arithmetic embeds automatically.
+conductors; mixed-conductor arithmetic embeds automatically.  Every field
+passes one guard before anything is built for it (``_check_conductor``):
+n >= 1 and phi(n) <= ``PHI_LIMIT`` = 256, for values from the API and from
+files (``fileio``) alike.
 
 A product convolves the coefficient slices over the power basis and reduces
 once against rows phi..2phi-2 of the power table (``_convolve``); a Galois
@@ -59,10 +62,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConductorMismatch, InternalAssertion, NotAUnit, SingularMatrix
+from .errors import ConductorMismatch, InternalAssertion, NotAUnit, SingularMatrix, ValidationError
 
-#: Largest tolerated field degree phi(n); guards against runaway lcm growth.
-PHI_LIMIT = 10_000
+#: Largest field degree phi(n) of any value, from the API or from a file.
+#: Far above the catalog's 12 and the scale ladder's 24, and small enough
+#: that the power table behind any accepted conductor, one int64 array of
+#: n x phi(n) entries, stays under 2.1 MB (largest at n = 1020; the
+#: largest accepted n is 1050).
+PHI_LIMIT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +159,14 @@ def _power_table(n: int) -> np.ndarray:
 
 
 def _check_conductor(n: int) -> None:
+    """The one guard on a field: ValidationError for n < 1, and
+    ConductorMismatch for phi(n) > PHI_LIMIT, refused before anything is
+    built for n.  phi(n) >= sqrt(n / 2), so n > 2 PHI_LIMIT^2 is refused
+    without computing phi(n) at all."""
     if n < 1:
-        raise ValueError("conductor must be >= 1")
-    if euler_phi(n) > PHI_LIMIT:
-        raise ConductorMismatch(
-            f"conductor {n} has degree {euler_phi(n)} > {PHI_LIMIT}"
-        )
+        raise ValidationError(f"conductor must be >= 1, not {n}")
+    if n > 2 * PHI_LIMIT**2 or euler_phi(n) > PHI_LIMIT:
+        raise ConductorMismatch(f"conductor {n} has degree phi({n}) > {PHI_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -1043,11 +1052,11 @@ class CycMatrix:
             raise ValueError("matrix has a non-real entry; sign undefined")
         return self._real_signs(where)
 
-    def _real_signs(self, where=None) -> np.ndarray:
+    def _real_signs(self, where) -> np.ndarray:
         """``signs`` with no realness check, for irrational entries the
-        caller knows are real; ``where``, when given, is the caller's
-        ``np.nonzero`` of the irrational entries it wants decided (the
-        others keep the sign of their rational numerator).
+        caller knows are real; ``where`` is the caller's ``np.nonzero`` of
+        the irrational entries it wants decided (the others keep the sign
+        of their rational numerator).
 
         Every entry first gets the sign of its rational numerator (the
         denominator is positive), with no Galois work; each irrational entry
@@ -1056,7 +1065,7 @@ class CycMatrix:
         """
         head = self._num[..., 0]
         out = (head > 0).astype(np.int64) - (head < 0).astype(np.int64)
-        rows, cols = np.nonzero(self.rational_part()[2]) if where is None else where
+        rows, cols = where
         if len(rows):
             out[rows, cols] = [_interval_sign(self.conductor, line)
                                for line in self._num[rows, cols].tolist()]
@@ -1123,14 +1132,15 @@ class CycMatrix:
         prod = bounded_matmul(ints, block, bound, self._bound)
         return prod.reshape((ints.shape[0],) + part.shape[1:])
 
-    def left_rational(self, vectors, cols=None) -> "CycMatrix":
-        """V self[:, cols] for a rational matrix V (k x rows), one integer product."""
-        return self.left_lifted(*rational_lift(vectors), cols)
+    def left_rational(self, vectors) -> "CycMatrix":
+        """V self for a rational matrix V (k x rows), one integer product."""
+        return self.left_lifted(*rational_lift(vectors))
 
-    def left_lifted(self, ints: np.ndarray, den: int, cols=None) -> "CycMatrix":
-        """V self[:, cols] for V = ints / den, an integer matrix (k x rows)
-        over a positive denominator, one integer product."""
-        return CycMatrix._from_array(self.conductor, self._left_product(ints, cols),
+    def left_lifted(self, ints: np.ndarray, den: int) -> "CycMatrix":
+        """V self for V = ints / den, an integer matrix (k x rows) over a
+        positive denominator, one integer product; ``select`` first for a
+        block of columns."""
+        return CycMatrix._from_array(self.conductor, self._left_product(ints, None),
                                      den * self._den)
 
     def left_zero_mask(self, ints: np.ndarray, cols=None) -> np.ndarray:

@@ -256,7 +256,7 @@ def enumerate_T_designs(
     method: str = "direct",
 ) -> tuple[tuple[int, ...], ...]:
     """All 01 subsets C with T(C) containing T and min <= |C| <= max,
-    lexicographically ordered.
+    lexicographically ordered; both sizes must be integers (``as_index``).
 
     ``method = "fused"`` enumerates on the Galois fusion over Q (cached by
     :func:`rational_fusion`) with the merged index set iota(T) (identical by
@@ -265,6 +265,7 @@ def enumerate_T_designs(
     """
     check_eigen_scheme(scheme, eigen)
     T = validate_indices(T, scheme.d)
+    min_size, max_size = as_index(min_size, "min_size"), as_index(max_size, "max_size")
     total = sum(
         math.comb(scheme.size, r)
         for r in range(max(min_size, 1), min(max_size, scheme.size) + 1)
@@ -365,25 +366,32 @@ def build_design_transfer(
     )
 
 
-def transfer_design(
-    transfer: DesignTransfer, subset, T
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def transfer_design(transfer: DesignTransfer, subset, T) -> tuple:
     """Carry a T-design of the source scheme to a T'-design of the target.
 
-    T is given in original source indices; its merged image moves through
-    the eigenspace match and pulls back to T' in original target indices.
-    The transferred subset is re-verified as a T'-design.
+    The subset is what ``is_T_design`` takes: an index list, whose image is
+    the sorted tuple of the mapped indices, or a ``WeightedSubset``, whose
+    weights move along the vertex map.  T is given in original source
+    indices; its merged image moves through the eigenspace match and pulls
+    back to T' in original target indices.  The transferred subset is
+    re-verified as a T'-design; returns it and T'.
     """
     src, tgt = transfer.source, transfer.target
     if src.orbit_data is None or tgt.orbit_data is None:
         raise ValidationError("design transfer needs Galois fusions (orbit data)")
     T = validate_indices(T, src.parent.d)
     if not is_T_design(src.parent, src.parent_eigen, subset, T):
-        raise ValidationError(f"{tuple(subset)} is not a {T}-design of the source")
+        shown = subset.support if isinstance(subset, WeightedSubset) else tuple(subset)
+        raise ValidationError(f"{shown} is not a {T}-design of the source")
     t_prime = tgt.orbit_data.unmerge(
         transfer.eigen_map[l] for l in src.orbit_data.merge(T)
     )
-    image = tuple(sorted(transfer.vertex_map[c] for c in subset))
+    if isinstance(subset, WeightedSubset):
+        # the weight at x moves to vertex_map[x]
+        pulled = np.argsort(transfer.vertex_map).tolist()
+        image = WeightedSubset(tuple(subset.weights[x] for x in pulled))
+    else:
+        image = tuple(sorted(transfer.vertex_map[c] for c in subset))
     if not is_T_design(tgt.parent, tgt.parent_eigen, image, t_prime):
         raise InternalAssertion("transferred subset failed design verification")
     return image, t_prime

@@ -27,8 +27,9 @@ Formats:
 - design:     {"subset": [indices]} or {"weights": ["p/q", ...]}
 - cyclotomic: {"conductor": n, "terms": [[exponent, "p/q"], ...]}
 
-A declared conductor n needs phi(n) <= FILE_PHI_LIMIT; it is checked before
-any value or table is built for it.
+A declared conductor passes the one field guard of the package
+(``cyclotomic.PHI_LIMIT``, n >= 1 and phi(n) <= 256) before any value or
+table is built for it; a refused one is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -37,35 +38,25 @@ import json
 import re
 from fractions import Fraction
 
-from .cyclotomic import CycMatrix, Cyclotomic, euler_phi, ratio_text
+from .cyclotomic import CycMatrix, Cyclotomic, _check_conductor, ratio_text
 from .designs import DesignReport, WeightedSubset
-from .errors import ParseError
+from .errors import ConductorMismatch, ParseError, ValidationError
 from .groups import CharacterTable, GroupTable, make_character_table, make_group_table
 from .lp import LPResult
 from .scheme import EigenData, SchemeData, verify_scheme
 
-#: Largest field degree phi(n) accepted for a conductor declared in a file.
-#: Far above the catalog's 12 and the scale ladder's 24, and small enough
-#: that the power table behind any accepted conductor, one int64 array of
-#: n x phi(n) entries, stays under 2.1 MB (n = 1020 is the largest).
-FILE_PHI_LIMIT = 256
-
 
 def _declared_conductor(value) -> int:
-    """A conductor read from a file, rejected before anything is built on it.
-
-    phi(n) >= sqrt(n / 2), so n > 2 FILE_PHI_LIMIT^2 is refused without
-    computing phi(n) at all.
-    """
+    """A conductor read from a file, refused by the field guard
+    (``cyclotomic._check_conductor``, ``PHI_LIMIT``) before anything is
+    built on it, as a ParseError."""
     if type(value) is not int:  # not a bool or a float either
         raise ParseError(None, f"conductor {value!r} is not an integer")
-    n = value
-    if n < 1 or n > 2 * FILE_PHI_LIMIT**2 or euler_phi(n) > FILE_PHI_LIMIT:
-        raise ParseError(
-            None,
-            f"conductor {n} rejected: files accept n >= 1 with phi(n) <= {FILE_PHI_LIMIT}",
-        )
-    return n
+    try:
+        _check_conductor(value)
+    except (ConductorMismatch, ValidationError) as exc:
+        raise ParseError(None, str(exc)) from None
+    return value
 
 
 # ---------------------------------------------------------------------------

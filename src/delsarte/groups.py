@@ -258,9 +258,11 @@ def eigendata_from_characters(
     group: GroupTable,
     classes: ConjClassData,
     table: CharacterTable,
-    scheme: SchemeData | None = None,
+    scheme: SchemeData,
 ) -> EigenData:
-    """Eigenstructure of the conjugacy class scheme from its character table.
+    """Eigenstructure of ``scheme``, which the caller has built as the
+    group's conjugacy class scheme (``conj_class_scheme``), from its
+    character table.
 
     Q[i][j] = f_j conj(chi_j(g_i)); the attached data is verified in full
     and the multiplicities must come out as the squared degrees.
@@ -279,25 +281,20 @@ def eigendata_from_characters(
     first, as before.
     """
     _check_table_form(table, classes)
-    own = scheme is None or (
-        scheme.size == group.order and scheme.valencies == classes.sizes)
+    own = scheme.size == group.order and scheme.valencies == classes.sizes
     if not own:
         verify_character_table(table, group, classes)
-        return _attach_characters(group, classes, table, scheme)
+        return _attach_characters(table, scheme)
     try:
-        return _attach_characters(group, classes, table, scheme)
+        return _attach_characters(table, scheme)
     except DelsarteError:
         verify_character_table(table, group, classes)
         raise
 
 
-def _attach_characters(group, classes, table, scheme) -> EigenData:
-    """Q = X^* diag(f) attached to the scheme (the group's class scheme when
-    None), and the multiplicities checked as the squared degrees."""
-    if scheme is None:
-        scheme, found = conj_class_scheme(group)
-        if found.classes != classes.classes:
-            raise BadEigenbasis("class_order", "classes disagree with the group")
+def _attach_characters(table, scheme) -> EigenData:
+    """Q = X^* diag(f) attached to the scheme, and the multiplicities
+    checked as the squared degrees."""
     q = table.matrix.adjoint().scale_lines(cols=table.degrees)
     eigen = attach_eigendata(scheme, q)
     expected = tuple(f * f for f in table.degrees)
@@ -445,12 +442,9 @@ class Representation:
     U: CycMatrix
 
 
-def verify_representation(
-    group: GroupTable, rho: Representation, character_row=None
-) -> CycMatrix:
-    """Check rho(0) = I, rho(a) rho(b) = rho(ab) for all a, b, and the traces
-    against ``character_row`` (one value per element) when given; returns the
-    traces as a |G| x 1 column.
+def verify_representation(group: GroupTable, rho: Representation) -> CycMatrix:
+    """Check rho(0) = I and rho(a) rho(b) = rho(ab) for all a, b; returns the
+    traces as a |G| x 1 column, for a caller to compare with a character.
 
     The homomorphism is checked for a in ``_generating_set`` and every b.
     That suffices: the a for which it holds for all b include 0 and are
@@ -465,9 +459,6 @@ def verify_representation(
     f, order, u = rho.degree, group.order, rho.U
     if (u.rows, u.cols) != (order, f * f):
         raise ValidationError("U needs one row of f^2 entries per group element")
-    if character_row is not None and len(character_row) != order:
-        raise ValidationError(
-            f"character row has {len(character_row)} values for {order} group elements")
     if u.select(rows=[0]) != CycMatrix.identity(f).reshape(1, f * f):
         raise ValidationError("identity must map to the identity matrix")
     g, s = np.arange(order), np.arange(f)
@@ -485,15 +476,7 @@ def verify_representation(
         if bad.any():
             b = int(np.argmax(bad.reshape(f, order, f).any(axis=(0, 2))))
             raise ValidationError(f"rho({a}) rho({b}) != rho({a}*{b})")
-    traces = u.select(cols=s * (f + 1)) * CycMatrix(np.ones((f, 1), dtype=np.int64))
-    if character_row is not None:
-        wrong = ~(traces - CycMatrix([[v] for v in character_row])).zero_mask()
-        if wrong.any():
-            g = int(np.argmax(wrong))
-            raise ValidationError(
-                f"trace at element {g} is {traces[g, 0]}, not {character_row[g]}"
-            )
-    return traces
+    return u.select(cols=s * (f + 1)) * CycMatrix(np.ones((f, 1), dtype=np.int64))
 
 
 def representation_eigenvectors(

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import _dtype, _fit, _int_array, _maxabs, bounded_matmul, rational_lift
-from .errors import InternalAssertion, IrrationalData
+from .errors import InternalAssertion, IrrationalData, ValidationError
 from .fusion import FusionScheme, GaloisOrbitData
 from .scheme import EigenData, validate_indices
 
@@ -52,9 +52,9 @@ class LPProblem:
         n = len(self.objective)
         for coeffs, rel, _ in self.constraints:
             if len(coeffs) != n:
-                raise ValueError("constraint arity differs from objective")
+                raise ValidationError("constraint arity differs from objective")
             if rel not in ("<=", "=", ">="):
-                raise ValueError(f"unknown relation {rel!r}")
+                raise ValidationError(f"unknown relation {rel!r}")
 
 
 @dataclass(frozen=True)

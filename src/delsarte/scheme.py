@@ -64,6 +64,9 @@ class SchemeData:
         return all(i == ip for i, ip in enumerate(self.transpose_map))
 
     def adjacency(self, i: int) -> np.ndarray:
+        """The 0/1 matrix A_i of relation i; ValidationError unless i is an
+        integer in 0..d (``index_upto``)."""
+        i = index_upto(i, self.d, "a relation index")
         return (self.relation == i).astype(np.int64)
 
     def __eq__(self, other):

@@ -48,7 +48,6 @@ from delsarte.groups import (
     ConjClassData,
     GroupTable,
     abelian_group,
-    conj_class_scheme,
 )
 from delsarte.scheme import EigenData, SchemeData, _integer_entries, attach_eigendata
 
@@ -133,9 +132,7 @@ class ImageRepresentation:
     images: tuple[CycMatrix, ...]
 
 
-def reference_verify_representation(
-    group: GroupTable, rho: ImageRepresentation, character_row=None
-) -> None:
+def reference_verify_representation(group: GroupTable, rho: ImageRepresentation) -> None:
     f = rho.degree
     if len(rho.images) != group.order:
         raise ValidationError("one image per group element required")
@@ -145,12 +142,6 @@ def reference_verify_representation(
         for b in range(group.order):
             if rho.images[a] * rho.images[b] != rho.images[group.op(a, b)]:
                 raise ValidationError(f"rho({a}) rho({b}) != rho({a}*{b})")
-    if character_row is not None:
-        for g in range(group.order):
-            tr = _trace(rho.images[g])
-            expected = character_row[g]
-            if tr != expected:
-                raise ValidationError(f"trace at element {g} is {tr}, not {expected}")
 
 
 def _trace(m: CycMatrix) -> Cyclotomic:
@@ -290,7 +281,7 @@ def reference_eigendata_from_characters(
     group: GroupTable,
     classes: ConjClassData,
     table: CharacterTable,
-    scheme: SchemeData | None = None,
+    scheme: SchemeData,
 ) -> EigenData:
     """Eigenstructure of the conjugacy class scheme from its character table.
 
@@ -298,10 +289,6 @@ def reference_eigendata_from_characters(
     and the multiplicities must come out as the squared degrees.
     """
     reference_verify_character_table(table, group, classes)
-    if scheme is None:
-        scheme, found = conj_class_scheme(group)
-        if found.classes != classes.classes:
-            raise BadEigenbasis("class_order", "classes disagree with the group")
     q = table.matrix.adjoint().scale_lines(cols=table.degrees)
     eigen = attach_eigendata(scheme, q)
     expected = tuple(f * f for f in table.degrees)

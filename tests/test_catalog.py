@@ -7,7 +7,7 @@ import pytest
 
 from delsarte import catalog, fileio, groups
 from delsarte.catalog import CATALOG, data_dir, list_entries, load_entry
-from delsarte.errors import BadEigenbasis
+from delsarte.errors import BadEigenbasis, DelsarteError, ValidationError
 from delsarte.scheme import attach_eigendata
 
 GROUP_ENTRIES = [e.name for e in list_entries() if e.group]
@@ -84,7 +84,21 @@ def test_corrupted_stored_q_of_a_group_entry_is_refused(name, corrupt, tmp_path,
     _with_corrupted_q(name, corrupt, tmp_path, monkeypatch)
     with pytest.raises(ValueError, match="stored Q disagrees with the characters") as err:
         load_entry(name)
-    assert type(err.value) is ValueError
+    assert type(err.value) is ValidationError and isinstance(err.value, DelsarteError)
+
+
+@pytest.mark.parametrize("name", ["a4", "dic3", "z12"])
+def test_relabelled_stored_scheme_of_a_group_entry_is_refused(name, tmp_path, monkeypatch):
+    # classes 1 and 2 swapped: still a scheme, but not the group's
+    shutil.copytree(data_dir(), tmp_path, dirs_exist_ok=True)
+    monkeypatch.setattr(catalog, "data_dir", lambda: tmp_path)
+    path = tmp_path / CATALOG[name].scheme_file
+    obj = json.loads(path.read_text())
+    obj["relation"] = [[{1: 2, 2: 1}.get(c, c) for c in row] for row in obj["relation"]]
+    path.write_text(fileio.canonical_dumps(obj))
+    with pytest.raises(ValueError, match="stored scheme disagrees with the group") as err:
+        load_entry(name)
+    assert type(err.value) is ValidationError and isinstance(err.value, DelsarteError)
 
 
 def test_corrupted_stored_q_of_a_plain_entry_fails_attach(tmp_path, monkeypatch):

@@ -45,7 +45,7 @@ from delsarte.errors import (
     ZeroVector,
 )
 from delsarte.fusion import fuse_by_relation_partition, galois_fusion, orbit_merge
-from delsarte.scheme import validate_indices
+from delsarte.scheme import attach_eigendata, validate_indices, verify_scheme
 
 # the running example subset: vertices {1, 2, 5, 6} when numbered from 1
 C_X8 = (0, 1, 4, 5)
@@ -400,6 +400,31 @@ def test_transfer_to_relabeled_copy():
     assert is_T_design(yscheme, yeigen, image, t_prime)
 
 
+def test_transfer_carries_weights_along_the_vertex_map():
+    # any nonnegative combination of T-designs is one: weight 3 on C_X8 and
+    # 1 on its complement, a weighted {1, 2, 3}-design of x8
+    weights = [Fraction(3 if x in C_X8 else 1) for x in range(8)]
+    subset = WeightedSubset.from_weights(weights)
+    scheme, eigen = build_x8()
+    fx = fused_over_q(build_x8)
+    yscheme, yeigen = build_y8()
+    transfer = build_design_transfer(fx, fused_over_q(build_y8))
+    image, t_prime = transfer_design(transfer, subset, {1, 2, 3})
+    assert image == subset and t_prime == (3, 4)
+    assert is_T_design(yscheme, yeigen, image, t_prime)
+    # onto a relabelled copy of x8, the weight of x lands on perm[x]
+    perm = [3, 6, 0, 5, 7, 1, 2, 4]
+    relabeled = np.empty_like(scheme.relation)
+    relabeled[np.ix_(perm, perm)] = scheme.relation
+    zscheme = verify_scheme(relabeled)
+    zeigen = attach_eigendata(zscheme, eigen.Q)
+    fz = galois_fusion(zscheme, zeigen, SubfieldSpec.rationals(zeigen.conductor))
+    image, t_prime = transfer_design(build_design_transfer(fx, fz, perm), subset, {1, 2, 3})
+    assert isinstance(image, WeightedSubset)
+    assert [image.weights[perm[x]] for x in range(8)] == weights
+    assert is_T_design(zscheme, zeigen, image, t_prime)
+
+
 def test_transfer_rejects_bad_vertex_map():
     fx = fused_over_q(build_x8)
     fy = fused_over_q(build_y8)
@@ -436,6 +461,12 @@ BAD_INPUTS = {
         transfer_design(transfer, (0, 1), {1, 2, 3}),
     "enumeration_method": lambda scheme, eigen, fx, fy, plain, transfer:
         enumerate_T_designs(scheme, eigen, (), 1, 2, "exhaustive"),
+    "enumeration_min_size_float": lambda scheme, eigen, fx, fy, plain, transfer:
+        enumerate_T_designs(scheme, eigen, (1,), 1.5, 3),
+    "enumeration_max_size_float": lambda scheme, eigen, fx, fy, plain, transfer:
+        enumerate_T_designs(scheme, eigen, (1,), 1, 2.5),
+    "enumeration_min_size_str": lambda scheme, eigen, fx, fy, plain, transfer:
+        enumerate_T_designs(scheme, eigen, (1,), "1", 3),
 }
 
 

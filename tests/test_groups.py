@@ -214,8 +214,9 @@ def test_inconsistent_character_table_rejected():
     rows = [list(r) for r in table.rows]
     rows[1][1], rows[1][2] = rows[1][2], rows[1][1]  # breaks orthogonality
     bad = make_character_table(CycMatrix(rows, 6))
+    scheme, _ = conj_class_scheme(group)
     with pytest.raises(BadEigenbasis):
-        eigendata_from_characters(group, classes, bad)
+        eigendata_from_characters(group, classes, bad, scheme)
 
 
 def test_krein_against_tensor_decomposition():
@@ -351,9 +352,9 @@ def test_dicyclic_representations_verify():
         reps = builtin_representations("dicyclic", n)
         assert sum(r.degree**2 for r in reps) == group.order
         for j, rho in enumerate(reps):
-            verify_representation(
-                group, rho, [table.rows[j][classes.class_of[g]] for g in range(group.order)]
-            )
+            traces = verify_representation(group, rho)
+            assert traces.col(0) == tuple(table.rows[j][classes.class_of[g]]
+                                          for g in range(group.order))
             u = representation_eigenvectors(group, rho, scheme, classes)
             assert u.cols == rho.degree**2
 

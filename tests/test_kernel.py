@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -45,7 +46,7 @@ from delsarte.designs import (
     is_T_design_via_merges,
     rational_orbit_data,
 )
-from delsarte.errors import KreinViolation, ParseError
+from delsarte.errors import ConductorMismatch, KreinViolation, ParseError, ValidationError
 from delsarte.scheme import krein_parameters
 from fraction_reference import Ref, ref_matrix, ref_rows, ref_sum
 
@@ -136,7 +137,7 @@ def test_rational_left_products_match_scalar_arithmetic(data):
     want = [ref_sum(rows[i][j] * v[i] for i in range(r)) for j in range(c)]
     assert same(m.left_rational([v]), [want])
     cols = data.draw(st.lists(st.integers(0, c - 1), max_size=c))
-    assert same(m.left_rational([v], cols), [[want[j] for j in cols]])
+    assert same(m.select(cols=cols).left_rational([v]), [[want[j] for j in cols]])
 
 
 def test_keys_and_masks_are_exact():
@@ -342,7 +343,7 @@ def test_left_zero_mask_dtype_follows_the_bound(monkeypatch):
         dtypes.clear()
         mask = q.left_zero_mask(ints, [1, 2])
         assert dtypes == [dtype]
-        assert mask.tolist() == q.left_lifted(ints, 1, [1, 2]).zero_mask().tolist()
+        assert mask.tolist() == q.select(cols=[1, 2]).left_lifted(ints, 1).zero_mask().tolist()
         assert mask[1].all() and not mask[2].any()
 
 
@@ -403,7 +404,7 @@ def test_bounded_matmul_matches_object_products(data):
 
 @pytest.mark.parametrize("conductor", [10_007, 10_008, 0, -4, 2**64, "many"])
 def test_file_conductor_cap_rejects_before_allocating(conductor):
-    # 10 008 has phi = 3312, within PHI_LIMIT: its power table alone would be
+    # 10 008 has phi = 3312, past PHI_LIMIT: its power table alone would be
     # 10 008 rows of 3312 integers, 265 MB in int64
     text = '{"conductor": %s, "Q": [[[[1, "1"]]]]}' % (
         f'"{conductor}"' if isinstance(conductor, str) else conductor)
@@ -418,9 +419,63 @@ def test_file_conductor_cap_rejects_before_allocating(conductor):
 
 
 def test_file_conductor_cap_admits_the_ladder():
-    assert fileio.FILE_PHI_LIMIT >= 10 * euler_phi(52)
+    assert cyclotomic.PHI_LIMIT >= 10 * euler_phi(52)
     n, q = fileio.parse_eigen_file('{"conductor": 52, "Q": [[[[1, "1"]]]]}')
     assert n == 52 and q[0, 0] == Cyclotomic.zeta(52)
+
+
+# ---------------------------------------------------------------------------
+# conductors named through the API: the same guard as files
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: Cyclotomic.zeta(2053),                    # phi = 2052
+    lambda: Cyclotomic.zeta(4, 1).embed(4 * 2053),
+    lambda: Cyclotomic.from_rational(1, 1021),        # phi = 1020
+    lambda: CycMatrix([[1]], 2053),
+    lambda: cyclotomic.SubfieldSpec.rationals(2053),
+])
+def test_api_conductor_cap_rejects_before_allocating(build):
+    # zeta(2053).galois(3) alone peaked at 64.5 MB under the former limit of
+    # phi <= 10 000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConductorMismatch):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_api_conductor_cap_refuses_a_large_prime_without_factoring_it():
+    # phi(n) >= sqrt(n / 2): past 2 PHI_LIMIT^2 no totient is computed (the
+    # trial division of this prime took about a second)
+    start = time.perf_counter()
+    with pytest.raises(ConductorMismatch):
+        Cyclotomic.from_rational(1, 100_000_000_000_031)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("conductor", [0, -4])
+def test_api_conductor_below_one_is_a_validation_error(conductor):
+    with pytest.raises(ValidationError, match="conductor must be >= 1"):
+        Cyclotomic.from_rational(1, conductor)
+
+
+def test_api_conductor_cap_admits_tables_under_2_mb():
+    # every n up to 2 PHI_LIMIT^2, by a totient sieve: the accepted conductors
+    # end at 1050, and the largest power table (n = 1020) is 2.1 MB of int64
+    top = 2 * cyclotomic.PHI_LIMIT**2
+    phi = np.arange(top + 1)
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            phi[p::p] -= phi[p::p] // p
+    accepted = np.flatnonzero(phi[1:] <= cyclotomic.PHI_LIMIT) + 1
+    assert accepted[-1] == 1050 and euler_phi(1050) == phi[1050]
+    sizes = accepted * phi[accepted]
+    assert accepted[np.argmax(sizes)] == 1020 and sizes.max() * 8 < 2.1e6
+    assert Cyclotomic.zeta(1020) ** 1020 == 1
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,14 @@ def test_zero_costs_against_a_huge_coefficient(objective):
     problem = make_problem(objective, [([2**70, 1], ">=", 1)])
     result = simplex_solve(problem)
     assert (result.status, result.value, result.solution) == reference_solve(problem)
+
+
+@pytest.mark.parametrize("constraints, message", [
+    ([([1, 1, 1], "<=", 1)], "constraint arity differs from objective"),
+    ([([1, 1], "<", 1)], "unknown relation '<'"),
+])
+def test_malformed_problems_are_validation_errors(constraints, message):
+    # a domain error (DelsarteError), and still the ValueError it was
+    with pytest.raises(ValidationError, match=message) as info:
+        make_problem([1, 1], constraints)
+    assert isinstance(info.value, DelsarteError) and isinstance(info.value, ValueError)

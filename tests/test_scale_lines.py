@@ -26,7 +26,7 @@ from delsarte.catalog import CATALOG, load_entry
 from delsarte.cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec
 from delsarte.errors import BadEigenbasis, NotClosed
 from delsarte.fusion import galois_fusion
-from delsarte.groups import builtin_group, eigendata_from_characters
+from delsarte.groups import builtin_group, conj_class_scheme, eigendata_from_characters
 from delsarte.scheme import attach_eigendata
 
 CONDUCTORS = (1, 4, 28, 60)
@@ -149,7 +149,7 @@ def test_catalog_p_and_fused_q_are_the_reference_scalings(name):
 @pytest.mark.parametrize("family, n", [("cyclic", 8), ("dicyclic", 5), ("dicyclic", 7)])
 def test_group_q_is_the_reference_scaling(family, n):
     group, classes, table = builtin_group(family, n)
-    eigen = eigendata_from_characters(group, classes, table)
+    eigen = eigendata_from_characters(group, classes, table, conj_class_scheme(group)[0])
     same_form(eigen.Q, reference_scaled(table.matrix.adjoint(), None, table.degrees))
 
 

@@ -19,7 +19,7 @@ from delsarte.catalog import (
 )
 from delsarte.cyclotomic import CycMatrix, Cyclotomic, SubfieldSpec
 from delsarte.designs import rational_orbit_data
-from delsarte.errors import BadEigenbasis, NotAScheme, NotClosed
+from delsarte.errors import BadEigenbasis, NotAScheme, NotClosed, ValidationError
 from delsarte.fusion import galois_fusion
 from delsarte.scheme import (
     attach_eigendata,
@@ -265,6 +265,20 @@ def test_idempotents_literal_matrix_identities():
             acc = acc + es[j].scale(eigen.P[j, i])
         expected = CycMatrix(scheme.adjacency(i).tolist())
         assert acc == expected
+
+
+@pytest.mark.parametrize("i", [-1, 5, 1.5, True])
+def test_adjacency_refuses_an_index_outside_0_to_d(i):
+    # -1, 5 and 1.5 gave the zero matrix, and True gave A_1
+    scheme, _ = build_x8()
+    assert scheme.d == 4
+    with pytest.raises(ValidationError, match="a relation index"):
+        scheme.adjacency(i)
+
+
+def test_adjacency_takes_numpy_integers():
+    scheme, _ = build_x8()
+    assert np.array_equal(scheme.adjacency(np.int64(4)), scheme.adjacency(4))
 
 
 def test_second_orthogonality_relation():

@@ -955,3 +955,90 @@ def test_unreferenced_guard_catches_the_former_oracle():
     )
     assert _unreferenced_definitions(sources, set(delsarte.__all__), _demo_sources()) == \
         ["scheme.count_intersection"]
+
+
+PROGRAM_DIRS = [SRC.parent.parent / name for name in ("src", "demos", "perfbench")]
+
+
+def _program_sources():
+    """The texts of every program file: the library, the demos and the
+    benchmark, without the benchmark's tests."""
+    return [path.read_text() for root in PROGRAM_DIRS for path in sorted(root.rglob("*.py"))
+            if "tests" not in path.relative_to(root).parts]
+
+
+def _callables(sources):
+    """(module.qualname, the name a call uses, definition, leading
+    parameters a call does not pass) of every top-level function and every
+    method in ``sources``; ``__init__`` is called by its class name."""
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{module}.{node.name}", node.name, node, 0
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        static = any(ast.unparse(d) == "staticmethod" for d in fn.decorator_list)
+                        called = node.name if fn.name == "__init__" else fn.name
+                        yield f"{module}.{node.name}.{fn.name}", called, fn, 0 if static else 1
+
+
+def _defaulted(fn, skip):
+    """(name, position in a call or None for keyword-only) of each
+    parameter of ``fn`` that has a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(p.arg, k - skip) for k, p in enumerate(positional) if k >= first]
+            + [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _sets(call, name, position):
+    """Whether ``call`` may set the parameter: by keyword or ``**``, by
+    position, or through a ``*`` argument at or before its position."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return position is not None and any(
+        k == position or isinstance(arg, ast.Starred)
+        for k, arg in enumerate(call.args[:position + 1]))
+
+
+def _unset_defaults(sources, program):
+    """module.qualname(parameter) of each defaulted parameter of a library
+    callable that some program call names, yet no such call sets."""
+    calls = collections.defaultdict(list)
+    for text in program:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls[name].append(node)
+    return [f"{qual}({param})"
+            for qual, called, fn, skip in _callables(sources) if calls[called]
+            for param, position in _defaulted(fn, skip)
+            if not any(_sets(call, param, position) for call in calls[called])]
+
+
+def test_every_default_is_set_by_some_program_call():
+    # a parameter that only the tests set is an option the package does not
+    # have; a function that no program call names is public API and exempt
+    assert _unset_defaults(_library_sources(), _program_sources()) == []
+
+
+def test_default_guard_catches_the_former_character_row():
+    # verify_representation as it was, comparing the traces with a row that
+    # only the tests passed
+    sources = _library_sources()
+    new = "def verify_representation(group: GroupTable, rho: Representation) -> CycMatrix:\n"
+    assert new in sources["groups"]
+    sources["groups"] = sources["groups"].replace(new, (
+        "def verify_representation(\n"
+        "    group: GroupTable, rho: Representation, character_row=None\n"
+        ") -> CycMatrix:\n"))
+    assert _unset_defaults(sources, _program_sources()) == \
+        ["groups.verify_representation(character_row)"]
+    # a call through *args may set it; so may one by keyword
+    calls = ["verify_representation(*args)", "verify_representation(g, rho, character_row=r)"]
+    for call in calls:
+        assert _unset_defaults(sources, _program_sources() + [call]) == []
